@@ -166,7 +166,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, OSError) as exc:
+        print(f"rieszvox: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

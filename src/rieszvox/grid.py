@@ -10,9 +10,20 @@ final scale factor h^dim.
 
 Measures are computed count-first: integer cell count, multiplied by h^dim
 once at the end.
+
+Rasterization (rasterize_ellipsoid, rasterize_affine_image) supersamples
+each cell at s^dim points, s per axis at offsets (k + 1/2) h / s; a cell
+is occupied when at least half of its samples are in the body (2 * in >=
+s^dim), and a sample exactly on the boundary counts as in.  Only cells
+the boundary can cross are sampled: a first pass proves, from one value
+per cell and a bound on how far that value can move within the cell,
+that all samples are in or all are out, with a margin far above rounding
+error; the remaining boundary band runs the per-sample test.  The result
+is the same cell for cell as sampling every cell of the bounding box.
 """
 
 import io
+import math
 import struct
 from types import SimpleNamespace
 
@@ -23,6 +34,28 @@ VXG_VERSION = 1
 
 # relative slack used when checking that physical data sits on the lattice
 ALIGN_RTOL = 1e-9
+
+
+def _validated(occupancy, origin, spacing):
+    """The one validation path of VoxelSet's constructors.
+
+    Returns the occupancy as a contiguous bool array, the origin (physical
+    or index) as a flat array and the spacing as a float.
+    """
+    occ = np.ascontiguousarray(occupancy, dtype=bool)
+    if occ.ndim not in (1, 2, 3):
+        raise ValueError(f"dim must be 1, 2, or 3, got {occ.ndim}")
+    if min(occ.shape) < 1:
+        raise ValueError("shape entries must be >= 1")
+    h = float(spacing)
+    if not (h > 0 and math.isfinite(h)):
+        raise ValueError(f"spacing must be finite and positive, got {spacing}")
+    origin = np.asarray(origin).reshape(-1)
+    if origin.size != occ.ndim:
+        raise ValueError("origin length must equal dim")
+    if not np.all(np.isfinite(origin)):
+        raise ValueError(f"origin must be finite, got {origin}")
+    return occ, origin, h
 
 
 class VoxelSet:
@@ -44,48 +77,28 @@ class VoxelSet:
     __slots__ = ("_occ", "_origin_index", "_spacing")
 
     def __init__(self, occupancy, origin, spacing):
-        occ = np.ascontiguousarray(occupancy, dtype=bool)
-        if occ.ndim not in (1, 2, 3):
-            raise ValueError(f"dim must be 1, 2, or 3, got {occ.ndim}")
-        if spacing <= 0:
-            raise ValueError(f"spacing must be positive, got {spacing}")
-        if min(occ.shape) < 1:
-            raise ValueError("shape entries must be >= 1")
-        origin = np.asarray(origin, dtype=float).reshape(-1)
-        if origin.size != occ.ndim:
-            raise ValueError("origin length must equal dim")
-        idx = np.rint(origin / spacing)
-        if np.any(np.abs(idx * spacing - origin) > ALIGN_RTOL * spacing):
+        occ, origin, h = _validated(occupancy, origin, spacing)
+        idx = np.rint(origin / h)
+        if np.any(np.abs(idx * h - origin) > ALIGN_RTOL * h):
             raise ValueError(
                 "origin is not aligned to the cell lattice "
                 f"(must be an integer multiple of spacing={spacing})"
             )
-        self._occ = occ
-        self._occ.setflags(write=False)
-        self._origin_index = idx.astype(np.int64)
-        self._origin_index.setflags(write=False)
-        self._spacing = float(spacing)
+        self._set(occ, idx, h)
 
     @classmethod
     def from_index(cls, occupancy, origin_index, spacing):
         """Construct from an integer low-corner index, bypassing the float snap."""
         self = object.__new__(cls)
-        occ = np.ascontiguousarray(occupancy, dtype=bool)
-        if occ.ndim not in (1, 2, 3):
-            raise ValueError(f"dim must be 1, 2, or 3, got {occ.ndim}")
-        if spacing <= 0:
-            raise ValueError(f"spacing must be positive, got {spacing}")
-        if min(occ.shape) < 1:
-            raise ValueError("shape entries must be >= 1")
+        self._set(*_validated(occupancy, origin_index, spacing))
+        return self
+
+    def _set(self, occ, origin_index, spacing):
         self._occ = occ
         self._occ.setflags(write=False)
-        idx = np.asarray(origin_index, dtype=np.int64).reshape(-1).copy()
-        if idx.size != occ.ndim:
-            raise ValueError("origin_index length must equal dim")
-        self._origin_index = idx
+        self._origin_index = origin_index.astype(np.int64)
         self._origin_index.setflags(write=False)
-        self._spacing = float(spacing)
-        return self
+        self._spacing = spacing
 
     @classmethod
     def empty(cls, dim, spacing):
@@ -397,6 +410,11 @@ def from_cells(cells, dim, spacing):
 
 # -- rasterization --------------------------------------------------------
 
+# Phase 1 decides a cell only when its margin beats this multiple of the
+# magnitude of the terms the per-sample test sums; the rounding error of
+# that test is below 1e-14 of the same magnitude.
+BAND_RTOL = 1e-9
+
 
 def _subsample_offsets(spacing, supersample):
     """Per-axis subsample offsets relative to the cell's low corner."""
@@ -407,6 +425,7 @@ def _subsample_offsets(spacing, supersample):
 
 
 def _shape_matrix_checked(q, dim):
+    """Symmetrized Q and its largest eigenvalue; raises unless Q is SPD."""
     Q = np.asarray(q, dtype=float)
     if Q.shape != (dim, dim):
         raise ValueError("shape matrix has wrong dimensions")
@@ -415,7 +434,25 @@ def _shape_matrix_checked(q, dim):
     w = np.linalg.eigvalsh((Q + Q.T) / 2)
     if w.min() <= 0:
         raise ValueError("shape matrix must be positive definite")
-    return (Q + Q.T) / 2
+    return (Q + Q.T) / 2, w.max()
+
+
+def _band_vote(inside, band, s, member):
+    """Phase 2 of both rasterizers: the supersample vote on the band cells.
+
+    `inside` marks the cells phase 1 proved full and is completed in place;
+    `band` marks the undecided cells.  member(combo, cells) returns, for
+    the sample slot `combo` (one subsample index per axis), whether that
+    sample of each band cell (`cells`, per-axis local indices) is in the
+    body.  A cell is occupied when 2 * (samples in) >= s^dim.
+    """
+    cells = np.nonzero(band)
+    if cells[0].size:
+        counts = np.zeros(cells[0].size, dtype=np.int32)
+        for combo in np.ndindex(*([s] * band.ndim)):
+            counts += member(combo, cells)
+        inside[cells] = 2 * counts >= s**band.ndim
+    return inside
 
 
 def rasterize_ellipsoid(e, spacing, supersample=3):
@@ -429,7 +466,7 @@ def rasterize_ellipsoid(e, spacing, supersample=3):
     """
     v = np.asarray(e.center, dtype=float).reshape(-1)
     dim = v.size
-    Q = _shape_matrix_checked(e.shape, dim)
+    Q, lam = _shape_matrix_checked(e.shape, dim)
     h = float(spacing)
     if h <= 0:
         raise ValueError("spacing must be positive")
@@ -439,33 +476,59 @@ def rasterize_ellipsoid(e, spacing, supersample=3):
     hi = np.ceil((v + b) / h).astype(np.int64)
     box = tuple(int(x) for x in (hi - lo))
     s = int(supersample)
-    need = s**dim  # occupied iff 2*inside_count >= need
-    counts = np.zeros(box, dtype=np.int32)
-    axes = [lo[i] * h + _subsample_offsets(h, s)[:, None] + np.arange(box[i]) * h
-            for i in range(dim)]
-    # axes[i][k] is the vector of i-th coordinates for subsample slot k
-    for combo in np.ndindex(*([s] * dim)):
-        coords = np.meshgrid(
-            *[axes[i][combo[i]] - v[i] for i in range(dim)], indexing="ij"
-        )
-        qf = np.zeros(box)
+
+    # phase 1: q at the cell center c moves by at most
+    # h*|Q c|_1 + lam_max*dim*h^2/4 over the cell's samples
+    c = np.ix_(*[(lo[i] + np.arange(box[i]) + 0.5) * h - v[i] for i in range(dim)])
+    grad = [sum(Q[i, j] * c[j] for j in range(dim)) for i in range(dim)]
+    qc = sum(c[i] * grad[i] for i in range(dim))
+    ext = np.maximum(np.abs(lo), np.abs(hi)) * h + np.abs(v) + h
+    reach = h * sum(np.abs(g) for g in grad) + (
+        lam * dim * h * h / 4 + BAND_RTOL * (ext @ np.abs(Q) @ ext)
+    )
+    inside = qc + reach < 1.0
+    band = ~inside & (qc - reach <= 1.0)
+
+    # phase 2: the per-sample test, in the arithmetic of the full-box loop
+    # that phase 1 replaced (coordinates, then sum_ij Q_ij c_i c_j in order)
+    axes = [
+        lo[i] * h + _subsample_offsets(h, s)[:, None] + np.arange(box[i]) * h - v[i]
+        for i in range(dim)
+    ]
+
+    def member(combo, cells):
+        coords = [axes[i][combo[i]][cells[i]] for i in range(dim)]
+        qf = np.zeros(cells[0].size)
         for i in range(dim):
             for j in range(dim):
                 qf += Q[i, j] * coords[i] * coords[j]
-        counts += qf <= 1.0
-    occ = 2 * counts >= need
+        return qf <= 1.0
+
+    occ = _band_vote(inside, band, s, member)
     return VoxelSet.from_index(occ, lo, h).tighten()
 
 
-def _point_membership(e, pts):
-    """Boolean membership of physical points in the voxel set (vectorized)."""
-    idx = np.floor(pts / e.spacing).astype(np.int64) - e.origin_index
-    ok = np.all((idx >= 0) & (idx < np.asarray(e.shape)), axis=-1)
-    out = np.zeros(pts.shape[:-1], dtype=bool)
-    if np.any(ok):
-        god = tuple(idx[ok][:, i] for i in range(e.dim))
-        out[ok] = e.occupancy[god]
-    return out
+def _window_counts(e, lo, hi):
+    """Occupied cells of E in the boxes [lo, hi) of local indices.
+
+    lo and hi are per-axis integer arrays (broadcast together), clipped to
+    E's box; the count comes from an exclusive prefix sum over E.
+    """
+    dim = e.dim
+    pre = np.pad(e.occupancy.astype(np.int64), [(1, 0)] * dim)
+    for ax in range(dim):
+        np.cumsum(pre, axis=ax, out=pre)
+    flat = pre.reshape(-1)
+    stride = np.asarray(pre.strides) // pre.itemsize
+    ends = [
+        [np.clip(b[j], 0, e.shape[j]) * stride[j] for b in (lo, hi)]
+        for j in range(dim)
+    ]
+    total = 0
+    for corner in np.ndindex(*([2] * dim)):
+        sign = -1 if (dim - sum(corner)) % 2 else 1
+        total = total + sign * flat[sum(ends[j][corner[j]] for j in range(dim))]
+    return total
 
 
 def rasterize_affine_image(e, a, v, spacing, supersample=3):
@@ -473,7 +536,8 @@ def rasterize_affine_image(e, a, v, spacing, supersample=3):
 
     Positive integer diagonal A with lattice-aligned v and unchanged spacing
     is carried out by exact cell replication; anything else samples
-    membership of A^-1 (y - v) in E on a supersample grid per output cell.
+    membership of A^-1 (y - v) in E on a supersample grid per output cell,
+    with the majority rule of rasterize_ellipsoid.
     """
     A = np.asarray(a, dtype=float)
     if A.shape != (e.dim, e.dim):
@@ -501,14 +565,15 @@ def rasterize_affine_image(e, a, v, spacing, supersample=3):
         new_origin = e.origin_index * mi + voff.astype(np.int64)
         return VoxelSet.from_index(occ, new_origin, h)
 
+    dim = e.dim
     Ainv = np.linalg.inv(A)
     # bounding box: hull of the transformed corners of E's bounding box
     lo_phys = e.origin_index * e.spacing
     hi_phys = (e.origin_index + np.asarray(e.shape)) * e.spacing
     corners = np.array(
         [
-            [lo_phys[i] if (k >> i) & 1 == 0 else hi_phys[i] for i in range(e.dim)]
-            for k in range(2**e.dim)
+            [lo_phys[i] if (k >> i) & 1 == 0 else hi_phys[i] for i in range(dim)]
+            for k in range(2**dim)
         ]
     )
     img = corners @ A.T + v
@@ -516,18 +581,49 @@ def rasterize_affine_image(e, a, v, spacing, supersample=3):
     hi = np.ceil(img.max(axis=0) / h).astype(np.int64)
     box = tuple(int(x) for x in (hi - lo))
     s = int(supersample)
-    need = s**e.dim
-    counts = np.zeros(box, dtype=np.int32)
+
+    # phase 1: every sample lies within h/2 of its cell center per axis, so
+    # its preimage lies within reach_j of the center's along E's axis j; the
+    # cell is decided when the E-cells in that window are all occupied or
+    # all empty
+    he = e.spacing
+    ext = np.maximum(np.abs(lo), np.abs(hi)) * h + np.abs(v) + h
+    reach = np.abs(Ainv).sum(axis=1) * (h / 2) + BAND_RTOL * (np.abs(Ainv) @ ext)
+    y = np.ix_(*[(lo[i] + np.arange(box[i]) + 0.5) * h - v[i] for i in range(dim)])
+    first, stop = [], []
+    for j in range(dim):
+        t = sum(Ainv[j, i] * y[i] for i in range(dim)) / he
+        first.append(np.floor(t - reach[j] / he).astype(np.int64) - e.origin_index[j])
+        stop.append(np.floor(t + reach[j] / he).astype(np.int64) + 1 - e.origin_index[j])
+    hits = _window_counts(e, first, stop)
+    inside = hits == math.prod(b - a for a, b in zip(first, stop))
+    band = ~inside & (hits > 0)
+
+    # phase 2: the per-sample test, in the arithmetic of the full-box loop
+    # that phase 1 replaced; E gets a border of empty cells so that clipping
+    # sends every point outside E's box to an empty cell
     sub = _subsample_offsets(h, s)
-    centers = [lo[i] * h + np.arange(box[i]) * h for i in range(e.dim)]
-    for combo in np.ndindex(*([s] * e.dim)):
-        coords = np.meshgrid(
-            *[centers[i] + sub[combo[i]] for i in range(e.dim)], indexing="ij"
-        )
-        pts = np.stack(coords, axis=-1).reshape(-1, e.dim)
+    axes = [lo[i] * h + np.arange(box[i]) * h + sub[:, None] for i in range(dim)]
+    single = int(np.prod(box)) == 1
+    border = np.pad(e.occupancy, 1)
+    stride = np.asarray(border.strides) // border.itemsize
+    last = np.asarray(border.shape) - 1
+    border = border.reshape(-1)
+
+    def member(combo, cells):
+        pts = np.stack([axes[i][combo[i]][cells[i]] for i in range(dim)], axis=-1)
+        n = len(pts)
+        if n == 1 and not single:
+            # numpy hands a one-row product to gemv and longer ones to gemm,
+            # whose roundings can differ; the full box always had many rows
+            pts = np.vstack([pts, pts])
         x = (pts - v) @ Ainv.T
-        counts += _point_membership(e, x).reshape(box)
-    occ = 2 * counts >= need
+        idx = np.floor(x[:n] / he).astype(np.int64)
+        idx -= e.origin_index - 1
+        np.clip(idx, 0, last, out=idx)
+        return border[idx @ stride]
+
+    occ = _band_vote(inside, band, s, member)
     return VoxelSet.from_index(occ, lo, h).tighten()
 
 
@@ -637,7 +733,12 @@ def save(e, path):
 
 
 def load(path):
-    """Read a VXG1 file; raises on bad magic, version mismatch, or truncation."""
+    """Read a VXG1 file.
+
+    Raises ValueError on bad magic, an unsupported version or dimension, a
+    truncated file, an occupancy payload whose size does not match the
+    shape (trailing bytes included), or invalid spacing or origin.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 6:
@@ -663,10 +764,14 @@ def load(path):
     for n in shape:
         ncells *= n
     nbytes = (ncells + 7) // 8
-    payload = data[off : off + nbytes]
-    if len(payload) < nbytes:
+    if len(data) - off < nbytes:
         raise ValueError("truncated VXG1 file (incomplete occupancy)")
+    if len(data) - off > nbytes:
+        raise ValueError(
+            f"VXG1 occupancy is {len(data) - off} bytes but shape {shape} "
+            f"needs {nbytes} (trailing bytes or wrong shape)"
+        )
     occ = np.unpackbits(
-        np.frombuffer(payload, dtype=np.uint8), count=ncells, bitorder="little"
+        np.frombuffer(data, dtype=np.uint8, offset=off), count=ncells, bitorder="little"
     ).astype(bool)
     return VoxelSet(occ.reshape(shape), origin, spacing)

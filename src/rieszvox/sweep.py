@@ -19,13 +19,19 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 from scipy.stats import spearmanr
 
 from .functional import deficit
-from .grid import SetTriple, VoxelSet, from_cells, rasterize_ellipsoid
+from .grid import (
+    SetTriple,
+    VoxelSet,
+    _ellipsoid_like,
+    from_cells,
+    rasterize_affine_image,
+    rasterize_ellipsoid,
+)
 from .symmetrize import _greedy_ball_order
 
 CSV_COLUMNS = (
@@ -217,18 +223,13 @@ def skew_columns(e, slope):
     return _roll_columns(e, k)
 
 
-def _ball_like(center, radius):
-    dim = len(center)
-    return SimpleNamespace(
-        center=np.asarray(center, float), shape=np.eye(dim) / radius**2
-    )
-
-
 def base_triple(dim, spacing, rng, supersample=3):
     """Concentric near-extremal ball triple with jittered radii."""
     radii = np.array([1.0, 0.92, 0.85]) * (1 + 0.06 * (rng.random(3) - 0.5))
     sets = [
-        rasterize_ellipsoid(_ball_like(np.zeros(dim), r), spacing, supersample)
+        rasterize_ellipsoid(
+            _ellipsoid_like(np.zeros(dim), np.eye(dim) / r**2), spacing, supersample
+        )
         for r in radii
     ]
     return SetTriple(sets)
@@ -252,21 +253,14 @@ def apply_family(t, family, level, rng):
         shift = np.zeros(t.dim)
         shift[0] = round(0.25 / h) * h
         vs = np.stack([shift, -shift, np.zeros(t.dim)])
-        out = []
-        for e, v in zip(t, vs):
-            out.append(_raster_affine(e, a, v, h))
-        return SetTriple(out)
+        return SetTriple(
+            rasterize_affine_image(e, a, v, h, supersample=3) for e, v in zip(t, vs)
+        )
     if family == "skew":
         slope = np.zeros(t.dim - 1)
         slope[0] = level
         return SetTriple([t[0], t[1], skew_columns(t[2], slope)])
     raise ValueError(f"unknown family {family!r}")
-
-
-def _raster_affine(e, a, v, h):
-    from .grid import rasterize_affine_image
-
-    return rasterize_affine_image(e, a, v, h, supersample=3)
 
 
 # -- the runner -------------------------------------------------------------

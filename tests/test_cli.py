@@ -112,6 +112,22 @@ class TestTripleCommands:
         assert "epsilon" in text
 
 
+class TestErrors:
+    def test_missing_file_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.vxg")
+        rc = main(["deficit", missing, missing, missing])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("rieszvox: error: ")
+        assert "missing.vxg" in err
+
+    def test_corrupt_file_is_an_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.vxg"
+        bad.write_bytes(b"NOPE" + bytes(64))
+        assert main(["symmetrize", str(bad), "--op", "star", "--out", str(tmp_path / "o")]) == 2
+        assert "bad magic" in capsys.readouterr().err
+
+
 class TestSweep:
     ARGS = [
         "sweep", "--family", "skew", "--levels", "0.0,0.2", "--samples", "2",

@@ -81,6 +81,36 @@ class TestVoxelSet:
         e = VoxelSet.empty(2, H)
         assert e.is_empty and e.count == 0 and e.measure == 0.0
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda occ: VoxelSet(occ, [0.0, 0.0], float("nan")),
+            lambda occ: VoxelSet(occ, [0.0, 0.0], float("inf")),
+            lambda occ: VoxelSet(occ, [0.0, 0.0], 0.0),
+            lambda occ: VoxelSet(occ, [0.0, 0.0], -H),
+            lambda occ: VoxelSet(occ, [float("nan"), 0.0], H),
+            lambda occ: VoxelSet(occ, [0.0, float("inf")], H),
+            lambda occ: VoxelSet(occ, [0.0], H),
+            lambda occ: VoxelSet.from_index(occ, [0, 0], float("nan")),
+            lambda occ: VoxelSet.from_index(occ, [0, 0], float("inf")),
+            lambda occ: VoxelSet.from_index(occ, [0, 0], 0.0),
+            lambda occ: VoxelSet.from_index(occ, [float("nan"), 0.0], H),
+            lambda occ: VoxelSet.from_index(occ, [0, 0, 0], H),
+            lambda occ: VoxelSet.from_index(occ[None, None, None], [0] * 5, H),
+            lambda occ: VoxelSet.from_index(occ[:0], [0, 0], H),
+        ],
+        ids=[
+            "nan-spacing", "inf-spacing", "zero-spacing", "negative-spacing",
+            "nan-origin", "inf-origin", "short-origin",
+            "from-index-nan-spacing", "from-index-inf-spacing",
+            "from-index-zero-spacing", "from-index-nan-origin",
+            "from-index-long-origin", "dim-5", "empty-shape",
+        ],
+    )
+    def test_invalid_construction_rejected(self, build):
+        with pytest.raises(ValueError):
+            build(np.ones((2, 2), dtype=bool))
+
 
 class TestBoolean:
     @seed(7)
@@ -260,6 +290,37 @@ class TestPersistence:
         data = p.read_bytes()
         p.write_bytes(data[: len(data) - 3])
         with pytest.raises(ValueError):
+            load(str(p))
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        e = random_voxel_set(2, np.random.default_rng(3))
+        p = tmp_path / "e.vxg"
+        save(e, str(p))
+        p.write_bytes(p.read_bytes() + b"junk")
+        with pytest.raises(ValueError, match="trailing"):
+            load(str(p))
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_shape_not_matching_payload_rejected(self, tmp_path, delta):
+        # a 16x16 set has a 32-byte payload; an 8-cell change of the first
+        # axis makes the shape need 16 bytes more or fewer
+        e = VoxelSet.from_index(np.ones((16, 16), dtype=bool), [0, 0], H)
+        p = tmp_path / "e.vxg"
+        save(e, str(p))
+        data = bytearray(p.read_bytes())
+        struct.pack_into("<I", data, 6, 16 + 8 * delta)
+        p.write_bytes(bytes(data))
+        with pytest.raises(ValueError):
+            load(str(p))
+
+    def test_nan_spacing_file_rejected(self, tmp_path):
+        e = random_voxel_set(1, np.random.default_rng(4))
+        p = tmp_path / "e.vxg"
+        save(e, str(p))
+        data = bytearray(p.read_bytes())
+        struct.pack_into("<d", data, 6 + 4, float("nan"))
+        p.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="spacing"):
             load(str(p))
 
     def test_bad_version(self, tmp_path):
