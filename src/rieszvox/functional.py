@@ -13,9 +13,12 @@ vanishes otherwise.  Hence
 which is symmetric under permutations, invariant under reflection about the
 origin (s maps to -s-3, a bijection of the corner set), and exactly
 covariant under integer grid refinement, because it IS the continuum T of
-the voxelized sets.  Two independent evaluation paths are provided: a
-Fourier convolution (entries rounded to exact integers before use) and a
-brute-force loop over occupied cells.
+the voxelized sets.  Both evaluation paths build the box conv = 1_E1 * 1_E2
+of two members and share one gather of N_s at the cells of the third.  The
+boxes are built independently: 'fft' by a floating-point Fourier convolution
+whose gathered entries are rounded to integers, 'direct' by an int64
+histogram of the pair sums a + b of the two smallest members, which uses
+integer addition only.
 """
 
 import math
@@ -32,6 +35,7 @@ from .grid import SetTriple, VoxelSet
 from .symmetrize import dyadic_layers
 
 DIRECT_PAIR_GUARD = 10**8  # max product of the two smallest cell counts
+_PAIR_BLOCK = 2 * 10**6  # pair sums held at once by the direct path
 
 
 def unit_ball_volume(dim):
@@ -107,85 +111,77 @@ def trilinear_corner_counts(t, method="fft"):
     """The exact integer counts N_s for s in {-1,-2}^dim, keyed by corner.
 
     method 'fft' uses a Fourier convolution with entries rounded to the
-    nearest integer (the true values are integers); 'direct' enumerates
-    occupied cells.  Both produce identical counts.
+    nearest integer (the true values are integers); 'direct' histograms
+    the integer pair sums of occupied cells.  Both produce identical counts.
     """
     sets = _coerce_triple(t)
     if any(e.is_empty for e in sets):
         return {s: 0 for s in _corners(sets[0].dim)}
     if method == "fft":
-        return _corner_counts_fft(sets)
+        occ = (e.occupancy.astype(np.float64) for e in sets[:2])
+        return _gather(sets, fftconvolve(*occ))
     if method == "direct":
         return _corner_counts_direct(sets)
     raise ValueError(f"unknown method {method!r}")
 
 
-def _corner_counts_fft(sets):
-    e1, e2, e3 = sets
-    d = e1.dim
-    conv = fftconvolve(
-        e1.occupancy.astype(np.float64), e2.occupancy.astype(np.float64)
-    )
-    base = e1.origin_index + e2.origin_index  # global index of conv[0,...]
-    g3 = e3.global_indices()
-    shape = np.asarray(conv.shape)
-    out = {}
-    for corner in _corners(d):
-        idx = np.asarray(corner, dtype=np.int64)[None, :] - g3 - base[None, :]
-        ok = np.all((idx >= 0) & (idx < shape), axis=1)
-        if np.any(ok):
-            vals = conv[tuple(idx[ok].T)]
-            out[corner] = int(np.rint(vals).sum())
-        else:
-            out[corner] = 0
-    return out
-
-
 def _corner_counts_direct(sets):
-    # loop the two smallest sets, look the third up in its occupancy array
+    # N_s is symmetric, so histogram the pair sums of the two smallest sets
+    # and gather the largest from the histogram
     e1, e2, e3 = sorted(sets, key=lambda e: e.count)
     n1, n2 = e1.count, e2.count
     if n1 * n2 > DIRECT_PAIR_GUARD:
         raise ValueError(
             f"direct path guard exceeded: {n1} * {n2} > {DIRECT_PAIR_GUARD}"
         )
-    d = e1.dim
-    g1 = e1.global_indices()
-    g2 = e2.global_indices()
-    o3 = e3.origin_index
-    shape3 = np.asarray(e3.shape)
-    occ3 = e3.occupancy
-    block = max(1, int(2e6) // max(n2, 1))
+    shape = tuple(int(a + b - 1) for a, b in zip(e1.shape, e2.shape))
+    l1 = np.ravel_multi_index(e1.local_indices().T, shape)
+    l2 = np.ravel_multi_index(e2.local_indices().T, shape)
+    conv = np.zeros(math.prod(shape), dtype=np.int64)
+    block = max(1, _PAIR_BLOCK // n2)
+    for i0 in range(0, n1, block):
+        hist = np.bincount((l1[i0 : i0 + block, None] + l2[None, :]).ravel())
+        conv[: hist.size] += hist
+    return _gather((e1, e2, e3), conv.reshape(shape))
+
+
+def _gather(sets, conv):
+    # N_s = sum over cells c of E3 of conv[s - c], conv = 1_E1 * 1_E2; a
+    # float conv (the FFT path) is rounded per gathered value
+    e1, e2, e3 = sets
+    shape = np.asarray(conv.shape)
+    strides = np.append(np.cumprod(shape[:0:-1])[::-1], 1)  # row-major
+    # conv index of s = 0 for each cell of E3, and per axis whether the
+    # corner component c = -1, -2 keeps it inside the box
+    base = -(e3.global_indices() + e1.origin_index + e2.origin_index)
+    inside = {c: (base + c >= 0) & (base + c < shape) for c in (-1, -2)}
+    lin = base @ strides
+    flat = conv.reshape(-1)
     out = {}
-    for corner in _corners(d):
-        s = np.asarray(corner, dtype=np.int64)
-        total = 0
-        for i0 in range(0, n1, block):
-            idx = s[None, None, :] - g1[i0 : i0 + block, None, :] - g2[None, :, :] - o3
-            ok = np.all((idx >= 0) & (idx < shape3), axis=-1)
-            sel = idx[ok]
-            if sel.size:
-                total += int(occ3[tuple(sel.T)].sum())
-        out[corner] = total
+    for corner in _corners(e1.dim):
+        ok = np.logical_and.reduce([inside[c][:, i] for i, c in enumerate(corner)])
+        vals = flat[lin[ok] + np.dot(corner, strides)]
+        if vals.dtype.kind == "f":
+            vals = np.rint(vals)
+        out[corner] = int(vals.sum())
     return out
+
+
+def _form(t, method):
+    sets = _coerce_triple(t)
+    h, d = sets[0].spacing, sets[0].dim
+    counts = trilinear_corner_counts(sets, method)
+    return h ** (2 * d) * 2.0 ** (-d) * sum(counts.values())
 
 
 def trilinear_form(t):
     """T of a voxel triple via Fourier convolution, exact in counts."""
-    sets = _coerce_triple(t)
-    h = sets[0].spacing
-    d = sets[0].dim
-    counts = trilinear_corner_counts(sets, method="fft")
-    return h ** (2 * d) * 2.0 ** (-d) * sum(counts.values())
+    return _form(t, "fft")
 
 
 def trilinear_form_direct(t):
-    """Brute-force oracle for T; identical counts to the Fourier path."""
-    sets = _coerce_triple(t)
-    h = sets[0].spacing
-    d = sets[0].dim
-    counts = trilinear_corner_counts(sets, method="direct")
-    return h ** (2 * d) * 2.0 ** (-d) * sum(counts.values())
+    """Integer-only oracle for T; identical counts to the Fourier path."""
+    return _form(t, "direct")
 
 
 # -- the ball functional ----------------------------------------------------
@@ -400,20 +396,19 @@ def theta_bound_check(t, k, constant=4.0):
     """
     if not isinstance(t, SetTriple):
         t = SetTriple(t)
+    return _theta_bound([dyadic_layers(e) for e in t], k, constant)
+
+
+def _theta_bound(decs, k, constant=4.0):
+    # theta_bound_check on the dyadic decompositions of the three sets
     ks = tuple(int(x) for x in k)
-    layers = []
-    records = []
-    for e, kj in zip(t, ks):
-        dec = dyadic_layers(e)
+    for dec, kj in zip(decs, ks):
         if kj not in dec.layers:
             raise ValueError(f"empty layer k={kj}")
-        lay = dec.layers[kj]
-        layers.append(lay)
-        records.append((kj, dec.projections[kj], lay.measure))
+    layers = [dec.layers[kj] for dec, kj in zip(decs, ks)]
+    records = [
+        (kj, dec.projections[kj], lay.measure) for dec, kj, lay in zip(decs, ks, layers)
+    ]
     lhs = trilinear_form(layers)
-    th = theta(records)
-    prod = 1.0
-    for _, _, m in records:
-        prod *= m ** (2.0 / 3.0)
-    rhs = constant * th * prod
+    rhs = constant * theta(records) * math.prod(m ** (2.0 / 3.0) for _, _, m in records)
     return lhs, rhs, lhs / rhs

@@ -36,6 +36,13 @@ VXG_VERSION = 1
 ALIGN_RTOL = 1e-9
 
 
+def _spacing(spacing):
+    h = float(spacing)
+    if not (h > 0 and math.isfinite(h)):
+        raise ValueError(f"spacing must be finite and positive, got {spacing}")
+    return h
+
+
 def _validated(occupancy, origin, spacing):
     """The one validation path of VoxelSet's constructors.
 
@@ -47,9 +54,7 @@ def _validated(occupancy, origin, spacing):
         raise ValueError(f"dim must be 1, 2, or 3, got {occ.ndim}")
     if min(occ.shape) < 1:
         raise ValueError("shape entries must be >= 1")
-    h = float(spacing)
-    if not (h > 0 and math.isfinite(h)):
-        raise ValueError(f"spacing must be finite and positive, got {spacing}")
+    h = _spacing(spacing)
     origin = np.asarray(origin).reshape(-1)
     if origin.size != occ.ndim:
         raise ValueError("origin length must equal dim")
@@ -464,12 +469,10 @@ def rasterize_ellipsoid(e, spacing, supersample=3):
 
     Returns a VoxelSet of the given spacing.
     """
+    h = _spacing(spacing)
     v = np.asarray(e.center, dtype=float).reshape(-1)
     dim = v.size
     Q, lam = _shape_matrix_checked(e.shape, dim)
-    h = float(spacing)
-    if h <= 0:
-        raise ValueError("spacing must be positive")
     # axis-aligned bounding half-widths: sqrt(diag(Q^-1))
     b = np.sqrt(np.diag(np.linalg.inv(Q)))
     lo = np.floor((v - b) / h).astype(np.int64)
@@ -539,6 +542,7 @@ def rasterize_affine_image(e, a, v, spacing, supersample=3):
     membership of A^-1 (y - v) in E on a supersample grid per output cell,
     with the majority rule of rasterize_ellipsoid.
     """
+    h = _spacing(spacing)
     A = np.asarray(a, dtype=float)
     if A.shape != (e.dim, e.dim):
         raise ValueError("linear map has wrong dimensions")
@@ -546,7 +550,6 @@ def rasterize_affine_image(e, a, v, spacing, supersample=3):
     if abs(det) < 1e-12:
         raise ValueError("singular linear map")
     v = np.asarray(v, dtype=float).reshape(-1)
-    h = float(spacing)
 
     diag = np.diag(np.diag(A))
     mi = np.rint(np.diag(A)).astype(np.int64)

@@ -15,7 +15,6 @@ from .functional import (
     lambda_1,
     lambda_d,
     superadditivity_gap,
-    theta_bound_check,
     trilinear_corner_counts,
     trilinear_form,
     trilinear_form_direct,
@@ -292,7 +291,7 @@ def check_theta_bound(rng):
         for k1 in keys[0]:
             for k2 in keys[1]:
                 for k3 in keys[2]:
-                    lhs, rhs, ratio = theta_bound_check(t, (k1, k2, k3))
+                    lhs, rhs, ratio = functional._theta_bound(decs, (k1, k2, k3))
                     worst = max(worst, ratio)
                     if lhs > rhs:
                         return False, f"violated at k={(k1, k2, k3)}"

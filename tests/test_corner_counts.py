@@ -1,0 +1,189 @@
+"""Both corner-count backends against a pure-Python triple loop, the direct
+path's pair guard, the theta check on shared decompositions, and spacing
+validation at the rasterizer boundary."""
+
+import itertools
+import math
+import warnings
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from rieszvox import (
+    SetTriple,
+    VoxelSet,
+    dyadic_layers,
+    functional,
+    generate,
+    rasterize_affine_image,
+    rasterize_ellipsoid,
+    theta_bound_check,
+    trilinear_corner_counts,
+)
+from rieszvox.verify import _blob, check_theta_bound
+
+
+def oracle_counts(sets):
+    """N_s by looping over every triple of occupied cells."""
+    dim = sets[0].dim
+    out = {s: 0 for s in itertools.product((-1, -2), repeat=dim)}
+    cells = [[tuple(int(x) for x in g) for g in e.global_indices()] for e in sets]
+    for a in cells[0]:
+        for b in cells[1]:
+            for c in cells[2]:
+                s = tuple(a[i] + b[i] + c[i] for i in range(dim))
+                if s in out:
+                    out[s] += 1
+    return out
+
+
+@st.composite
+def small_set(draw, dim, origin):
+    """At most 8 occupied cells in a box of side <= 4; one draw in ten is empty."""
+    shape = tuple(draw(st.integers(1, 4)) for _ in range(dim))
+    size = math.prod(shape)
+    n = 0 if draw(st.integers(0, 9)) == 0 else min(8, size)
+    flat = draw(st.sets(st.integers(0, size - 1), min_size=min(1, n), max_size=n))
+    occ = np.zeros(size, dtype=bool)
+    occ[sorted(flat)] = True
+    return VoxelSet.from_index(occ.reshape(shape), origin, 1.0 / 8)
+
+
+@st.composite
+def small_triple(draw):
+    dim = draw(st.integers(1, 3))
+    # far-apart boxes whose origins nearly cancel, so counts can be nonzero
+    far = st.integers(-(10**6), 10**6)
+    o1 = np.array([draw(far) for _ in range(dim)], dtype=np.int64)
+    o2 = np.array([draw(far) for _ in range(dim)], dtype=np.int64)
+    o3 = -(o1 + o2) + np.array(
+        [draw(st.integers(-10, 0)) for _ in range(dim)], dtype=np.int64
+    )
+    return tuple(draw(small_set(dim, o)) for o in (o1, o2, o3))
+
+
+@seed(11)
+@settings(max_examples=300, deadline=None)
+@given(small_triple())
+def test_both_backends_match_triple_loop(sets):
+    want = oracle_counts(sets)
+    for method in ("fft", "direct"):
+        got = trilinear_corner_counts(sets, method=method)
+        assert got == want
+        assert all(type(v) is int for v in got.values())
+
+
+def test_triple_loop_sees_nonzero_counts():
+    # a single cell of each set whose indices sum to each corner
+    rng = np.random.default_rng(5)
+    for dim in (1, 2, 3):
+        for corner in itertools.product((-1, -2), repeat=dim):
+            a = rng.integers(-50, 50, size=dim)
+            b = rng.integers(-50, 50, size=dim)
+            c = np.asarray(corner) - a - b
+            one = np.ones((1,) * dim, bool)
+            sets = [VoxelSet.from_index(one, g, 0.25) for g in (a, b, c)]
+            want = {s: int(s == corner) for s in oracle_counts(sets)}
+            assert oracle_counts(sets) == want
+            for method in ("fft", "direct"):
+                assert trilinear_corner_counts(sets, method=method) == want
+
+
+def test_direct_matches_fft_on_dense_blobs():
+    for dim, h in ((1, 1.0 / 256), (2, 1.0 / 24), (3, 1.0 / 10)):
+        t = SetTriple(
+            [
+                generate("blob", {"dim": dim, "spacing": h, "radius": 0.5, "steps": 4}, seed=s)
+                for s in (7, 8, 9)
+            ]
+        )
+        assert trilinear_corner_counts(t, "direct") == trilinear_corner_counts(t, "fft")
+
+
+@pytest.mark.parametrize("block", [1, 7, 40])
+def test_direct_blocks_sum_to_one_histogram(monkeypatch, block):
+    rng = np.random.default_rng(block)
+    o1, o2 = rng.integers(-9, 9, size=(2, 2))
+    sets = [
+        VoxelSet.from_index(rng.random((5, 6)) < 0.6, o, 0.125)
+        for o in (o1, o2, -(o1 + o2) - (7, 8))
+    ]
+    want = trilinear_corner_counts(sets, "direct")
+    assert want == oracle_counts(sets)
+    assert min(want.values()) > 0
+    monkeypatch.setattr(functional, "_PAIR_BLOCK", block)
+    assert trilinear_corner_counts(sets, "direct") == want
+
+
+def test_pair_guard_message(monkeypatch):
+    rng = np.random.default_rng(2)
+    sets = [
+        VoxelSet.from_index(rng.random((6, 6)) < 0.5, (0, 0), 1.0 / 8) for _ in range(3)
+    ]
+    n1, n2 = sorted(e.count for e in sets)[:2]
+    monkeypatch.setattr(functional, "DIRECT_PAIR_GUARD", n1 * n2 - 1)
+    with pytest.raises(ValueError) as exc:
+        trilinear_corner_counts(sets, method="direct")
+    assert str(exc.value) == (
+        f"direct path guard exceeded: {n1} * {n2} > {n1 * n2 - 1}"
+    )
+    # the guard is on the pair count itself: n1 * n2 pairs are allowed
+    monkeypatch.setattr(functional, "DIRECT_PAIR_GUARD", n1 * n2)
+    assert trilinear_corner_counts(sets, "direct") == trilinear_corner_counts(sets, "fft")
+
+
+def _theta_line_per_triple(rng):
+    # the check as written before it shared decompositions: one
+    # theta_bound_check call, and so three decompositions, per layer triple
+    worst = 0.0
+    for _ in range(5):
+        seeds = rng.integers(0, 2**31, size=3)
+        t = SetTriple([_blob(2, int(s)) for s in seeds])
+        keys = [sorted(dyadic_layers(e).layers) for e in t]
+        for k in itertools.product(*keys):
+            lhs, rhs, ratio = theta_bound_check(t, k)
+            worst = max(worst, ratio)
+            if lhs > rhs:
+                return False, f"violated at k={k}"
+    return True, f"max lhs/rhs = {worst:.3f}"
+
+
+@pytest.mark.parametrize("rng_seed", [0, 17])
+def test_check_theta_bound_line_unchanged(rng_seed):
+    got = check_theta_bound(np.random.default_rng(rng_seed))
+    want = _theta_line_per_triple(np.random.default_rng(rng_seed))
+    assert got == want
+
+
+def test_theta_bound_check_missing_layer():
+    t = SetTriple([_blob(2, s) for s in (1, 2, 3)])
+    top = max(dyadic_layers(t[1]).layers) + 1
+    k = (min(dyadic_layers(t[0]).layers), top, min(dyadic_layers(t[2]).layers))
+    with pytest.raises(ValueError, match=f"empty layer k={top}"):
+        theta_bound_check(t, k)
+
+
+BAD_SPACINGS = [0.0, -1.0 / 16, float("nan"), float("inf")]
+
+
+@pytest.mark.parametrize("h", BAD_SPACINGS)
+def test_rasterize_ellipsoid_rejects_spacing(h):
+    ball = SimpleNamespace(center=np.zeros(2), shape=np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            rasterize_ellipsoid(ball, h)
+    assert str(exc.value) == f"spacing must be finite and positive, got {h}"
+
+
+@pytest.mark.parametrize("h", BAD_SPACINGS)
+def test_rasterize_affine_image_rejects_spacing(h):
+    e = _blob(2, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            rasterize_affine_image(e, np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2), h)
+    assert str(exc.value) == f"spacing must be finite and positive, got {h}"
