@@ -1,6 +1,7 @@
 """Command line entry points: gen, symmetrize, deficit, fit, sweep, verify."""
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -34,33 +35,27 @@ def _load_triple(paths):
     return grid.SetTriple([grid.load(p) for p in paths])
 
 
+def _given(args, names):
+    """The flags among names that were given; unset ones are None."""
+    return {k: getattr(args, k) for k in names if getattr(args, k, None) is not None}
+
+
 def _out_path(args, name):
     os.makedirs(args.out_dir, exist_ok=True)
     return os.path.join(args.out_dir, name)
 
 
 def cmd_gen(args):
-    params = _params(args.param)
-    params.setdefault("dim", args.dim)
-    params.setdefault("spacing", args.spacing)
-    e = grid.generate(args.kind, params, seed=args.seed)
+    params = {**_given(args, ("dim", "spacing")), **_params(args.param)}
+    e = grid.generate(args.kind, params, **_given(args, ("seed",)))
     grid.save(e, args.out)
     print(f"{args.kind}: {e.count} cells, measure {e.measure:.6g} -> {args.out}")
     return 0
 
 
-# star is the last-axis (Steiner) op, dagger the transverse (Schwarz) op
-_OPS = {
-    "bullet": symmetrize.ball_symmetrize,
-    "star": symmetrize.steiner_symmetrize,
-    "dagger": symmetrize.schwarz_symmetrize,
-    "daggerstar": symmetrize.double_symmetrize,
-}
-
-
 def cmd_symmetrize(args):
     e = grid.load(args.input)
-    s = _OPS[args.op](e)
+    s = symmetrize.OPS[args.op](e)
     grid.save(s, args.out)
     print(f"measure before {e.measure:.6g}, after {s.measure:.6g} -> {args.out}")
     return 0
@@ -88,15 +83,9 @@ def cmd_fit(args):
 
 
 def cmd_sweep(args):
-    mapping = {}
-    if args.config:
-        mapping.update(sweep.parse_config(args.config))
-    for key in ("family", "levels", "samples", "dim"):
-        val = getattr(args, key)
-        if val is not None:
-            mapping[key] = val
-    mapping.setdefault("spacing", args.spacing)
-    mapping.setdefault("seed", args.seed)
+    # given flags beat the config file, which beats SweepConfig's defaults
+    mapping = sweep.parse_config(args.config) if args.config else {}
+    mapping.update(_given(args, [f.name for f in dataclasses.fields(sweep.SweepConfig)]))
     config = sweep.config_from_mapping(mapping)
     records = sweep.run_sweep(config)
     csv_path = _out_path(args, config.out_csv)
@@ -110,24 +99,25 @@ def cmd_sweep(args):
 
 
 def cmd_verify(args):
-    failures = verify.run_suite(suite=args.suite, seed=args.seed)
+    failures = verify.run_suite(suite=args.suite, **_given(args, ("seed",)))
     return 1 if failures else 0
 
 
+# The global flags are accepted before or after the subcommand.  They default
+# to SUPPRESS, so a subparser cannot clobber a value given before it, and
+# main() starts from these values: unset --spacing and --seed stay None, and
+# each command falls back to its library's default or the sweep config file.
+GLOBAL_DEFAULTS = {"spacing": None, "seed": None, "out_dir": ".", "config": None}
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="rieszvox")
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--spacing", type=float)
+    common.add_argument("--seed", type=int)
+    common.add_argument("--out-dir")
+    common.add_argument("--config", help="key=value config file")
+    p = argparse.ArgumentParser(prog="rieszvox", parents=[common])
     p.add_argument("--version", action="version", version=__version__)
-    p.add_argument("--spacing", type=float, default=1.0 / 64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", default=".")
-    p.add_argument("--config", default=None, help="key=value config file")
-    # the same globals are accepted after the subcommand; SUPPRESS keeps the
-    # subparser from clobbering values parsed at the top level
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--spacing", type=float, default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--out-dir", default=argparse.SUPPRESS)
-    common.add_argument("--config", default=argparse.SUPPRESS)
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", parents=[common], help="rasterize a generator family")
@@ -139,7 +129,7 @@ def build_parser():
 
     s = sub.add_parser("symmetrize", parents=[common], help="apply a symmetrization")
     s.add_argument("input")
-    s.add_argument("--op", choices=tuple(_OPS), required=True)
+    s.add_argument("--op", choices=tuple(symmetrize.OPS), required=True)
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_symmetrize)
 
@@ -165,7 +155,7 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(argv, argparse.Namespace(**GLOBAL_DEFAULTS))
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:

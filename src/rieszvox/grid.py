@@ -472,6 +472,8 @@ def rasterize_ellipsoid(e, spacing, supersample=3):
     h = _spacing(spacing)
     v = np.asarray(e.center, dtype=float).reshape(-1)
     dim = v.size
+    if dim not in (1, 2, 3):
+        raise ValueError(f"dim must be 1, 2, or 3, got a center of length {dim}")
     Q, lam = _shape_matrix_checked(e.shape, dim)
     # axis-aligned bounding half-widths: sqrt(diag(Q^-1))
     b = np.sqrt(np.diag(np.linalg.inv(Q)))

@@ -18,31 +18,29 @@ import io
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.stats import spearmanr
 
 from .functional import deficit
 from .grid import (
+    AffineMapTriple,
     SetTriple,
     VoxelSet,
     _ellipsoid_like,
     from_cells,
-    rasterize_affine_image,
     rasterize_ellipsoid,
 )
 from .symmetrize import _greedy_ball_order
-
-CSV_COLUMNS = (
-    "family,level,seed,delta,epsilon_max,tau_margin,t_value,lambda_value,runtime_ms"
-)
 
 FAMILIES = ("noise", "relocate", "shear", "skew")
 
 
 @dataclass
 class SweepConfig:
+    """Each field is cast to its declared type; levels may be a comma string."""
+
     dim: int = 2
     spacing: float = 1.0 / 64
     seed: int = 0
@@ -53,17 +51,22 @@ class SweepConfig:
     out_svg: str = "sweep.svg"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is tuple:
+                parts = value.split(",") if isinstance(value, str) else value
+                value = tuple(float(x) for x in parts)
+            setattr(self, f.name, f.type(value))
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        lv = tuple(float(x) for x in self.levels)
-        if list(lv) != sorted(lv):
+        if list(self.levels) != sorted(self.levels):
             raise ValueError("levels must be sorted ascending")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        self.levels = lv
-        self.dim = int(self.dim)
-        self.spacing = float(self.spacing)
-        self.seed = int(self.seed)
+        if self.dim not in (1, 2, 3):
+            raise ValueError(f"dim must be 1, 2, or 3, got {self.dim}")
+        if self.dim == 1 and self.family in ("shear", "skew"):
+            raise ValueError(f"family {self.family!r} needs dim >= 2")
 
 
 @dataclass
@@ -76,7 +79,10 @@ class SweepRecord:
     tau_margin: float
     t_value: float
     lambda_value: float
-    runtime_ms: float
+    runtime_ms: float = field(metadata={"format": ".3f"})
+
+
+CSV_COLUMNS = ",".join(f.name for f in fields(SweepRecord))
 
 
 def parse_config(path):
@@ -95,32 +101,10 @@ def parse_config(path):
 
 
 def config_from_mapping(m):
-    kw = {}
-    if "dim" in m:
-        kw["dim"] = int(m["dim"])
-    if "spacing" in m:
-        kw["spacing"] = float(m["spacing"])
-    if "seed" in m:
-        kw["seed"] = int(m["seed"])
-    if "family" in m:
-        kw["family"] = str(m["family"])
-    if "levels" in m:
-        v = m["levels"]
-        kw["levels"] = tuple(
-            float(x) for x in (v.split(",") if isinstance(v, str) else v)
-        )
-    if "samples" in m:
-        kw["samples"] = int(m["samples"])
-    if "out_csv" in m:
-        kw["out_csv"] = str(m["out_csv"])
-    if "out_svg" in m:
-        kw["out_svg"] = str(m["out_svg"])
-    unknown = set(m) - {
-        "dim", "spacing", "seed", "family", "levels", "samples", "out_csv", "out_svg",
-    }
+    unknown = set(m) - {f.name for f in fields(SweepConfig)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return SweepConfig(**kw)
+    return SweepConfig(**m)
 
 
 # -- perturbations ----------------------------------------------------------
@@ -235,12 +219,6 @@ def base_triple(dim, spacing, rng, supersample=3):
     return SetTriple(sets)
 
 
-def _shear_matrix(dim, level):
-    a = np.eye(dim)
-    a[0, dim - 1] = level
-    return a
-
-
 def apply_family(t, family, level, rng):
     """Perturb a SetTriple by one family at the given level."""
     if family == "noise":
@@ -249,13 +227,11 @@ def apply_family(t, family, level, rng):
         return SetTriple([perturb_relocate(t[0], level), t[1], t[2]])
     if family == "shear":
         h = t.spacing
-        a = _shear_matrix(t.dim, level)
+        a = np.eye(t.dim)
+        a[0, -1] = level
         shift = np.zeros(t.dim)
         shift[0] = round(0.25 / h) * h
-        vs = np.stack([shift, -shift, np.zeros(t.dim)])
-        return SetTriple(
-            rasterize_affine_image(e, a, v, h, supersample=3) for e, v in zip(t, vs)
-        )
+        return AffineMapTriple(a, [shift, -shift, np.zeros(t.dim)]).apply(t)
     if family == "skew":
         slope = np.zeros(t.dim - 1)
         slope[0] = level
@@ -306,22 +282,18 @@ def run_sweep(config, max_workers=None):
 
 
 def write_csv(records, path):
+    """One column per SweepRecord field: floats as .10g unless the field's
+    metadata names a format, other values as they are."""
     with open(path, "w", newline="") as fh:
         fh.write(CSV_COLUMNS + "\n")
         w = csv.writer(fh, lineterminator="\n")
         for r in records:
             w.writerow(
-                [
-                    r.family,
-                    f"{r.level:.10g}",
-                    r.seed,
-                    f"{r.delta:.10g}",
-                    f"{r.epsilon_max:.10g}",
-                    f"{r.tau_margin:.10g}",
-                    f"{r.t_value:.10g}",
-                    f"{r.lambda_value:.10g}",
-                    f"{r.runtime_ms:.3f}",
-                ]
+                format(
+                    getattr(r, f.name),
+                    f.metadata.get("format", ".10g" if f.type is float else ""),
+                )
+                for f in fields(r)
             )
 
 

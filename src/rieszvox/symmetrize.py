@@ -109,6 +109,16 @@ def double_symmetrize(e):
     return steiner_symmetrize(schwarz_symmetrize(e))
 
 
+# the rearrangements by name: star is the last-axis (Steiner) op, dagger the
+# transverse (Schwarz) op
+OPS = {
+    "bullet": ball_symmetrize,
+    "star": steiner_symmetrize,
+    "dagger": schwarz_symmetrize,
+    "daggerstar": double_symmetrize,
+}
+
+
 @dataclass
 class LayerDecomposition:
     """Dyadic fiber-height layers of a set, split as R^(d-1) x R.

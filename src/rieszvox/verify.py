@@ -7,8 +7,8 @@ import tempfile
 
 import numpy as np
 
-from . import functional, grid, symmetrize
-from .admissibility import radius_margin, set_triple_margin
+from . import functional, symmetrize
+from .admissibility import measure_margin, radius_margin
 from .ellipsoid import fit_ellipsoid_moments, fit_homothetic_triple
 from .functional import (
     deficit,
@@ -17,9 +17,8 @@ from .functional import (
     superadditivity_gap,
     trilinear_corner_counts,
     trilinear_form,
-    trilinear_form_direct,
 )
-from .grid import SetTriple, VoxelSet, boolean, generate, load, reflect, save, upscale_integer
+from .grid import SetTriple, boolean, generate, load, reflect, save, upscale_integer
 
 H = 1.0 / 32
 
@@ -35,49 +34,57 @@ def _ball(dim, r, h=H, center=None):
     return generate("ball", params, seed=0)
 
 
-def _triples(rng, dims=(1, 2, 3), per_dim=3, h=H):
-    out = []
+# The random sets of every check come from _blobs and _triples.  Both are
+# lazy: a check draws its seeds in the order it uses its sets.
+
+
+def _blobs(rng, dims):
+    """One blob per entry of dims, each seeded by one draw."""
     for dim in dims:
+        yield _blob(dim, int(rng.integers(2**31)))
+
+
+def _triples(rng, dims=(1, 2, 3), per_dim=3, h=H):
+    """per_dim blob triples per dim, each seeded by one draw of three; h is a
+    spacing or a mapping from dim to spacing."""
+    for dim in dims:
+        hd = h[dim] if isinstance(h, dict) else h
         for _ in range(per_dim):
             seeds = rng.integers(0, 2**31, size=3)
-            out.append(SetTriple([_blob(dim, int(s), h=h) for s in seeds]))
-    return out
+            yield SetTriple([_blob(dim, int(s), h=hd) for s in seeds])
 
 
 def check_boolean_counts(rng):
     worst = ""
-    for dim in (1, 2, 3):
-        a = _blob(dim, int(rng.integers(2**31)))
-        b = _blob(dim, int(rng.integers(2**31)))
+    blobs = _blobs(rng, (1, 1, 2, 2, 3, 3))
+    for a, b in zip(blobs, blobs):
         u = boolean(a, b, "union").count
         i = boolean(a, b, "intersection").count
         d = boolean(a, b, "difference").count
         if u + i != a.count + b.count or d != a.count - i:
-            return False, f"inclusion-exclusion broken at dim={dim}"
-        worst = f"dim={dim}: |A|={a.count} |B|={b.count} ok"
+            return False, f"inclusion-exclusion broken at dim={a.dim}"
+        worst = f"dim={a.dim}: |A|={a.count} |B|={b.count} ok"
     return True, worst
 
 
 def check_reflection_involution(rng):
-    for dim in (1, 2, 3):
-        e = _blob(dim, int(rng.integers(2**31)))
+    for e in _blobs(rng, (1, 2, 3)):
         r = reflect(e)
         if r.count != e.count:
-            return False, f"reflection changed count at dim={dim}"
+            return False, f"reflection changed count at dim={e.dim}"
         if not (reflect(r) == e):
-            return False, f"double reflection differs at dim={dim}"
+            return False, f"double reflection differs at dim={e.dim}"
     return True, "count and involution exact in dims 1..3"
 
 
 def check_io_roundtrip(rng):
-    for dim in (1, 2, 3):
-        e = _blob(dim, int(rng.integers(2**31)))
+    for e in _blobs(rng, (1, 2, 3)):
         with tempfile.TemporaryDirectory() as td:
             path = os.path.join(td, "e.vxg")
             save(e, path)
             back = load(path)
         if not (back == e) or back.spacing != e.spacing:
-            return False, f"round trip differs at dim={dim}"
+            return False, f"round trip differs at dim={e.dim}"
     return True, "bit-exact round trip in dims 1..3"
 
 
@@ -85,12 +92,7 @@ def check_fft_direct_agree(rng):
     total = 0
     # spacings sized so the direct path stays under its pair-count guard
     spacing = {1: 1.0 / 128, 2: 1.0 / 32, 3: 1.0 / 12}
-    triples = []
-    for dim, h in spacing.items():
-        for _ in range(3):
-            seeds = rng.integers(0, 2**31, size=3)
-            triples.append(SetTriple([_blob(dim, int(s), h=h) for s in seeds]))
-    for t in triples:
+    for t in _triples(rng, tuple(spacing), h=spacing):
         a = trilinear_corner_counts(t, method="fft")
         b = trilinear_corner_counts(t, method="direct")
         if a != b:
@@ -120,53 +122,42 @@ def check_reflection_invariance(rng):
 
 
 def check_dilation_covariance(rng):
+    # T is h^(2 dim) 2^(-dim) times the corner-count sum, so refining the
+    # grid by m multiplies that integer sum by exactly m^(2 dim)
     for t in _triples(rng, dims=(1, 2), per_dim=2):
-        base = trilinear_form(t)
-        d = t.dim
+        base = sum(trilinear_corner_counts(t).values())
         for m in (2, 3):
             up = SetTriple([upscale_integer(e, m) for e in t])
-            v = trilinear_form(up)
-            if abs(v - base) > 1e-12 * max(base, 1.0):
+            if sum(trilinear_corner_counts(up).values()) != m ** (2 * t.dim) * base:
                 return False, f"dilation m={m} broke covariance"
     return True, "integer refinements reproduce T exactly"
 
 
 def check_symmetrize_counts(rng):
-    ops = {
-        "bullet": symmetrize.ball_symmetrize,
-        "star": symmetrize.steiner_symmetrize,
-        "dagger": symmetrize.schwarz_symmetrize,
-        "daggerstar": symmetrize.double_symmetrize,
-    }
-    for dim in (2, 3):
-        e = _blob(dim, int(rng.integers(2**31)))
+    for e in _blobs(rng, (2, 3, 1)):
+        # dim=1 checks the fiber op only
+        ops = symmetrize.OPS if e.dim > 1 else {"star": symmetrize.OPS["star"]}
         for name, op in ops.items():
             s = op(e)
             if s.count != e.count:
-                return False, f"{name} changed count at dim={dim}"
+                return False, f"{name} changed count at dim={e.dim}"
             if not (op(s) == s):
-                return False, f"{name} not idempotent at dim={dim}"
-    e1 = _blob(1, int(rng.integers(2**31)))
-    s1 = symmetrize.steiner_symmetrize(e1)
-    if s1.count != e1.count or not (symmetrize.steiner_symmetrize(s1) == s1):
-        return False, "steiner failed at dim=1"
+                return False, f"{name} not idempotent at dim={e.dim}"
     return True, "counts preserved, all ops idempotent"
 
 
 def check_double_symmetrization_fixed_point(rng):
-    for dim in (2, 3):
-        e = _blob(dim, int(rng.integers(2**31)))
+    for e in _blobs(rng, (2, 3)):
         ds = symmetrize.double_symmetrize(e)
         if not (symmetrize.schwarz_symmetrize(ds) == ds):
-            return False, f"transverse op moves the double result at dim={dim}"
+            return False, f"transverse op moves the double result at dim={e.dim}"
         if not (symmetrize.steiner_symmetrize(ds) == ds):
-            return False, f"fiber op moves the double result at dim={dim}"
+            return False, f"fiber op moves the double result at dim={e.dim}"
     return True, "double symmetrization fixed by both component ops"
 
 
 def check_steiner_fibers(rng):
-    for dim in (1, 2, 3):
-        e = _blob(dim, int(rng.integers(2**31)))
+    for e in _blobs(rng, (1, 2, 3)):
         s = symmetrize.steiner_symmetrize(e)
         occ = s.occupancy.reshape(-1, s.shape[-1])
         lo = s.origin_index[-1]
@@ -184,15 +175,14 @@ def check_steiner_fibers(rng):
 
 
 def check_layer_partition(rng):
-    for dim in (2, 3):
-        e = _blob(dim, int(rng.integers(2**31)))
+    for e in _blobs(rng, (2, 3)):
         dec = symmetrize.dyadic_layers(e)
         total = sum(layer.count for layer in dec.layers.values())
         if total != e.count:
-            return False, f"layer counts do not partition at dim={dim}"
+            return False, f"layer counts do not partition at dim={e.dim}"
         m = sum(dec.projections.values())
         cols = (e.occupancy.any(axis=-1)).sum()
-        if abs(m - cols * e.spacing ** (dim - 1)) > 1e-12:
+        if abs(m - cols * e.spacing ** (e.dim - 1)) > 1e-12:
             return False, "projection measures inconsistent"
     return True, "layers partition cells, projections consistent"
 
@@ -243,8 +233,6 @@ def check_lambda_anchors(rng):
 
 
 def check_superadditivity(rng):
-    from .admissibility import measure_margin
-
     worst = 0.0
     for dim in (1, 2):
         done = 0
@@ -264,28 +252,23 @@ def check_superadditivity(rng):
 
 def check_symmetrization_monotone(rng):
     worst = 0.0
-    for dim in (1, 2):
-        for _ in range(3):
-            seeds = rng.integers(0, 2**31, size=3)
-            t = SetTriple([_blob(dim, int(s)) for s in seeds])
-            tv = trilinear_form(t)
-            if dim == 1:
-                sym = SetTriple([symmetrize.steiner_symmetrize(e) for e in t])
-            else:
-                sym = SetTriple([symmetrize.double_symmetrize(e) for e in t])
-            sv = trilinear_form(sym)
-            rel = (tv - sv) / max(sv, 1e-30)
-            worst = max(worst, rel)
-            if tv > sv * 1.01:
-                return False, f"T rose by {rel:.3%} under symmetrization"
+    for t in _triples(rng, dims=(1, 2)):
+        tv = trilinear_form(t)
+        if t.dim == 1:
+            sym = SetTriple([symmetrize.steiner_symmetrize(e) for e in t])
+        else:
+            sym = SetTriple([symmetrize.double_symmetrize(e) for e in t])
+        sv = trilinear_form(sym)
+        rel = (tv - sv) / max(sv, 1e-30)
+        worst = max(worst, rel)
+        if tv > sv * 1.01:
+            return False, f"T rose by {rel:.3%} under symmetrization"
     return True, f"max relative rise {worst:.3%} (<= 1% slack)"
 
 
 def check_theta_bound(rng):
     worst = 0.0
-    for _ in range(5):
-        seeds = rng.integers(0, 2**31, size=3)
-        t = SetTriple([_blob(2, int(s)) for s in seeds])
+    for t in _triples(rng, dims=(2,), per_dim=5):
         decs = [symmetrize.dyadic_layers(e) for e in t]
         keys = [sorted(d.layers) for d in decs]
         for k1 in keys[0]:

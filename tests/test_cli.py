@@ -1,7 +1,9 @@
+import argparse
+
 import pytest
 
-from rieszvox import load
-from rieszvox.cli import main
+from rieszvox import load, symmetrize
+from rieszvox.cli import build_parser, main
 
 
 def _gen(tmp_path, name, *extra):
@@ -77,6 +79,13 @@ class TestSymmetrize:
         assert load(str(out)).count == load(str(src)).count
         text = capsys.readouterr().out
         assert "before" in text and "after" in text
+
+    def test_op_choices_are_the_library_table(self):
+        sub = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        op = next(a for a in sub.choices["symmetrize"]._actions if a.dest == "op")
+        assert tuple(op.choices) == tuple(symmetrize.OPS)
 
     def test_bad_op_exits(self, tmp_path):
         src = self._blob(tmp_path)
@@ -163,6 +172,31 @@ class TestSweep:
         assert rc == 0
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 * 2  # header plus overridden samples per level
+
+    def test_given_flags_beat_config_file(self, tmp_path):
+        text = "family = skew\nlevels = 0.0\nsamples = 1\n"
+        (tmp_path / "a.cfg").write_text(text + "spacing = 0.0625\nseed = 5\n")
+        (tmp_path / "b.cfg").write_text(text + "spacing = 0.125\nseed = 7\n")
+        flags = ["--spacing", "0.125", "--seed", "7"]
+        for cfg, extra, out in (("a", [], "file"), ("a", flags, "flags"), ("b", [], "want")):
+            args = ["sweep", "--config", str(tmp_path / f"{cfg}.cfg"), *extra]
+            assert main(args + ["--out-dir", str(tmp_path / out)]) == 0
+
+        def row(out):  # the record without runtime_ms
+            return (tmp_path / out / "sweep.csv").read_text().splitlines()[1].rsplit(",", 1)[0]
+
+        assert row("file").split(",")[2] == "5000015"
+        assert row("flags").split(",")[2] == "7000021"  # 7 * 1000003
+        assert row("flags") == row("want") != row("file")
+
+    @pytest.mark.parametrize("extra", [["--family", "skew", "--dim", "1"], ["--dim", "4"]])
+    def test_unsupported_dim_is_an_error(self, tmp_path, capsys, extra):
+        # toy spacing: without the dim check, dim=4 would rasterize a 4-d box
+        args = ["sweep", "--samples", "1", "--spacing", "0.5", "--out-dir", str(tmp_path)]
+        rc = main(args + extra)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("rieszvox: error: ")
+        assert not (tmp_path / "sweep.csv").exists()
 
 
 class TestVerify:

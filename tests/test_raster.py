@@ -210,3 +210,12 @@ def test_band_is_a_small_part_of_the_box(phase1):
     rasterize_affine_image(ball, shear, np.zeros(3), 1.0 / 24)
     for full, band in phase1:
         assert 0 < band.sum() < band.size / 5
+
+
+@pytest.mark.parametrize("dim", [0, 4])
+def test_unsupported_dim_rejected_before_the_box(phase1, dim):
+    # a 4-d center used to build and vote the whole box before VoxelSet
+    # rejected the dimension
+    with pytest.raises(ValueError, match="center of length"):
+        rasterize_ellipsoid(_ellipsoid(np.zeros(dim), np.eye(dim)), 0.5)
+    assert phase1 == []

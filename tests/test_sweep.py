@@ -60,6 +60,34 @@ class TestConfig:
         with pytest.raises(ValueError):
             config_from_mapping({"samples": "2", "wobble": "1"})
 
+    def test_every_field_from_strings(self):
+        m = {
+            "dim": "3", "spacing": "0.125", "seed": "4", "family": "skew",
+            "levels": "0.1, 0.3", "samples": "2", "out_csv": "a.csv", "out_svg": "b.svg",
+        }
+        cfg = config_from_mapping(m)
+        assert cfg == SweepConfig(3, 0.125, 4, "skew", (0.1, 0.3), 2, "a.csv", "b.svg")
+        assert [type(getattr(cfg, k)) for k in m] == [
+            int, float, int, str, tuple, int, str, str,
+        ]
+        with pytest.raises(ValueError, match="wobble"):
+            config_from_mapping({**m, "wobble": "1"})
+
+    @pytest.mark.parametrize("dim", [0, 4])
+    def test_unsupported_dim_rejected(self, dim):
+        with pytest.raises(ValueError, match="dim must be 1, 2, or 3"):
+            SweepConfig(dim=dim)
+
+    @pytest.mark.parametrize("family", ["shear", "skew"])
+    def test_column_families_need_two_dims(self, family):
+        with pytest.raises(ValueError, match="needs dim >= 2"):
+            SweepConfig(family=family, dim=1)
+
+    @pytest.mark.parametrize("family", ["noise", "relocate"])
+    def test_one_dim_families_run(self, family):
+        cfg = SweepConfig(family=family, dim=1, spacing=1 / 16, levels=(0.1,), samples=1)
+        assert len(run_sweep(cfg, max_workers=1)) == 1
+
 
 class TestPerturbations:
     def _ball(self, r=0.6):
@@ -144,6 +172,9 @@ class TestRunner:
         write_csv(recs, str(p))
         header = p.read_text().splitlines()[0]
         assert header == CSV_COLUMNS
+        assert header == (
+            "family,level,seed,delta,epsilon_max,tau_margin,t_value,lambda_value,runtime_ms"
+        )
         rows = read_csv(str(p))
         assert len(rows) == len(recs)
         for rec, row in zip(recs, rows):
