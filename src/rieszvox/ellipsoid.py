@@ -15,7 +15,6 @@ import numpy as np
 from .functional import unit_ball_volume
 from .grid import (
     SetTriple,
-    VoxelSet,
     rasterize_ellipsoid,
     symmetric_difference_measure,
 )
@@ -169,6 +168,34 @@ def epsilon_of_fit(t, fit, supersample=3):
 # -- slice machinery ---------------------------------------------------------
 
 
+def _columns(e, axis):
+    """Statistics of every nonempty fiber along `axis`, in one array pass.
+
+    Returns (lead, center, length, residual), one row per fiber in
+    lexicographic order of its lead index: the global (dim-1)-index of the
+    column, the centroid of the fiber, its measure, and the relative
+    symmetric difference against the interval of that measure centered at
+    the centroid.  The centroid is (sum g + n/2) h / n with an integer index
+    sum, the mean of the cell centers; the residual is exact from per-cell
+    overlaps.
+    """
+    occ = np.moveaxis(e.occupancy, axis, -1)
+    h = e.spacing
+    counts = occ.sum(axis=-1)
+    lead = np.argwhere(counts > 0) + np.delete(e.origin_index, axis)
+    n = counts[counts > 0]
+    # argwhere lists cells column by column, so each fiber is one segment
+    g = np.argwhere(occ)[:, -1] + e.origin_index[axis]
+    starts = np.cumsum(n) - n
+    center = (np.add.reduceat(g, starts) + n / 2) * h / n
+    length = n * h
+    lo = np.repeat(center - length / 2, n)
+    hi = np.repeat(center + length / 2, n)
+    overlap = np.clip(np.minimum((g + 1) * h, hi) - np.maximum(g * h, lo), 0.0, None)
+    sym = 2.0 * (length - np.add.reduceat(overlap, starts))
+    return lead, center, length, sym / length
+
+
 def fit_interval_1d(fiber):
     """Best centered-mass interval for a 1-D fiber.
 
@@ -180,32 +207,8 @@ def fit_interval_1d(fiber):
         raise ValueError("fiber must be one-dimensional")
     if fiber.is_empty:
         raise ValueError("empty fiber")
-    h = fiber.spacing
-    cells = fiber.global_indices()[:, 0]
-    centers = (cells + 0.5) * h
-    c = float(centers.mean())
-    length = fiber.measure
-    lo, hi = c - length / 2, c + length / 2
-    overlap = np.clip(
-        np.minimum((cells + 1) * h, hi) - np.maximum(cells * h, lo), 0.0, None
-    ).sum()
-    sym = 2.0 * (length - float(overlap))
-    return IntervalFit(center=c, length=length, residual=sym / length)
-
-
-def _column_data(e, axis):
-    """Fiber interval fits along `axis`, keyed by physical column coordinates."""
-    occ = np.moveaxis(e.occupancy, axis, -1)
-    lead_origin = np.delete(e.origin_index, axis)
-    ax_origin = int(e.origin_index[axis])
-    h = e.spacing
-    out = {}
-    for col in np.argwhere(occ.sum(axis=-1) > 0):
-        bits = occ[tuple(col)]
-        fiber = VoxelSet.from_index(bits, [ax_origin], h)
-        key = tuple((col + lead_origin + 0.5) * h)
-        out[key] = fit_interval_1d(fiber)
-    return out
+    _, *stats = _columns(fiber, 0)
+    return IntervalFit(*(float(x[0]) for x in stats))
 
 
 def slice_center_field(e, axis=None):
@@ -218,7 +221,9 @@ def slice_center_field(e, axis=None):
         raise ValueError("slice fields need dim >= 2")
     if axis is None:
         axis = e.dim - 1
-    return _column_data(e, axis)
+    lead, *stats = _columns(e, axis)
+    keys = map(tuple, (lead + 0.5) * e.spacing)
+    return {k: IntervalFit(*map(float, row)) for k, row in zip(keys, zip(*stats))}
 
 
 def affine_regress_centers(field, weights=None):
@@ -278,12 +283,14 @@ def center_compatibility(t, radii=None, samples=400, seed=0):
     sum_j r_j x'_j = 0 and the score is |sum_j r_j c_j(x'_j)|; substituting
     y_j = r_j x'_j shows the radii cancel, so the score is computed in
     physical coordinates (radii are validated when given but do not affect
-    the value).  The third column is snapped to the nearest occupied column
-    of the third set; the exact zero-sum point sits half a cell off the
-    center lattice, so snapping moves it by at most one cell.  Weights are
-    the smallest of the three fiber measures.  Small scores mean the three
-    slice center fields are mutually consistent with translates summing to
-    zero.
+    the value).  Columns g_1 and g_2 of the first two sets are drawn
+    uniformly; column g centers at (g + 1/2) h, so the exact zero-sum point
+    sits half a cell off the center lattice, between the integer columns
+    -(g_1 + g_2) - 2 and -(g_1 + g_2) - 1.  The third column is the first of
+    these that the third set occupies; draws where it occupies neither are
+    skipped.  Weights are the smallest of the three fiber measures.  Small
+    scores mean the three slice center fields are mutually consistent with
+    translates summing to zero.
     """
     if not isinstance(t, SetTriple):
         t = SetTriple(t)
@@ -293,32 +300,24 @@ def center_compatibility(t, radii=None, samples=400, seed=0):
         rv = radii.radii if hasattr(radii, "radii") else tuple(radii)
         if len(rv) != 3 or min(rv) <= 0:
             raise ValueError("radii must be three positive numbers")
-    h = t.spacing
-    fields = [_column_data(e, e.dim - 1) for e in t]
-    if any(not f for f in fields):
-        raise ValueError("a set has no occupied columns")
-    keys1 = sorted(fields[0].keys())
-    keys2 = sorted(fields[1].keys())
+    (lead1, c1, l1, _), (lead2, c2, l2, _), (_, c3, l3, _) = (
+        _columns(e, e.dim - 1) for e in t
+    )
     rng = np.random.default_rng(seed)
-    vals = []
-    wts = []
-    for _ in range(int(samples)):
-        k1 = keys1[rng.integers(len(keys1))]
-        k2 = keys2[rng.integers(len(keys2))]
-        y3 = -(np.asarray(k1) + np.asarray(k2))
-        # y3 lies half a cell off the center lattice; try both straddles
-        base = np.floor(y3 / h - 0.5)
-        hit = None
-        for shift in (0.0, 1.0):
-            cand = tuple((base + shift + 0.5) * h)
-            if cand in fields[2]:
-                hit = cand
-                break
-        if hit is None:
-            continue
-        f1, f2, f3 = fields[0][k1], fields[1][k2], fields[2][hit]
-        vals.append(abs(f1.center + f2.center + f3.center))
-        wts.append(min(f1.length, f2.length, f3.length))
-    if not vals:
+    i1, i2 = rng.integers([len(c1), len(c2)], size=(int(samples), 2)).T
+    # the third set's column number at each cell of its lead box, -1 if empty
+    occupied = t[2].occupancy.any(axis=-1)
+    index3 = np.full(occupied.shape, -1)
+    index3[occupied] = np.arange(len(c3))
+    zero_sum = -(lead1[i1] + lead2[i2]) - t[2].origin_index[:-1]
+    i3 = np.full(len(i1), -1)
+    for loc in (zero_sum - 1, zero_sum - 2):  # -2 goes last: it wins if occupied
+        inbox = np.clip(loc, 0, np.array(occupied.shape) - 1)
+        hit = np.where(np.all(inbox == loc, axis=1), index3[tuple(inbox.T)], -1)
+        i3 = np.where(hit >= 0, hit, i3)
+    i1, i2, i3 = i1[i3 >= 0], i2[i3 >= 0], i3[i3 >= 0]
+    if not i3.size:
         raise ValueError("no admissible sample triples: slice supports do not meet")
+    vals = np.abs(c1[i1] + c2[i2] + c3[i3])
+    wts = np.minimum(np.minimum(l1[i1], l2[i2]), l3[i3])
     return _weighted_median(vals, wts)

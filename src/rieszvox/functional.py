@@ -43,13 +43,6 @@ def unit_ball_volume(dim):
     return math.pi ** (dim / 2) / math.gamma(dim / 2 + 1)
 
 
-def slice_profile(t):
-    """Slice-radius profile of the unit ball: (1 - t^2)^(1/2) for |t| <= 1."""
-    if abs(t) > 1:
-        raise ValueError("profile argument must satisfy |t| <= 1")
-    return math.sqrt(1.0 - t * t)
-
-
 @dataclass(frozen=True)
 class RadiusTriple:
     """Three positive ball radii; converts to and from measure triples."""
@@ -147,7 +140,8 @@ def _corner_counts_direct(sets):
 
 def _gather(sets, conv):
     # N_s = sum over cells c of E3 of conv[s - c], conv = 1_E1 * 1_E2; a
-    # float conv (the FFT path) is rounded per gathered value
+    # float conv (the FFT path) is rounded per gathered value, which is
+    # exact only while every value lies within 1/4 of its integer
     e1, e2, e3 = sets
     shape = np.asarray(conv.shape)
     strides = np.append(np.cumprod(shape[:0:-1])[::-1], 1)  # row-major
@@ -162,7 +156,14 @@ def _gather(sets, conv):
         ok = np.logical_and.reduce([inside[c][:, i] for i, c in enumerate(corner)])
         vals = flat[lin[ok] + np.dot(corner, strides)]
         if vals.dtype.kind == "f":
-            vals = np.rint(vals)
+            rounded = np.rint(vals)
+            err = np.abs(vals - rounded).max(initial=0.0)
+            if err >= 0.25:
+                raise ValueError(
+                    f"fft corner counts are not exact: a convolution value is "
+                    f"{err:.3g} from its integer; use method='direct'"
+                )
+            vals = rounded
         out[corner] = int(vals.sum())
     return out
 
@@ -268,7 +269,7 @@ def lambda_d(gamma, dim):
     lens = _lens_area_2d if dim == 2 else _lens_volume_3d
     kink = abs(r1 - r2)
     pts = [kink] if 0.0 < kink < r3 else None
-    val, _ = quad(
+    val, abserr = quad(
         lambda s: s ** (dim - 1) * lens(r1, r2, s),
         0.0,
         r3,
@@ -277,6 +278,12 @@ def lambda_d(gamma, dim):
         epsabs=0.0,
         epsrel=1e-9,
     )
+    # an error estimate 1000x the requested epsrel means quad did not converge
+    if abserr > 1e-6 * abs(val):
+        raise ValueError(
+            f"Lambda_{dim} quadrature did not converge: error estimate "
+            f"{abserr:.3g} for the value {val:.6g} at measures {g}"
+        )
     return dim * w * val
 
 

@@ -53,10 +53,13 @@ class SweepConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type is tuple:
-                parts = value.split(",") if isinstance(value, str) else value
-                value = tuple(float(x) for x in parts)
-            setattr(self, f.name, f.type(value))
+            try:
+                if f.type is tuple:
+                    parts = value.split(",") if isinstance(value, str) else value
+                    value = tuple(float(x) for x in parts)
+                setattr(self, f.name, f.type(value))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{f.name}: invalid value {value!r} ({exc})") from exc
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if list(self.levels) != sorted(self.levels):
@@ -181,17 +184,11 @@ def perturb_relocate(e, frac, rng=None):
 
 def _roll_columns(e, shifts):
     """Shift each last-axis column by an integer cell count (exact)."""
-    occ = e.occupancy
-    lead = occ.shape[:-1]
-    nz = occ.shape[-1]
-    k = np.asarray(shifts, dtype=np.int64).reshape(lead)
-    kmin, kmax = int(k.min()), int(k.max())
-    new = np.zeros(lead + (nz + kmax - kmin,), dtype=bool)
-    for col in np.ndindex(*lead):
-        s = int(k[col]) - kmin
-        new[col + (slice(s, s + nz),)] = occ[col]
-    origin = np.concatenate([e.origin_index[:-1], [e.origin_index[-1] + kmin]])
-    return VoxelSet.from_index(new, origin, e.spacing).tighten()
+    loc = e.local_indices()
+    k = np.asarray(shifts, dtype=np.int64).reshape(e.occupancy.shape[:-1])
+    cells = loc + e.origin_index
+    cells[:, -1] += k[tuple(loc[:, :-1].T)]
+    return from_cells(cells, e.dim, e.spacing)
 
 
 def skew_columns(e, slope):

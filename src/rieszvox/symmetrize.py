@@ -150,29 +150,18 @@ def dyadic_layers(e):
         raise ValueError("dyadic layers need dim >= 2")
     occ = e.occupancy
     counts = occ.sum(axis=-1)
+    occupied = counts > 0
+    heights = counts * e.spacing
+    index = np.frexp(heights)[1] - 1  # height = m * 2^exp, m in [0.5, 1)
     out = LayerDecomposition(axis=e.dim - 1, spacing=e.spacing)
-    cols = np.argwhere(counts > 0)
-    if cols.shape[0] == 0:
-        return out
-    lead_origin = e.origin_index[:-1]
-    proj_cell = e.spacing ** (e.dim - 1)
-    kmap = {}
-    for col in cols:
-        c = int(counts[tuple(col)])
-        height = c * e.spacing
-        _, exp = math.frexp(height)  # height = m * 2^exp, m in [0.5, 1)
-        k = exp - 1
-        gcol = tuple(int(x) for x in (col + lead_origin))
-        out.heights[gcol] = height
-        kmap.setdefault(k, []).append(col)
-    for k, members in sorted(kmap.items()):
-        mask = np.zeros(counts.shape, dtype=bool)
-        mask[tuple(np.asarray(members).T)] = True
-        layer_occ = occ & mask[..., None]
+    lead = np.argwhere(occupied) + e.origin_index[:-1]
+    out.heights = dict(zip(map(tuple, lead.tolist()), heights[occupied].tolist()))
+    for k in np.unique(index[occupied]).tolist():
+        mask = occupied & (index == k)
         out.layers[k] = VoxelSet.from_index(
-            layer_occ, e.origin_index, e.spacing
+            occ & mask[..., None], e.origin_index, e.spacing
         ).tighten()
-        out.projections[k] = len(members) * proj_cell
+        out.projections[k] = int(mask.sum()) * e.spacing ** (e.dim - 1)
     return out
 
 

@@ -199,6 +199,23 @@ class TestSweep:
         assert not (tmp_path / "sweep.csv").exists()
 
 
+    def test_bad_level_names_the_field(self, tmp_path, capsys):
+        rc = main(["sweep", "--levels", "0.2,x", "--out-dir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("rieszvox: error: levels: ")
+        assert "'0.2,x'" in err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_bad_config_value_names_the_field(self, tmp_path, capsys):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("family = skew\nsamples = two\n")
+        rc = main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "samples: invalid value 'two'" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+
 class TestVerify:
     def test_fast_suite_passes(self, capsys):
         assert main(["verify", "--suite", "fast"]) == 0

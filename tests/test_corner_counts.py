@@ -135,6 +135,24 @@ def test_pair_guard_message(monkeypatch):
     assert trilinear_corner_counts(sets, "direct") == trilinear_corner_counts(sets, "fft")
 
 
+@pytest.mark.parametrize("noise", [0.2, 0.3])
+def test_fft_rounding_is_certified(monkeypatch, noise):
+    rng = np.random.default_rng(5)
+    sets = [
+        VoxelSet.from_index(rng.random((5, 6)) < 0.6, o, 0.125)
+        for o in ((0, 0), (0, 0), (-7, -8))
+    ]
+    want = trilinear_corner_counts(sets, "direct")
+    assert min(want.values()) > 0
+    fft = functional.fftconvolve
+    monkeypatch.setattr(functional, "fftconvolve", lambda a, b: fft(a, b) + noise)
+    if noise < 0.25:  # still rounds to the exact counts
+        assert trilinear_corner_counts(sets, "fft") == want
+    else:
+        with pytest.raises(ValueError, match="fft corner counts are not exact: .* 0.3 "):
+            trilinear_corner_counts(sets, "fft")
+
+
 def _theta_line_per_triple(rng):
     # the check as written before it shared decompositions: one
     # theta_bound_check call, and so three decompositions, per layer triple

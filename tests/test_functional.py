@@ -10,6 +10,7 @@ from rieszvox import (
     SetTriple,
     VoxelSet,
     deficit,
+    functional,
     generate,
     lambda_1,
     lambda_d,
@@ -208,6 +209,16 @@ class TestLambdaClosedForms:
         # third ball radius exceeds the sum: Lambda collapses to the product
         got = lambda_d((0.2, 0.3, 50.0), 2)
         assert got == pytest.approx(0.2 * 0.3, rel=1e-9)
+
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_lambda_d_unconverged_quadrature_rejected(self, monkeypatch, dim):
+        # error estimates just under and just over 1e-6 of the value
+        monkeypatch.setattr(functional, "quad", lambda *a, **k: (2.0, 2.0e-6))
+        assert lambda_d((1.0, 1.0, 1.0), dim) == dim * unit_ball_volume(dim) * 2.0
+        monkeypatch.setattr(functional, "quad", lambda *a, **k: (2.0, 2.1e-6))
+        with pytest.raises(ValueError, match="quadrature did not converge"):
+            lambda_d((1.0, 1.0, 1.0), dim)
 
 
 class TestRadiusTriple:

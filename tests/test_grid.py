@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -332,3 +333,76 @@ class TestPersistence:
         p.write_bytes(bytes(data))
         with pytest.raises(ValueError):
             load(str(p))
+
+
+class TestPersistenceFuzz:
+    """Every corrupt VXG1 file raises ValueError, and none allocates the
+    occupancy its header claims before the payload size is checked."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return str(tmp_path_factory.mktemp("fuzz") / "e.vxg")
+
+    @staticmethod
+    def _saved(path, seed, dim):
+        save(random_voxel_set(dim, np.random.default_rng(seed), cells=4), path)
+        with open(path, "rb") as fh:
+            return bytearray(fh.read())
+
+    @staticmethod
+    def _rejected(path, data, match=None):
+        with open(path, "wb") as fh:
+            fh.write(bytes(data))
+        with pytest.raises(ValueError, match=match):
+            load(path)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 3))
+    def test_truncation_at_every_offset(self, path, seed, dim):
+        data = self._saved(path, seed, dim)
+        for cut in range(len(data)):
+            self._rejected(path, data[:cut])
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 3), st.binary(min_size=1, max_size=40))
+    def test_trailing_bytes(self, path, seed, dim, extra):
+        self._rejected(path, self._saved(path, seed, dim) + extra)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(1, 3),
+        st.sampled_from([0.0, -0.0, -0.25, float("nan"), float("inf"), float("-inf")]),
+    )
+    def test_bad_spacing(self, path, seed, dim, spacing):
+        data = self._saved(path, seed, dim)
+        struct.pack_into("<d", data, 6 + 4 * dim, spacing)
+        self._rejected(path, data, match="spacing")
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(1, 3).flatmap(lambda d: st.tuples(st.just(d), st.integers(0, d - 1))),
+        st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    )
+    def test_bad_origin(self, path, seed, dim_axis, value):
+        dim, axis = dim_axis
+        data = self._saved(path, seed, dim)
+        struct.pack_into("<d", data, 6 + 4 * dim + 8 + 8 * axis, value)
+        self._rejected(path, data, match="origin")
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 3), st.integers(0, 64))
+    def test_huge_shape_short_payload(self, path, seed, dim, payload):
+        data = self._saved(path, seed, dim)
+        header = 6 + 4 * dim + 8 + 8 * dim
+        for axis in range(dim):
+            struct.pack_into("<I", data, 6 + 4 * axis, 2**32 - 1)
+        data = data[:header] + bytes(payload)
+        tracemalloc.start()
+        try:
+            self._rejected(path, data, match="truncated")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
