@@ -12,45 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functional import unit_ball_volume
 from .grid import (
+    Ellipsoid,
     SetTriple,
     rasterize_ellipsoid,
     symmetric_difference_measure,
+    unit_ball_volume,
 )
 
 SINGULAR_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class Ellipsoid:
-    """Center v and symmetric positive definite shape matrix Q, with the
-    convention {x : (x-v)^T Q (x-v) <= 1}."""
-
-    center: np.ndarray
-    shape: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.center, dtype=float).reshape(-1)
-        Q = np.asarray(self.shape, dtype=float)
-        if Q.shape != (v.size, v.size):
-            raise ValueError("shape matrix does not match the center length")
-        if np.max(np.abs(Q - Q.T)) > 1e-12 * max(1.0, float(np.max(np.abs(Q)))):
-            raise ValueError("shape matrix must be symmetric")
-        if np.linalg.eigvalsh(Q).min() <= 0:
-            raise ValueError("shape matrix must be positive definite")
-        v.setflags(write=False)
-        Q.setflags(write=False)
-        object.__setattr__(self, "center", v)
-        object.__setattr__(self, "shape", Q)
-
-    @property
-    def dim(self):
-        return self.center.size
-
-    @property
-    def measure(self):
-        return unit_ball_volume(self.dim) / math.sqrt(np.linalg.det(self.shape))
 
 
 @dataclass
@@ -109,16 +79,13 @@ def fit_ellipsoid_moments(e):
     return Ellipsoid(center=v, shape=scale * q0)
 
 
-def _epsilon_one(e, shape, center, radius, supersample):
+def _epsilon_one(e, shape, center, radius):
     """Relative symmetric difference of E against the rasterized r*shape+v."""
-    q = shape / radius**2
-    ras = rasterize_ellipsoid(
-        Ellipsoid(center=center, shape=q), e.spacing, supersample
-    )
+    ras = rasterize_ellipsoid(Ellipsoid(center=center, shape=shape / radius**2), e.spacing)
     return symmetric_difference_measure(e, ras) / e.measure
 
 
-def fit_homothetic_triple(t, supersample=3):
+def fit_homothetic_triple(t):
     """Fit one centered shape plus per-set translates to a SetTriple.
 
     Per-set moment fits are averaged on the squared-semi-axis scale: each
@@ -145,21 +112,16 @@ def fit_homothetic_triple(t, supersample=3):
     w = unit_ball_volume(d)
     radii = np.array([(e.measure / w) ** (1.0 / d) for e in t])
     shape = Ellipsoid(center=np.zeros(d), shape=s)
-    eps = np.array(
-        [
-            _epsilon_one(e, s, c, r, supersample)
-            for e, c, r in zip(t, centers, radii)
-        ]
-    )
+    eps = np.array([_epsilon_one(e, s, c, r) for e, c, r in zip(t, centers, radii)])
     return HomotheticFit(shape=shape, centers=centers, radii=radii, epsilons=eps)
 
 
-def epsilon_of_fit(t, fit, supersample=3):
+def epsilon_of_fit(t, fit):
     """Worst-case relative symmetric difference of the fit, max over the sets."""
     if not isinstance(t, SetTriple):
         t = SetTriple(t)
     vals = [
-        _epsilon_one(e, fit.shape.shape, c, r, supersample)
+        _epsilon_one(e, fit.shape.shape, c, r)
         for e, c, r in zip(t, fit.centers, fit.radii)
     ]
     return float(max(vals))

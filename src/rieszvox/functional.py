@@ -31,16 +31,12 @@ from scipy.integrate import quad
 from scipy.signal import fftconvolve
 
 from .admissibility import measure_margin, set_triple_margin
-from .grid import SetTriple, VoxelSet
+from .ellipsoid import fit_homothetic_triple
+from .grid import SetTriple, VoxelSet, _check_aligned, unit_ball_volume
 from .symmetrize import dyadic_layers
 
 DIRECT_PAIR_GUARD = 10**8  # max product of the two smallest cell counts
 _PAIR_BLOCK = 2 * 10**6  # pair sums held at once by the direct path
-
-
-def unit_ball_volume(dim):
-    """Volume of the unit ball in R^dim."""
-    return math.pi ** (dim / 2) / math.gamma(dim / 2 + 1)
 
 
 @dataclass(frozen=True)
@@ -89,10 +85,7 @@ def _coerce_triple(t):
     if len(sets) != 3 or not all(isinstance(e, VoxelSet) for e in sets):
         raise ValueError("expected a SetTriple or three VoxelSets")
     for e in sets[1:]:
-        if e.dim != sets[0].dim:
-            raise ValueError("triple members must share the dimension")
-        if not e.same_grid(sets[0]):
-            raise ValueError("triple members live on mismatched grids")
+        _check_aligned(sets[0], e)
     return sets
 
 
@@ -287,7 +280,7 @@ def lambda_d(gamma, dim):
     return dim * w * val
 
 
-def deficit(t, with_fit=False, supersample=3):
+def deficit(t, with_fit=False):
     """Deficit report: delta = 1 - T / Lambda_dim(measures).
 
     The reference is the continuum ball functional of the exact voxel
@@ -300,17 +293,12 @@ def deficit(t, with_fit=False, supersample=3):
     lam = lambda_d(t.measures, t.dim)
     if lam <= 0:
         raise ValueError("degenerate triple: zero ball functional")
-    fit = None
-    if with_fit:
-        from .ellipsoid import fit_homothetic_triple  # deferred: keeps deps acyclic
-
-        fit = fit_homothetic_triple(t, supersample=supersample)
     return DeficitReport(
         t_value=tv,
         lambda_value=lam,
         delta=1.0 - tv / lam,
         tau_margin=set_triple_margin(t).margin,
-        fit=fit,
+        fit=fit_homothetic_triple(t) if with_fit else None,
     )
 
 

@@ -25,7 +25,7 @@ is the same cell for cell as sampling every cell of the bounding box.
 import io
 import math
 import struct
-from types import SimpleNamespace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,12 +35,66 @@ VXG_VERSION = 1
 # relative slack used when checking that physical data sits on the lattice
 ALIGN_RTOL = 1e-9
 
+# largest |Q - Q^T| an ellipsoid's shape matrix may have, relative to
+# max(1, max |Q|)
+SYMMETRY_RTOL = 1e-12
 
-def _spacing(spacing):
-    h = float(spacing)
-    if not (h > 0 and math.isfinite(h)):
-        raise ValueError(f"spacing must be finite and positive, got {spacing}")
-    return h
+
+def _positive(value, name):
+    """float(value), once it is finite and positive."""
+    x = float(value)
+    if not (x > 0 and math.isfinite(x)):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+    return x
+
+
+def unit_ball_volume(dim):
+    """Volume of the unit ball in R^dim."""
+    return math.pi ** (dim / 2) / math.gamma(dim / 2 + 1)
+
+
+@dataclass(frozen=True)
+class Ellipsoid:
+    """Center v and symmetric positive definite shape matrix Q, with the
+    convention {x : (x-v)^T Q (x-v) <= 1}.
+
+    The one check of ellipsoid data: v must be finite of length 1, 2 or 3,
+    Q finite, square of the same size, symmetric to SYMMETRY_RTOL and
+    positive definite.  Q is stored as (Q + Q^T) / 2, which keeps an
+    exactly symmetric matrix bit for bit.
+    """
+
+    center: np.ndarray
+    shape: np.ndarray
+
+    def __post_init__(self):
+        v = np.asarray(self.center, dtype=float).reshape(-1)
+        Q = np.asarray(self.shape, dtype=float)
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"ellipsoid center must be finite, got {v}")
+        if v.size not in (1, 2, 3):
+            raise ValueError(f"dim must be 1, 2, or 3, got a center of length {v.size}")
+        if Q.shape != (v.size, v.size):
+            raise ValueError("shape matrix does not match the center length")
+        if not np.all(np.isfinite(Q)):
+            raise ValueError("ellipsoid shape matrix must be finite")
+        if np.max(np.abs(Q - Q.T)) > SYMMETRY_RTOL * max(1.0, float(np.max(np.abs(Q)))):
+            raise ValueError("shape matrix must be symmetric")
+        Q = (Q + Q.T) / 2
+        if np.linalg.eigvalsh(Q).min() <= 0:
+            raise ValueError("shape matrix must be positive definite")
+        v.setflags(write=False)
+        Q.setflags(write=False)
+        object.__setattr__(self, "center", v)
+        object.__setattr__(self, "shape", Q)
+
+    @property
+    def dim(self):
+        return self.center.size
+
+    @property
+    def measure(self):
+        return unit_ball_volume(self.dim) / math.sqrt(np.linalg.det(self.shape))
 
 
 def _validated(occupancy, origin, spacing):
@@ -54,7 +108,7 @@ def _validated(occupancy, origin, spacing):
         raise ValueError(f"dim must be 1, 2, or 3, got {occ.ndim}")
     if min(occ.shape) < 1:
         raise ValueError("shape entries must be >= 1")
-    h = _spacing(spacing)
+    h = _positive(spacing, "spacing")
     origin = np.asarray(origin).reshape(-1)
     if origin.size != occ.ndim:
         raise ValueError("origin length must equal dim")
@@ -218,12 +272,8 @@ class SetTriple:
         sets = tuple(sets)
         if len(sets) != 3:
             raise ValueError("a SetTriple holds exactly three sets")
-        e1 = sets[0]
         for e in sets:
-            if e.dim != e1.dim:
-                raise ValueError("triple members must share the dimension")
-            if not e.same_grid(e1):
-                raise ValueError("triple members must share the grid spacing")
+            _check_aligned(sets[0], e)
             if e.is_empty:
                 raise ValueError("triple members must have positive measure")
         self._sets = sets
@@ -282,11 +332,10 @@ class AffineMapTriple:
         self.linear = A
         self.translations = V
 
-    def apply(self, triple, spacing=None, supersample=3):
-        """Rasterize (A E_j + v_j) for each member of the triple."""
-        h = triple.spacing if spacing is None else spacing
+    def apply(self, triple):
+        """Rasterize (A E_j + v_j) for each member of the triple, at its spacing."""
         out = [
-            rasterize_affine_image(e, self.linear, v, h, supersample)
+            rasterize_affine_image(e, self.linear, v, triple.spacing)
             for e, v in zip(triple, self.translations)
         ]
         return SetTriple(out)
@@ -301,6 +350,7 @@ def measure(e):
 
 
 def _check_aligned(e, f):
+    """The one alignment check of two sets: same dimension, same grid."""
     if e.dim != f.dim:
         raise ValueError("sets have different dimensions")
     if not e.same_grid(f):
@@ -429,19 +479,6 @@ def _subsample_offsets(spacing, supersample):
     return (np.arange(s) + 0.5) / s * spacing
 
 
-def _shape_matrix_checked(q, dim):
-    """Symmetrized Q and its largest eigenvalue; raises unless Q is SPD."""
-    Q = np.asarray(q, dtype=float)
-    if Q.shape != (dim, dim):
-        raise ValueError("shape matrix has wrong dimensions")
-    if np.max(np.abs(Q - Q.T)) > 1e-9 * max(1.0, np.max(np.abs(Q))):
-        raise ValueError("shape matrix must be symmetric")
-    w = np.linalg.eigvalsh((Q + Q.T) / 2)
-    if w.min() <= 0:
-        raise ValueError("shape matrix must be positive definite")
-    return (Q + Q.T) / 2, w.max()
-
-
 def _band_vote(inside, band, s, member):
     """Phase 2 of both rasterizers: the supersample vote on the band cells.
 
@@ -465,16 +502,18 @@ def rasterize_ellipsoid(e, spacing, supersample=3):
 
     A cell is occupied when at least half of its supersample^dim sample
     points satisfy the inequality; supersample=1 is the center-in-set rule.
-    `e` is any object with attributes `center` and `shape` (the matrix Q).
+    `e` is an Ellipsoid or any object with attributes `center` and `shape`
+    (the matrix Q).  Either way it passes Ellipsoid's checks (finite, dim
+    1 to 3, square, symmetric to SYMMETRY_RTOL, positive definite) before
+    any box is built, and the symmetrized Q is the one sampled.
 
     Returns a VoxelSet of the given spacing.
     """
-    h = _spacing(spacing)
-    v = np.asarray(e.center, dtype=float).reshape(-1)
-    dim = v.size
-    if dim not in (1, 2, 3):
-        raise ValueError(f"dim must be 1, 2, or 3, got a center of length {dim}")
-    Q, lam = _shape_matrix_checked(e.shape, dim)
+    h = _positive(spacing, "spacing")
+    if not isinstance(e, Ellipsoid):
+        e = Ellipsoid(e.center, e.shape)
+    v, Q, dim = e.center, e.shape, e.dim
+    lam = np.linalg.eigvalsh(Q).max()
     # axis-aligned bounding half-widths: sqrt(diag(Q^-1))
     b = np.sqrt(np.diag(np.linalg.inv(Q)))
     lo = np.floor((v - b) / h).astype(np.int64)
@@ -544,7 +583,7 @@ def rasterize_affine_image(e, a, v, spacing, supersample=3):
     membership of A^-1 (y - v) in E on a supersample grid per output cell,
     with the majority rule of rasterize_ellipsoid.
     """
-    h = _spacing(spacing)
+    h = _positive(spacing, "spacing")
     A = np.asarray(a, dtype=float)
     if A.shape != (e.dim, e.dim):
         raise ValueError("linear map has wrong dimensions")
@@ -635,10 +674,6 @@ def rasterize_affine_image(e, a, v, spacing, supersample=3):
 # -- generators -----------------------------------------------------------
 
 
-def _ellipsoid_like(center, q):
-    return SimpleNamespace(center=np.asarray(center, float), shape=np.asarray(q, float))
-
-
 def generate(kind, params=None, seed=0):
     """Deterministic set generators for tests and sweeps.
 
@@ -654,7 +689,8 @@ def generate(kind, params=None, seed=0):
     union_of_balls: n (3), span (1.5), rmin (0.2), rmax (0.5)
 
     The same (kind, params, seed) always produces the identical set.
-    Raises if the generated set is empty.
+    Raises if a radius, axis, rmin or rmax is not finite and positive, or
+    if the generated set is empty.
     """
     p = dict(params or {})
     dim = int(p.pop("dim", 2))
@@ -663,21 +699,21 @@ def generate(kind, params=None, seed=0):
     rng = np.random.default_rng(seed)
 
     if kind == "ball":
-        r = float(p.pop("radius", 1.0))
-        c = np.asarray(p.pop("center", np.zeros(dim)), dtype=float)
+        r = _positive(p.pop("radius", 1.0), "radius")
+        c = p.pop("center", np.zeros(dim))
         _reject_extra(kind, p)
-        out = rasterize_ellipsoid(_ellipsoid_like(c, np.eye(dim) / r**2), h, ss)
+        out = rasterize_ellipsoid(Ellipsoid(c, np.eye(dim) / r**2), h, ss)
     elif kind == "ellipsoid":
-        c = np.asarray(p.pop("center", np.zeros(dim)), dtype=float)
+        c = p.pop("center", np.zeros(dim))
         if "shape" in p:
-            q = np.asarray(p.pop("shape"), dtype=float)
+            q = p.pop("shape")
         else:
-            axes = np.asarray(p.pop("axes", np.ones(dim)), dtype=float)
-            q = np.diag(1.0 / axes**2)
+            axes = np.ravel(p.pop("axes", np.ones(dim)))
+            q = np.diag(1.0 / np.array([_positive(a, "axes") for a in axes]) ** 2)
         _reject_extra(kind, p)
-        out = rasterize_ellipsoid(_ellipsoid_like(c, q), h, ss)
+        out = rasterize_ellipsoid(Ellipsoid(c, q), h, ss)
     elif kind == "blob":
-        r = float(p.pop("radius", 0.35))
+        r = _positive(p.pop("radius", 0.35), "radius")
         steps = int(p.pop("steps", 6))
         step = float(p.pop("step", 0.4))
         c = np.asarray(p.pop("center", np.zeros(dim)), dtype=float)
@@ -687,7 +723,7 @@ def generate(kind, params=None, seed=0):
         out = None
         for _ in range(steps):
             rr = r * (1.0 + jit * (rng.random() - 0.5) * 2)
-            ball = rasterize_ellipsoid(_ellipsoid_like(pos, np.eye(dim) / rr**2), h, ss)
+            ball = rasterize_ellipsoid(Ellipsoid(pos, np.eye(dim) / rr**2), h, ss)
             out = ball if out is None else boolean(out, ball, "union")
             d = rng.normal(size=dim)
             d /= max(np.linalg.norm(d), 1e-12)
@@ -696,14 +732,14 @@ def generate(kind, params=None, seed=0):
     elif kind == "union_of_balls":
         n = int(p.pop("n", 3))
         span = float(p.pop("span", 1.5))
-        rmin = float(p.pop("rmin", 0.2))
-        rmax = float(p.pop("rmax", 0.5))
+        rmin = _positive(p.pop("rmin", 0.2), "rmin")
+        rmax = _positive(p.pop("rmax", 0.5), "rmax")
         _reject_extra(kind, p)
         out = None
         for _ in range(n):
             c = (rng.random(dim) - 0.5) * span
             rr = rmin + (rmax - rmin) * rng.random()
-            ball = rasterize_ellipsoid(_ellipsoid_like(c, np.eye(dim) / rr**2), h, ss)
+            ball = rasterize_ellipsoid(Ellipsoid(c, np.eye(dim) / rr**2), h, ss)
             out = ball if out is None else boolean(out, ball, "union")
     else:
         raise ValueError(f"unknown generator kind {kind!r}")

@@ -24,14 +24,7 @@ import numpy as np
 from scipy.stats import spearmanr
 
 from .functional import deficit
-from .grid import (
-    AffineMapTriple,
-    SetTriple,
-    VoxelSet,
-    _ellipsoid_like,
-    from_cells,
-    rasterize_ellipsoid,
-)
+from .grid import AffineMapTriple, SetTriple, VoxelSet, from_cells, generate
 from .symmetrize import _greedy_ball_order
 
 FAMILIES = ("noise", "relocate", "shear", "skew")
@@ -204,16 +197,12 @@ def skew_columns(e, slope):
     return _roll_columns(e, k)
 
 
-def base_triple(dim, spacing, rng, supersample=3):
+def base_triple(dim, spacing, rng):
     """Concentric near-extremal ball triple with jittered radii."""
     radii = np.array([1.0, 0.92, 0.85]) * (1 + 0.06 * (rng.random(3) - 0.5))
-    sets = [
-        rasterize_ellipsoid(
-            _ellipsoid_like(np.zeros(dim), np.eye(dim) / r**2), spacing, supersample
-        )
-        for r in radii
-    ]
-    return SetTriple(sets)
+    return SetTriple(
+        [generate("ball", {"dim": dim, "spacing": spacing, "radius": r}) for r in radii]
+    )
 
 
 def apply_family(t, family, level, rng):

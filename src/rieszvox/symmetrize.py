@@ -17,6 +17,7 @@ from .grid import (
     VoxelSet,
     from_cells,
     rasterize_affine_image,
+    unit_ball_volume,
 )
 
 # growth caps for the dilation search grid (cells per axis / total cells)
@@ -34,8 +35,7 @@ def _greedy_ball_order(n, dim):
     """
     if n <= 0:
         return np.zeros((0, dim), dtype=np.int64)
-    omega = math.pi ** (dim / 2) / math.gamma(dim / 2 + 1)  # unit ball volume
-    radius = int(math.ceil((n / omega) ** (1.0 / dim))) + 2
+    radius = int(math.ceil((n / unit_ball_volume(dim)) ** (1.0 / dim))) + 2
     while True:
         span = np.arange(-radius - 1, radius + 1, dtype=np.int64)
         grids = np.meshgrid(*([span] * dim), indexing="ij")

@@ -1,4 +1,5 @@
 import argparse
+import warnings
 
 import pytest
 
@@ -135,6 +136,22 @@ class TestErrors:
         bad.write_bytes(b"NOPE" + bytes(64))
         assert main(["symmetrize", str(bad), "--op", "star", "--out", str(tmp_path / "o")]) == 2
         assert "bad magic" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "param,message",
+        [
+            ("center=nan,0", "center must be finite"),
+            ("radius=nan", "radius must be finite and positive"),
+            ("radius=-1", "radius must be finite and positive"),
+        ],
+    )
+    def test_bad_ball_names_the_field(self, tmp_path, capsys, param, message):
+        out = tmp_path / "x.vxg"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["gen", "ball", "--param", param, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweep:

@@ -233,6 +233,23 @@ class TestGenerate:
         e = generate("union_of_balls", {"dim": 2, "spacing": H, "n": 4}, seed=1)
         assert e.count > 0
 
+    @pytest.mark.parametrize(
+        "kind,name,value",
+        [
+            # radius=-1 used to give the radius-1 ball, since Q = I / r^2
+            ("ball", "radius", -1.0),
+            ("ball", "radius", 0.0),
+            ("ellipsoid", "axes", [0.5, -0.5]),
+            ("ellipsoid", "axes", [np.nan, 0.5]),
+            ("blob", "radius", -0.35),
+            ("union_of_balls", "rmin", 0.0),
+            ("union_of_balls", "rmax", np.inf),
+        ],
+    )
+    def test_sizes_must_be_finite_and_positive(self, kind, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            generate(kind, {"dim": 2, "spacing": H, name: value})
+
 
 class TestTripleClasses:
     def test_set_triple_needs_three(self):

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""The package's import structure: every imported name is used, imports
+sit at module level, and each shared object has one definition."""
 
 import ast
 import pathlib
@@ -6,6 +7,7 @@ import pathlib
 import pytest
 
 import rieszvox
+from rieszvox import ellipsoid, functional, grid
 
 PACKAGE = pathlib.Path(rieszvox.__file__).parent
 
@@ -29,3 +31,49 @@ MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports(PACKAGE / module) == []
+
+
+def function_level_imports(path):
+    tree = ast.parse(path.read_text())
+    return sorted(
+        f"{fn.name}:{node.lineno}"
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    )
+
+
+def package_imports(path):
+    """(module, name) for each name imported from a sibling module."""
+    return sorted(
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+    )
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_function_level_imports(module):
+    # a deferred import hides a cycle between modules
+    assert function_level_imports(PACKAGE / module) == []
+
+
+def test_ellipsoid_imports_only_grid():
+    assert {m for m, _ in package_imports(PACKAGE / "ellipsoid.py")} == {"grid"}
+
+
+def test_private_grid_names_stay_in_grid():
+    private = {
+        (module, name)
+        for module in MODULES
+        for source, name in package_imports(PACKAGE / module)
+        if source == "grid" and name.startswith("_")
+    }
+    assert private == {("functional.py", "_check_aligned")}
+
+
+def test_one_ellipsoid_and_one_ball_volume():
+    assert rieszvox.Ellipsoid is grid.Ellipsoid is ellipsoid.Ellipsoid
+    assert rieszvox.unit_ball_volume is functional.unit_ball_volume is grid.unit_ball_volume

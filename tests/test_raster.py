@@ -4,12 +4,19 @@ Both kernels must return the identical VoxelSet (origin, shape and every
 cell) as sampling all s^d points of every cell in the bounding box.
 """
 
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from rieszvox import VoxelSet, generate, rasterize_affine_image, rasterize_ellipsoid
+from rieszvox import (
+    Ellipsoid,
+    VoxelSet,
+    generate,
+    rasterize_affine_image,
+    rasterize_ellipsoid,
+)
 from rieszvox import grid
 from reference_raster import (
     affine_sample_counts,
@@ -219,3 +226,44 @@ def test_unsupported_dim_rejected_before_the_box(phase1, dim):
     with pytest.raises(ValueError, match="center of length"):
         rasterize_ellipsoid(_ellipsoid(np.zeros(dim), np.eye(dim)), 0.5)
     assert phase1 == []
+
+
+# Each bad shape matrix fails Ellipsoid's one check, whether it arrives as
+# an Ellipsoid or as any object with a center and a shape; the asymmetry is
+# above 1e-12 but below the 1e-9 the rasterizer once allowed.
+BAD_SHAPES = {
+    "asymmetric": np.array([[1.0, 1e-10], [0.0, 1.0]]),
+    "indefinite": np.diag([1.0, -1.0]),
+    "wrong-shape": np.eye(3),
+    "nan": np.full((2, 2), np.nan),
+}
+
+
+@pytest.mark.parametrize("q", BAD_SHAPES.values(), ids=list(BAD_SHAPES))
+def test_one_shape_check_at_both_entry_points(phase1, q):
+    with pytest.raises(ValueError, match="shape matrix"):
+        Ellipsoid(np.zeros(2), q)
+    with pytest.raises(ValueError, match="shape matrix"):
+        rasterize_ellipsoid(_ellipsoid(np.zeros(2), q), 1.0 / 8)
+    assert phase1 == []
+
+
+@pytest.mark.parametrize("center", [[np.nan, 0.0], [0.0, -np.inf]])
+def test_nonfinite_center_rejected_before_the_box(phase1, center):
+    # a NaN center used to reach the box arithmetic, warn, and fail on the
+    # empty VoxelSet with a message about its shape
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="center must be finite"):
+            rasterize_ellipsoid(_ellipsoid(center, np.eye(2)), 1.0 / 8)
+    assert phase1 == []
+
+
+def test_rounding_asymmetry_rasterizes_the_same_through_both_entry_points():
+    rng = np.random.default_rng(3)
+    q = _rotated_q(rng, 3)
+    assert np.any(q != q.T)  # R D R^T is symmetric only up to rounding
+    center = rng.normal(size=3) * 0.2
+    want = rasterize_ellipsoid(Ellipsoid(center, q), 1.0 / 16)
+    assert_identical(rasterize_ellipsoid(_ellipsoid(center, q), 1.0 / 16), want)
+    assert_identical(reference_ellipsoid(Ellipsoid(center, q), 1.0 / 16), want)
