@@ -138,8 +138,8 @@ def _columns(e, axis):
     column, the centroid of the fiber, its measure, and the relative
     symmetric difference against the interval of that measure centered at
     the centroid.  The centroid is (sum g + n/2) h / n with an integer index
-    sum, the mean of the cell centers; the residual is exact from per-cell
-    overlaps.
+    sum, the mean of the cell centers; the residual is the correctly rounded
+    value of the exact per-cell overlaps.
     """
     occ = np.moveaxis(e.occupancy, axis, -1)
     h = e.spacing
@@ -149,13 +149,16 @@ def _columns(e, axis):
     # argwhere lists cells column by column, so each fiber is one segment
     g = np.argwhere(occ)[:, -1] + e.origin_index[axis]
     starts = np.cumsum(n) - n
-    center = (np.add.reduceat(g, starts) + n / 2) * h / n
-    length = n * h
-    lo = np.repeat(center - length / 2, n)
-    hi = np.repeat(center + length / 2, n)
-    overlap = np.clip(np.minimum((g + 1) * h, hi) - np.maximum(g * h, lo), 0.0, None)
-    sym = 2.0 * (length - np.add.reduceat(overlap, starts))
-    return lead, center, length, sym / length
+    s = np.add.reduceat(g, starts)
+    center = (s + n / 2) * h / n
+    # In units of h / 2n the cells and the interval 2s + n -+ n^2 have
+    # integer ends, so the overlaps sum exactly and the residual
+    # 2 (n - overlap) / n = (2n^2 - overlap') / n^2 rounds once.
+    m = np.repeat(2 * n, n)
+    lo = np.repeat(2 * s + n - n * n, n)
+    hi = np.repeat(2 * s + n + n * n, n)
+    overlap = np.clip(np.minimum(m * (g + 1), hi) - np.maximum(m * g, lo), 0, None)
+    return lead, center, n * h, (2 * n * n - np.add.reduceat(overlap, starts)) / (n * n)
 
 
 def fit_interval_1d(fiber):

@@ -15,10 +15,11 @@ origin (s maps to -s-3, a bijection of the corner set), and exactly
 covariant under integer grid refinement, because it IS the continuum T of
 the voxelized sets.  Both evaluation paths build the box conv = 1_E1 * 1_E2
 of two members and share one gather of N_s at the cells of the third.  The
-boxes are built independently: 'fft' by a floating-point Fourier convolution
-whose gathered entries are rounded to integers, 'direct' by an int64
-histogram of the pair sums a + b of the two smallest members, which uses
-integer addition only.
+boxes are built independently: 'fft' by one real Fourier product, rfftn of
+both occupancies zero-padded to a fast length of at least n1 + n2 - 1 per
+axis, multiplied and inverted by irfftn, whose gathered entries are rounded
+to integers; 'direct' by an int64 histogram of the pair sums a + b of the
+two smallest members, which uses integer addition only.
 """
 
 import math
@@ -27,8 +28,8 @@ from itertools import product
 from typing import Optional
 
 import numpy as np
+from scipy.fft import irfftn, next_fast_len, rfftn
 from scipy.integrate import quad
-from scipy.signal import fftconvolve
 
 from .admissibility import measure_margin, set_triple_margin
 from .ellipsoid import fit_homothetic_triple
@@ -91,6 +92,14 @@ def _coerce_triple(t):
 
 def _corners(dim):
     return list(product((-1, -2), repeat=dim))
+
+
+def fftconvolve(a, b):
+    """The full linear convolution of two real arrays by one FFT product."""
+    full = [n1 + n2 - 1 for n1, n2 in zip(a.shape, b.shape)]
+    fshape = [next_fast_len(n, real=True) for n in full]
+    conv = irfftn(rfftn(a, fshape) * rfftn(b, fshape), fshape)
+    return conv[tuple(slice(n) for n in full)]
 
 
 def trilinear_corner_counts(t, method="fft"):

@@ -578,10 +578,8 @@ def _window_counts(e, lo, hi):
 def rasterize_affine_image(e, a, v, spacing, supersample=3):
     """Rasterize A(E) + v at the given spacing.
 
-    Positive integer diagonal A with lattice-aligned v and unchanged spacing
-    is carried out by exact cell replication; anything else samples
-    membership of A^-1 (y - v) in E on a supersample grid per output cell,
-    with the majority rule of rasterize_ellipsoid.
+    Samples membership of A^-1 (y - v) in E on a supersample grid per
+    output cell, with the majority rule of rasterize_ellipsoid.
     """
     h = _positive(spacing, "spacing")
     A = np.asarray(a, dtype=float)
@@ -591,23 +589,6 @@ def rasterize_affine_image(e, a, v, spacing, supersample=3):
     if abs(det) < 1e-12:
         raise ValueError("singular linear map")
     v = np.asarray(v, dtype=float).reshape(-1)
-
-    diag = np.diag(np.diag(A))
-    mi = np.rint(np.diag(A)).astype(np.int64)
-    voff = np.rint(v / h)
-    if (
-        np.array_equal(A, diag)
-        and np.all(mi >= 1)
-        and np.all(np.abs(np.diag(A) - mi) == 0)
-        and abs(h - e.spacing) <= ALIGN_RTOL * h
-        and np.all(np.abs(voff * h - v) <= ALIGN_RTOL * h)
-    ):
-        # exact path: cell g maps to the block of prod(m_i) cells at m*g
-        occ = e.occupancy
-        for ax in range(e.dim):
-            occ = np.repeat(occ, int(mi[ax]), axis=ax)
-        new_origin = e.origin_index * mi + voff.astype(np.int64)
-        return VoxelSet.from_index(occ, new_origin, h)
 
     dim = e.dim
     Ainv = np.linalg.inv(A)
@@ -682,15 +663,16 @@ def generate(kind, params=None, seed=0):
     supersample (default 3).  Per kind:
 
     ball:           radius (1.0), center (0)
-    ellipsoid:      shape (matrix Q) or axes (semi-axis lengths), center
+    ellipsoid:      shape (Q, or its dim^2 entries row by row) or axes
+                    (semi-axis lengths), center
     blob:           radius (0.35), steps (6), step (0.4), center (0),
                     jitter (0.3): a union of balls along a random walk,
                     consecutive balls overlap so the result is connected
     union_of_balls: n (3), span (1.5), rmin (0.2), rmax (0.5)
 
     The same (kind, params, seed) always produces the identical set.
-    Raises if a radius, axis, rmin or rmax is not finite and positive, or
-    if the generated set is empty.
+    Raises if a radius, axis, rmin or rmax is not finite and positive, if
+    jitter lies outside [0, 1), or if the generated set is empty.
     """
     p = dict(params or {})
     dim = int(p.pop("dim", 2))
@@ -706,7 +688,11 @@ def generate(kind, params=None, seed=0):
     elif kind == "ellipsoid":
         c = p.pop("center", np.zeros(dim))
         if "shape" in p:
-            q = p.pop("shape")
+            q = np.asarray(p.pop("shape"), dtype=float)
+            if q.ndim < 2:  # dim^2 numbers, row by row, as the CLI passes them
+                if q.size != dim * dim:
+                    raise ValueError(f"shape needs {dim * dim} numbers at dim {dim}, got {q.size}")
+                q = q.reshape(dim, dim)
         else:
             axes = np.ravel(p.pop("axes", np.ones(dim)))
             q = np.diag(1.0 / np.array([_positive(a, "axes") for a in axes]) ** 2)
@@ -718,6 +704,8 @@ def generate(kind, params=None, seed=0):
         step = float(p.pop("step", 0.4))
         c = np.asarray(p.pop("center", np.zeros(dim)), dtype=float)
         jit = float(p.pop("jitter", 0.3))
+        if not 0.0 <= jit < 1.0:  # a jitter of 1 or more can draw a radius <= 0
+            raise ValueError(f"jitter must lie in [0, 1), got {jit}")
         _reject_extra(kind, p)
         pos = c.copy()
         out = None

@@ -21,7 +21,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .functional import deficit
 from .grid import AffineMapTriple, SetTriple, VoxelSet, from_cells, generate
@@ -294,11 +293,15 @@ def read_csv(path):
 
 
 def spearman_delta_epsilon(rows):
-    """Spearman rank correlation between delta and epsilon_max."""
-    d = [r["delta"] for r in rows]
-    e = [r["epsilon_max"] for r in rows]
-    rho, _ = spearmanr(d, e)
-    return float(rho)
+    """Spearman rank correlation between delta and epsilon_max: the Pearson
+    correlation of tie-averaged ranks, nan unless both columns vary."""
+    ranks = []
+    for key in ("delta", "epsilon_max"):
+        _, inv, n = np.unique([r[key] for r in rows], return_inverse=True, return_counts=True)
+        if n.size < 2:  # fewer than two rows, or a constant column
+            return float("nan")
+        ranks.append((np.cumsum(n) - (n - 1) / 2)[inv])  # 1-based, ties averaged
+    return float(np.corrcoef(*ranks)[0, 1])
 
 
 def level_medians(rows, column):

@@ -31,7 +31,7 @@ def reference_ellipsoid(e, spacing, supersample=3):
 
 
 def reference_affine_image(e, a, v, spacing, supersample=3):
-    """The sampled path only (the integer-diagonal replicate path is exact)."""
+    """Every sample of every cell in the image's bounding box."""
     counts, lo, h = affine_sample_counts(e, a, v, spacing, supersample)
     return _vote(counts, lo, h, supersample)
 

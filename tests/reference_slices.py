@@ -8,6 +8,7 @@ their output, so the tests keep them as an oracle.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -21,12 +22,12 @@ def reference_fit_interval_1d(fiber):
     centers = (cells + 0.5) * h
     c = float(centers.mean())
     length = fiber.measure
-    lo, hi = c - length / 2, c + length / 2
-    overlap = np.clip(
-        np.minimum((cells + 1) * h, hi) - np.maximum(cells * h, lo), 0.0, None
-    ).sum()
-    sym = 2.0 * (length - float(overlap))
-    return IntervalFit(center=c, length=length, residual=sym / length)
+    # the residual in exact rational arithmetic, in units of h
+    n = len(cells)
+    mid = Fraction(int(cells.sum()), n) + Fraction(1, 2)
+    lo, hi = mid - Fraction(n, 2), mid + Fraction(n, 2)
+    overlap = sum(max(min(Fraction(int(g) + 1), hi) - max(Fraction(int(g)), lo), 0) for g in cells)
+    return IntervalFit(center=c, length=length, residual=float(2 * (n - overlap) / n))
 
 
 def reference_slice_center_field(e, axis=None):

@@ -39,6 +39,15 @@ class TestGen:
         with pytest.raises(SystemExit):
             main(["gen", "cube", "--out", str(tmp_path / "x.vxg")])
 
+    def test_ellipsoid_shape_param(self, tmp_path, capsys):
+        # --param shape=... arrives as a flat list of dim^2 numbers
+        paths = [tmp_path / "shape.vxg", tmp_path / "axes.vxg"]
+        for path, param in zip(paths, ("shape=4,0,0,4", "axes=0.5,0.5")):
+            assert main(["gen", "ellipsoid", "--param", param, "--out", str(path)]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert main(["gen", "ellipsoid", "--param", "shape=4,0,4", "--out", str(paths[0])]) == 2
+        assert "shape needs 4 numbers" in capsys.readouterr().err
+
     def test_bad_param_exits(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["gen", "ball", "--param", "radius", "--out", str(tmp_path / "x.vxg")])

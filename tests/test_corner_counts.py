@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
+from scipy.signal import fftconvolve as scipy_fftconvolve
 
 from rieszvox import (
     SetTriple,
@@ -133,6 +134,18 @@ def test_pair_guard_message(monkeypatch):
     # the guard is on the pair count itself: n1 * n2 pairs are allowed
     monkeypatch.setattr(functional, "DIRECT_PAIR_GUARD", n1 * n2)
     assert trilinear_corner_counts(sets, "direct") == trilinear_corner_counts(sets, "fft")
+
+
+@pytest.mark.parametrize(
+    "shapes", [((5,), (7,)), ((1, 3), (4, 1)), ((1, 1), (1, 1)), ((6, 5, 4), (3, 7, 2))]
+)
+def test_fftconvolve_matches_scipy_signal(shapes):
+    # the one real FFT product against scipy.signal's full convolution
+    rng = np.random.default_rng(len(shapes[0]))
+    a, b = ((rng.random(n) < 0.5).astype(np.float64) for n in shapes)
+    got, want = functional.fftconvolve(a, b), scipy_fftconvolve(a, b)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() < 1e-12
 
 
 @pytest.mark.parametrize("noise", [0.2, 0.3])

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import tracemalloc
 
@@ -249,6 +250,27 @@ class TestGenerate:
     def test_sizes_must_be_finite_and_positive(self, kind, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
             generate(kind, {"dim": 2, "spacing": H, name: value})
+
+    @pytest.mark.parametrize("jitter", [1.5, -0.1, np.nan])
+    def test_blob_jitter_must_lie_in_unit_interval(self, jitter):
+        # jitter 1.5 used to draw a negative radius and rasterize |radius|
+        with pytest.raises(ValueError, match="jitter must lie in"):
+            generate("blob", {"dim": 2, "spacing": H, "jitter": jitter})
+
+    def test_default_blob_unchanged(self):
+        e = generate("blob", {"dim": 2}, seed=0)
+        assert (e.count, e.shape, tuple(e.origin_index)) == (3274, (59, 72), (-27, -26))
+        digest = hashlib.sha256(np.packbits(e.occupancy).tobytes()).hexdigest()
+        assert digest.startswith("f3a5d5e6e3ed2b75")
+
+    def test_ellipsoid_shape_as_entries_row_by_row(self):
+        p = {"dim": 2, "spacing": H, "center": [0.1, 0.0]}
+        q = [[4.0, 1.0], [1.0, 9.0]]
+        assert generate("ellipsoid", {**p, "shape": q}) == generate(
+            "ellipsoid", {**p, "shape": [4.0, 1.0, 1.0, 9.0]}
+        )
+        with pytest.raises(ValueError, match="shape needs 4 numbers"):
+            generate("ellipsoid", {**p, "shape": [4.0, 0.0, 4.0]})
 
 
 class TestTripleClasses:

@@ -3,6 +3,8 @@ sit at module level, and each shared object has one definition."""
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -77,3 +79,16 @@ def test_private_grid_names_stay_in_grid():
 def test_one_ellipsoid_and_one_ball_volume():
     assert rieszvox.Ellipsoid is grid.Ellipsoid is ellipsoid.Ellipsoid
     assert rieszvox.unit_ball_volume is functional.unit_ball_volume is grid.unit_ball_volume
+
+
+def test_scipy_signal_and_stats_stay_unloaded():
+    # the corner counts need only scipy.fft and the quadrature scipy.integrate
+    code = (
+        "import sys, rieszvox, rieszvox.verify, rieszvox.cli; "
+        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        cwd=PACKAGE.parent,
+    )
+    assert out.stdout.strip() == "[]"

@@ -161,14 +161,20 @@ def test_affine_matches_reference(dim, s, e, a, v, h):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_integer_diagonal_replicates_like_sampling(dim):
-    # the replicate path skips sampling; the samples agree with it anyway
+    # an integer diagonal map on E's own grid, shifted by whole cells, sends
+    # cell g to the block of prod(m) cells at m * g + v; each sample's
+    # preimage lies strictly inside one cell of E, so sampling replicates
     h = 1.0 / 16
     e = _blob(dim, 5, h)
-    a = np.diag([2.0, 3.0, 1.0][:dim])
-    v = np.array([3 * h, -2 * h, h][:dim])
-    assert_identical(
-        rasterize_affine_image(e, a, v, h, 3), reference_affine_image(e, a, v, h, 3)
-    )
+    m = np.array([2, 3, 1][:dim])
+    v = np.array([3, -2, 1][:dim])
+    a = np.diag(m.astype(float))
+    got = rasterize_affine_image(e, a, v * h, h, 3)
+    assert_identical(got, reference_affine_image(e, a, v * h, h, 3))
+    occ = e.occupancy
+    for ax in range(dim):
+        occ = np.repeat(occ, m[ax], axis=ax)
+    assert_identical(got, VoxelSet.from_index(occ, e.origin_index * m + v, h).tighten())
 
 
 @pytest.fixture

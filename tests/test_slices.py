@@ -1,10 +1,11 @@
 """The array-pass column statistics against the per-column loops they
 replaced (tests/reference_slices.py).
 
-At power-of-two spacings every fiber statistic is a short sum of dyadic
-rationals, so the two must agree exactly.  At other spacings the centroid
-and the overlaps round in a different order, so values agree to a few ulps
-of the largest coordinate.
+Both compute the residual exactly and round it once, so residuals agree
+exactly at every spacing.  At power-of-two spacings the centroid is one
+rounding of a dyadic sum, so it agrees exactly too; at other spacings it
+rounds in a different order, so it agrees to a few ulps of the largest
+coordinate.
 """
 
 import math
@@ -33,10 +34,8 @@ from rieszvox.sweep import skew_columns
 
 DYADIC = (1.0, 1 / 2, 1 / 8, 1 / 64)
 # Off the dyadic spacings each cell coordinate rounds once, so both centroids
-# are within a few ulps of the largest coordinate x; the residual is twice
-# an overlap error of the same order divided by the fiber length.
+# are within a few ulps of the largest coordinate x.
 CENTER_ULPS = 4
-RESIDUAL_ULPS = 16
 
 
 @st.composite
@@ -136,7 +135,7 @@ def test_slice_center_field_close_at_non_dyadic_spacing(case):
     for key, fit in want.items():
         assert got[key].length == fit.length
         assert abs(got[key].center - fit.center) <= CENTER_ULPS * ulp
-        assert abs(got[key].residual - fit.residual) <= RESIDUAL_ULPS * ulp / fit.length
+        assert got[key].residual == fit.residual
 
 
 @settings(max_examples=150, deadline=None)

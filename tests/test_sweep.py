@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.stats import spearmanr
 
 from rieszvox import SetTriple, generate, symmetric_difference_measure
 from rieszvox.sweep import (
@@ -234,6 +237,26 @@ class TestStatistics:
 
     def test_spearman_perfect_monotone(self):
         assert spearman_delta_epsilon(self._rows()) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 40])
+    def test_spearman_matches_scipy_with_ties(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            # few distinct values, so ties are common; two rows keep each column varying
+            d, e = rng.integers(0, 4, n) * 0.01, rng.integers(0, 3, n) * 0.1
+            d[:2], e[:2] = (0.0, 0.03), (0.2, 0.0)
+            rows = [{"delta": a, "epsilon_max": b} for a, b in zip(d, e)]
+            assert spearman_delta_epsilon(rows) == pytest.approx(spearmanr(d, e)[0], abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "delta,eps",
+        [([], []), ([0.1], [0.2]), ([0.1, 0.1, 0.1], [0.1, 0.2, 0.3]), ([0.1, 0.2], [0.3, 0.3])],
+    )
+    def test_spearman_nan_without_warning(self, delta, eps):
+        rows = [{"delta": a, "epsilon_max": b} for a, b in zip(delta, eps)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(spearman_delta_epsilon(rows))
 
     def test_level_medians(self):
         med = level_medians(self._rows(), "delta")
