@@ -1,8 +1,11 @@
 """Timing comparison of the two exact corner-count backends: 'fft' (float
-Fourier convolution, rounded) and 'direct' (int64 pair-sum histogram of the
-two smallest sets).  Both share the corner gather; every timed case asserts
-that their counts are equal.  Cases whose n1 * n2 pair count exceeds
-DIRECT_PAIR_GUARD are reported as guarded.
+Fourier convolution over the window the gather reads, rounded) and
+'direct' (int64 pair-sum histogram of the two smallest sets).  Both share
+the corner gather; every timed case asserts that their counts are equal.
+Cases whose n1 * n2 pair count exceeds DIRECT_PAIR_GUARD are reported as
+guarded.  Cases marked "relocated" move a tenth of the first blob's cells
+into a ball past its box, as the sweep's relocate family does, so that
+set's box is wide and mostly empty.
 
 Run: python3 benchmarks/bench_trilinear.py
 """
@@ -11,20 +14,21 @@ import time
 
 import numpy as np
 
-from rieszvox import SetTriple, generate, trilinear_corner_counts
+from rieszvox import SetTriple, generate, sweep, trilinear_corner_counts
 
 
-def bench(dim, spacing, radius, repeats=3):
-    t = SetTriple(
-        [
-            generate(
-                "blob",
-                {"dim": dim, "spacing": spacing, "radius": radius, "steps": 5},
-                seed=s,
-            )
-            for s in (1, 2, 3)
-        ]
-    )
+def bench(dim, spacing, radius, relocated=False, repeats=3):
+    sets = [
+        generate(
+            "blob",
+            {"dim": dim, "spacing": spacing, "radius": radius, "steps": 5},
+            seed=s,
+        )
+        for s in (1, 2, 3)
+    ]
+    if relocated:
+        sets[0] = sweep.perturb_relocate(sets[0], 0.1)
+    t = SetTriple(sets)
     cells = [e.count for e in t]
     out = {}
     for method in ("fft", "direct"):
@@ -50,24 +54,27 @@ def main():
         f"{'direct/fft':>10}"
     )
     cases = [
-        (1, 1.0 / 256, 0.9),
-        (1, 1.0 / 1024, 0.9),
-        (2, 1.0 / 32, 0.5),
-        (2, 1.0 / 64, 0.5),
-        (2, 1.0 / 128, 0.5),
-        (3, 1.0 / 16, 0.5),
-        (3, 1.0 / 32, 0.5),
+        (1, 1.0 / 256, 0.9, False),
+        (1, 1.0 / 1024, 0.9, False),
+        (2, 1.0 / 32, 0.5, False),
+        (2, 1.0 / 64, 0.5, False),
+        (2, 1.0 / 128, 0.5, False),
+        (3, 1.0 / 16, 0.5, False),
+        (3, 1.0 / 32, 0.5, False),
+        (3, 1.0 / 16, 0.5, True),
+        (3, 1.0 / 32, 0.5, True),
     ]
-    for dim, h, r in cases:
-        cells, out = bench(dim, h, r)
+    for dim, h, r, relocated in cases:
+        cells, out = bench(dim, h, r, relocated)
         tf = out["fft"][0] * 1e3
+        tag = " relocated" if relocated else ""
         if out["direct"][0] is None:
-            print(f"{dim:>3} {h:>8.5f} {str(cells):>22} {tf:>9.2f} {'guarded':>10}")
+            print(f"{dim:>3} {h:>8.5f} {str(cells):>22} {tf:>9.2f} {'guarded':>10}{tag}")
             continue
         td = out["direct"][0] * 1e3
         print(
             f"{dim:>3} {h:>8.5f} {str(cells):>22} {tf:>9.2f} {td:>10.2f} "
-            f"{td / tf:>9.2f}x"
+            f"{td / tf:>9.2f}x{tag}"
         )
 
 

@@ -16,10 +16,19 @@ covariant under integer grid refinement, because it IS the continuum T of
 the voxelized sets.  Both evaluation paths build the box conv = 1_E1 * 1_E2
 of two members and share one gather of N_s at the cells of the third.  The
 boxes are built independently: 'fft' by one real Fourier product, rfftn of
-both occupancies zero-padded to a fast length of at least n1 + n2 - 1 per
-axis, multiplied and inverted by irfftn, whose gathered entries are rounded
-to integers; 'direct' by an int64 histogram of the pair sums a + b of the
-two smallest members, which uses integer addition only.
+both occupancies zero-padded to a fast length L per axis, multiplied and
+inverted by irfftn, whose gathered entries are rounded to integers;
+'direct' by an int64 histogram of the pair sums a + b of the two smallest
+members, which uses integer addition only.
+
+The gather reads conv only at the indices -(c + o1 + o2) - 1 and - 2 for
+the cells c of E3 (o1, o2 the low-corner indices of E1 and E2), so per
+axis only a window [lo, hi] of the full length S = n1 + n2 - 1.  The FFT
+product at length L is the circular convolution, the full one folded
+modulo L; it equals the full one on [lo, hi] when nothing folds onto the
+window, that is when L >= S - lo and L >= hi + 1.  L is the fast length
+above both, and above n1 and n2, so no input is truncated.  A window
+that is empty on some axis makes every count zero without a transform.
 """
 
 import math
@@ -94,12 +103,16 @@ def _corners(dim):
     return list(product((-1, -2), repeat=dim))
 
 
-def fftconvolve(a, b):
-    """The full linear convolution of two real arrays by one FFT product."""
+def fftconvolve(a, b, shape=None):
+    """The convolution of two real arrays by one FFT product.
+
+    shape None gives the full linear convolution.  A given shape, at least
+    each input's per axis, gives the circular convolution at that shape.
+    """
     full = [n1 + n2 - 1 for n1, n2 in zip(a.shape, b.shape)]
-    fshape = [next_fast_len(n, real=True) for n in full]
+    fshape = shape or [next_fast_len(n, real=True) for n in full]
     conv = irfftn(rfftn(a, fshape) * rfftn(b, fshape), fshape)
-    return conv[tuple(slice(n) for n in full)]
+    return conv if shape else conv[tuple(slice(n) for n in full)]
 
 
 def trilinear_corner_counts(t, method="fft"):
@@ -113,11 +126,29 @@ def trilinear_corner_counts(t, method="fft"):
     if any(e.is_empty for e in sets):
         return {s: 0 for s in _corners(sets[0].dim)}
     if method == "fft":
-        occ = (e.occupancy.astype(np.float64) for e in sets[:2])
-        return _gather(sets, fftconvolve(*occ))
+        return _corner_counts_fft(sets)
     if method == "direct":
         return _corner_counts_direct(sets)
     raise ValueError(f"unknown method {method!r}")
+
+
+def _corner_counts_fft(sets):
+    # the circular convolution at a length that leaves the gathered window
+    # unaliased (module docstring); the window comes from E3's box in plain
+    # ints, since layer triples call this many times on small sets
+    e1, e2, e3 = sets
+    low = (e1.origin_index + e2.origin_index + e3.origin_index).tolist()
+    shape, window = [], []
+    for n1, n2, n3, g in zip(e1.shape, e2.shape, e3.shape, low):
+        # c + o1 + o2 runs over g .. g + n3 - 1 on this axis
+        full = n1 + n2 - 1
+        lo, hi = max(-(g + n3 - 1) - 2, 0), min(-g - 1, full - 1)
+        if hi < lo:
+            return {s: 0 for s in _corners(e1.dim)}
+        shape.append(next_fast_len(max(full - lo, hi + 1, n1, n2), real=True))
+        window.append(slice(hi + 1))
+    occ = (e.occupancy.astype(np.float64) for e in (e1, e2))
+    return _gather(sets, fftconvolve(*occ, shape)[tuple(window)])
 
 
 def _corner_counts_direct(sets):

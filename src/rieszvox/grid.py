@@ -14,16 +14,22 @@ once at the end.
 Rasterization (rasterize_ellipsoid, rasterize_affine_image) supersamples
 each cell at s^dim points, s per axis at offsets (k + 1/2) h / s; a cell
 is occupied when at least half of its samples are in the body (2 * in >=
-s^dim), and a sample exactly on the boundary counts as in.  Only cells
-the boundary can cross are sampled: a first pass proves, from one value
-per cell and a bound on how far that value can move within the cell,
-that all samples are in or all are out, with a margin far above rounding
-error; the remaining boundary band runs the per-sample test.  The result
-is the same cell for cell as sampling every cell of the bounding box.
+s^dim), and a sample exactly on the boundary counts as in.  Neither
+kernel runs the per-sample test on the whole bounding box.  For an
+ellipsoid, q is a quadratic along each line of samples on the last axis:
+its roots at the levels 1 -+ rho, rho far above rounding error, decide
+every sample outside a thin shell, and only the shell's samples are
+tested.  For an affine image, a first pass proves, from one value per
+cell and a bound on how far that value can move within the cell, that
+all samples are in or all are out, with a margin far above rounding
+error; the remaining boundary band runs the per-sample test.  Either way
+the result is the same cell for cell as sampling every cell of the
+bounding box.
 """
 
 import io
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -46,6 +52,19 @@ def _positive(value, name):
     if not (x > 0 and math.isfinite(x)):
         raise ValueError(f"{name} must be finite and positive, got {value}")
     return x
+
+
+def _integer(value, name):
+    """int(value), once it is integral: 3 and 3.0 pass, 2.5 and NaN raise."""
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not x.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(x)
 
 
 def unit_ball_volume(dim):
@@ -222,9 +241,12 @@ class VoxelSet:
         """Crop the bounding box to the occupied cells (canonical empty if none)."""
         if self.is_empty:
             return VoxelSet.empty(self.dim, self._spacing)
-        loc = self.local_indices()
-        lo = loc.min(axis=0)
-        hi = loc.max(axis=0) + 1
+        lo, hi = [], []
+        for ax in range(self.dim):
+            # the occupied slabs along this axis
+            hit = np.flatnonzero(self._occ.any(axis=tuple(a for a in range(self.dim) if a != ax)))
+            lo.append(hit[0])
+            hi.append(hit[-1] + 1)
         sl = tuple(slice(a, b) for a, b in zip(lo, hi))
         return VoxelSet.from_index(
             self._occ[sl], self._origin_index + lo, self._spacing
@@ -417,7 +439,7 @@ def reflect(e):
 
 def translate_cells(e, offset):
     """Shift by an integer number of cells per axis (origin moves by offset*h)."""
-    off = np.asarray(offset, dtype=np.int64).reshape(-1)
+    off = np.array([_integer(x, "offset") for x in np.ravel(offset)], dtype=np.int64)
     if off.size != e.dim:
         raise ValueError("offset length must equal dim")
     return VoxelSet.from_index(e.occupancy, e.origin_index + off, e.spacing)
@@ -425,7 +447,7 @@ def translate_cells(e, offset):
 
 def permute_axes(e, perm):
     """Reorder coordinate axes (used to interchange the roles of axes)."""
-    perm = tuple(int(p) for p in perm)
+    perm = tuple(_integer(p, "perm") for p in perm)
     if sorted(perm) != list(range(e.dim)):
         raise ValueError("perm must be a permutation of the axes")
     return VoxelSet.from_index(
@@ -440,7 +462,7 @@ def upscale_integer(e, m):
 
     The physical set is unchanged; occupied count multiplies by m^dim exactly.
     """
-    m = int(m)
+    m = _integer(m, "upscale factor")
     if m < 1:
         raise ValueError("upscale factor must be >= 1")
     if m == 1:
@@ -465,22 +487,24 @@ def from_cells(cells, dim, spacing):
 
 # -- rasterization --------------------------------------------------------
 
-# Phase 1 decides a cell only when its margin beats this multiple of the
-# magnitude of the terms the per-sample test sums; the rounding error of
-# that test is below 1e-14 of the same magnitude.
+# An affine image's phase 1 decides a cell, and an ellipsoid's roots decide
+# a sample, only when the margin beats this multiple of the magnitude of the
+# terms the per-sample test sums; the rounding error of that test is below
+# 1e-14 of the same magnitude.
 BAND_RTOL = 1e-9
 
 
 def _subsample_offsets(spacing, supersample):
-    """Per-axis subsample offsets relative to the cell's low corner."""
-    s = int(supersample)
-    if s < 1:
+    """Per-axis subsample offsets relative to the cell's low corner, for an
+    integer supersample."""
+    if supersample < 1:
         raise ValueError("supersample must be >= 1")
-    return (np.arange(s) + 0.5) / s * spacing
+    return (np.arange(supersample) + 0.5) / supersample * spacing
 
 
 def _band_vote(inside, band, s, member):
-    """Phase 2 of both rasterizers: the supersample vote on the band cells.
+    """Phase 2 of rasterize_affine_image: the supersample vote on the band
+    cells.
 
     `inside` marks the cells phase 1 proved full and is completed in place;
     `band` marks the undecided cells.  member(combo, cells) returns, for
@@ -510,46 +534,106 @@ def rasterize_ellipsoid(e, spacing, supersample=3):
     Returns a VoxelSet of the given spacing.
     """
     h = _positive(spacing, "spacing")
+    s = _integer(supersample, "supersample")
     if not isinstance(e, Ellipsoid):
         e = Ellipsoid(e.center, e.shape)
+    counts, lo = _ellipsoid_sample_counts(e, h, s)
+    return VoxelSet.from_index(2 * counts >= s**e.dim, lo, h).tighten()
+
+
+def _ellipsoid_sample_counts(e, h, s):
+    """Samples in the ellipsoid per cell of its bounding box, and the box's
+    low corner index.
+
+    The samples of a cell lie on s^(dim-1) lines along the last axis.  On
+    each line q = (x-v)^T Q (x-v) is a convex quadratic a t^2 + b t + c in
+    the last coordinate t.  Samples between its roots at the level 1 - rho
+    are in, samples outside its roots at 1 + rho are out, and only those
+    left between run the per-sample expression (_quadratic_form), in the
+    order of the full-box loop.
+
+    The margin: rho = BAND_RTOL * ext|Q|ext, where ext bounds |c_i| over
+    the box, so ext|Q|ext bounds the summed terms and is at least 1 (the
+    box holds points of the boundary).  The computed roots are exact for a
+    quadratic that differs from q at the samples by a few tens of
+    eps * ext|Q|ext, and the expression rounds by less than 11 eps *
+    ext|Q|ext, so a root decides a sample as the expression would, with a
+    margin above 10^5.  Rounding is monotone, so the roots at 1 + rho
+    enclose those at 1 - rho.
+
+    Each line's in-samples are added to its cells by one difference array
+    along the last axis.
+    """
     v, Q, dim = e.center, e.shape, e.dim
-    lam = np.linalg.eigvalsh(Q).max()
     # axis-aligned bounding half-widths: sqrt(diag(Q^-1))
     b = np.sqrt(np.diag(np.linalg.inv(Q)))
     lo = np.floor((v - b) / h).astype(np.int64)
     hi = np.ceil((v + b) / h).astype(np.int64)
     box = tuple(int(x) for x in (hi - lo))
-    s = int(supersample)
-
-    # phase 1: q at the cell center c moves by at most
-    # h*|Q c|_1 + lam_max*dim*h^2/4 over the cell's samples
-    c = np.ix_(*[(lo[i] + np.arange(box[i]) + 0.5) * h - v[i] for i in range(dim)])
-    grad = [sum(Q[i, j] * c[j] for j in range(dim)) for i in range(dim)]
-    qc = sum(c[i] * grad[i] for i in range(dim))
     ext = np.maximum(np.abs(lo), np.abs(hi)) * h + np.abs(v) + h
-    reach = h * sum(np.abs(g) for g in grad) + (
-        lam * dim * h * h / 4 + BAND_RTOL * (ext @ np.abs(Q) @ ext)
-    )
-    inside = qc + reach < 1.0
-    band = ~inside & (qc - reach <= 1.0)
+    rho = BAND_RTOL * (ext @ np.abs(Q) @ ext)
 
-    # phase 2: the per-sample test, in the arithmetic of the full-box loop
-    # that phase 1 replaced (coordinates, then sum_ij Q_ij c_i c_j in order)
+    # sample coordinates relative to v, as the full-box loop computed them;
+    # entry m * s + k of an axis is sample k of cell m
     axes = [
-        lo[i] * h + _subsample_offsets(h, s)[:, None] + np.arange(box[i]) * h - v[i]
+        (lo[i] * h + _subsample_offsets(h, s)[:, None] + np.arange(box[i]) * h - v[i]).T.ravel()
         for i in range(dim)
     ]
+    *fixed, t = axes
+    last = dim - 1
+    lines = tuple(x.size for x in fixed)
+    mesh = np.ix_(*fixed)
+    lb, lc = np.zeros(lines), np.zeros(lines)
+    for i in range(last):
+        lb = lb + 2 * Q[i, last] * mesh[i]
+        for j in range(last):
+            lc = lc + Q[i, j] * mesh[i] * mesh[j]
+    lb, lc = lb.ravel(), lc.ravel()
+    qa = Q[last, last]
+    mid = -lb / (2 * qa)
 
-    def member(combo, cells):
-        coords = [axes[i][combo[i]][cells[i]] for i in range(dim)]
-        qf = np.zeros(cells[0].size)
-        for i in range(dim):
-            for j in range(dim):
-                qf += Q[i, j] * coords[i] * coords[j]
-        return qf <= 1.0
+    def roots(level):
+        # first and stop of the samples with q <= level on each line
+        disc = lb * lb - 4 * qa * (lc - level)
+        w = np.sqrt(np.maximum(disc, 0.0)) / (2 * qa)
+        first = np.searchsorted(t, mid - w, "left")
+        return first, np.where(disc < 0, first, np.searchsorted(t, mid + w, "right"))
 
-    occ = _band_vote(inside, band, s, member)
-    return VoxelSet.from_index(occ, lo, h).tighten()
+    out_first, out_stop = roots(1.0 + rho)
+    in_first, in_stop = roots(1.0 - rho)
+
+    # the undecided samples [out_first, in_first) and [in_stop, out_stop)
+    starts = np.concatenate([out_first, in_stop])
+    size = np.concatenate([in_first, out_stop]) - starts
+    line = np.repeat(np.tile(np.arange(lb.size), 2), size)
+    k = np.repeat(starts - np.cumsum(size) + size, size) + np.arange(size.sum())
+    coords = [np.broadcast_to(x, lines).ravel()[line] for x in mesh] + [t[k]]
+    inq = _quadratic_form(Q, coords) <= 1.0
+
+    # each in-run [first, stop) of a line adds min(max(stop - m s, 0), s)
+    # minus the same of first to cell m: a step pattern with four jumps
+    row = np.ravel_multi_index(np.ix_(*[np.arange(n) // s for n in lines]), box[:-1])
+    row = np.broadcast_to(row, lines).ravel()
+    row = np.concatenate([row, row[line[inq]]])
+    first = np.concatenate([in_first, k[inq]])
+    stop = np.concatenate([in_stop, k[inq] + 1])
+    width = box[-1] + 2
+    q0, r0 = np.divmod(first, s)
+    q1, r1 = np.divmod(stop, s)
+    at = np.concatenate([q1, q1 + 1, q0, q0 + 1]) + np.tile(row * width, 4)
+    jump = np.concatenate([r1 - s, -r1, s - r0, r0])
+    diff = np.bincount(at, jump, minlength=math.prod(box[:-1]) * width)
+    counts = np.cumsum(diff.reshape(box[:-1] + (width,)), axis=-1, dtype=np.int64)
+    return counts[..., : box[-1]], lo
+
+
+def _quadratic_form(Q, coords):
+    """The per-sample expression: sum_ij Q_ij c_i c_j, in this order."""
+    qf = np.zeros(coords[0].shape)
+    for i in range(len(coords)):
+        for j in range(len(coords)):
+            qf += Q[i, j] * coords[i] * coords[j]
+    return qf
 
 
 def _window_counts(e, lo, hi):
@@ -582,6 +666,7 @@ def rasterize_affine_image(e, a, v, spacing, supersample=3):
     output cell, with the majority rule of rasterize_ellipsoid.
     """
     h = _positive(spacing, "spacing")
+    s = _integer(supersample, "supersample")
     A = np.asarray(a, dtype=float)
     if A.shape != (e.dim, e.dim):
         raise ValueError("linear map has wrong dimensions")
@@ -605,7 +690,6 @@ def rasterize_affine_image(e, a, v, spacing, supersample=3):
     lo = np.floor(img.min(axis=0) / h).astype(np.int64)
     hi = np.ceil(img.max(axis=0) / h).astype(np.int64)
     box = tuple(int(x) for x in (hi - lo))
-    s = int(supersample)
 
     # phase 1: every sample lies within h/2 of its cell center per axis, so
     # its preimage lies within reach_j of the center's along E's axis j; the
@@ -675,9 +759,9 @@ def generate(kind, params=None, seed=0):
     jitter lies outside [0, 1), or if the generated set is empty.
     """
     p = dict(params or {})
-    dim = int(p.pop("dim", 2))
+    dim = _integer(p.pop("dim", 2), "dim")
     h = float(p.pop("spacing", 1.0 / 64))
-    ss = int(p.pop("supersample", 3))
+    ss = _integer(p.pop("supersample", 3), "supersample")
     rng = np.random.default_rng(seed)
 
     if kind == "ball":
@@ -700,7 +784,7 @@ def generate(kind, params=None, seed=0):
         out = rasterize_ellipsoid(Ellipsoid(c, q), h, ss)
     elif kind == "blob":
         r = _positive(p.pop("radius", 0.35), "radius")
-        steps = int(p.pop("steps", 6))
+        steps = _integer(p.pop("steps", 6), "steps")
         step = float(p.pop("step", 0.4))
         c = np.asarray(p.pop("center", np.zeros(dim)), dtype=float)
         jit = float(p.pop("jitter", 0.3))
@@ -718,7 +802,7 @@ def generate(kind, params=None, seed=0):
             # keep the next ball overlapping the current one
             pos = pos + d * min(step, 1.6 * r) * rng.random()
     elif kind == "union_of_balls":
-        n = int(p.pop("n", 3))
+        n = _integer(p.pop("n", 3), "n")
         span = float(p.pop("span", 1.5))
         rmin = _positive(p.pop("rmin", 0.2), "rmin")
         rmax = _positive(p.pop("rmax", 0.5), "rmax")

@@ -162,6 +162,15 @@ class TestErrors:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("param", ["steps=5.5", "supersample=2.5"])
+    def test_fractional_integer_param_exits(self, tmp_path, capsys, param):
+        # steps=5.5 used to write the steps=5 blob
+        out = tmp_path / "x.vxg"
+        assert main(["gen", "blob", "--param", param, "--out", str(out)]) == 2
+        name, value = param.split("=")
+        assert f"{name} must be an integer, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweep:
     ARGS = [

@@ -17,6 +17,7 @@ from rieszvox import (
     SetTriple,
     VoxelSet,
     dyadic_layers,
+    from_cells,
     functional,
     generate,
     rasterize_affine_image,
@@ -75,6 +76,75 @@ def test_both_backends_match_triple_loop(sets):
         got = trilinear_corner_counts(sets, method=method)
         assert got == want
         assert all(type(v) is int for v in got.values())
+
+
+def _cluster_set(draw, dim, origin, far):
+    """One or two clusters of cells, the second up to `far` cells away, as
+    relocate leaves a set: a wide box with little in it."""
+    cells = []
+    for offset in ([0] * dim, [draw(st.integers(0, far)) for _ in range(dim)]):
+        for _ in range(draw(st.integers(1, 4))):
+            cells.append([o + draw(st.integers(0, 2)) for o in offset])
+    if draw(st.booleans()):
+        cells = cells[:1]  # one cell
+    return from_cells(np.asarray(cells) + origin, dim, 1.0 / 8)
+
+
+@st.composite
+def windowed_triple(draw):
+    # the third set's offset from -(o1 + o2) reaches past both ends of the
+    # corner window, so windows come clipped, partial and empty
+    dim = draw(st.integers(1, 3))
+    o1 = np.array([draw(st.integers(-50, 50)) for _ in range(dim)])
+    o2 = np.array([draw(st.integers(-50, 50)) for _ in range(dim)])
+    o3 = -(o1 + o2) + np.array([draw(st.integers(-40, 4)) for _ in range(dim)])
+    return tuple(_cluster_set(draw, dim, o, far=30) for o in (o1, o2, o3))
+
+
+@seed(12)
+@settings(max_examples=200, deadline=None)
+@given(windowed_triple())
+def test_fft_window_matches_direct_and_triple_loop(sets):
+    want = oracle_counts(sets)
+    for k in range(3):  # each set in turn is the one gathered
+        order = sets[k:] + sets[:k]
+        assert trilinear_corner_counts(order, "fft") == want
+        assert trilinear_corner_counts(order, "direct") == want
+
+
+@pytest.mark.parametrize("side", ["above", "below"])
+def test_empty_window_gives_zeros_without_a_transform(monkeypatch, side):
+    # every index sum a + b + c lies above -1 or below -2 on axis 0
+    rng = np.random.default_rng(4)
+    e1, e2 = (VoxelSet.from_index(rng.random((3, 4)) < 0.7, o, 0.125) for o in ((2, -5), (7, 1)))
+    shift = 0 if side == "above" else -(3 + 3 + 4 + 1)
+    o3 = -(e1.origin_index + e2.origin_index) + (shift, 0)
+    sets = (e1, e2, VoxelSet.from_index(np.ones((4, 2), bool), o3, 0.125))
+    want = oracle_counts(sets)
+    assert set(want.values()) == {0}
+
+    def refuse(*args):
+        raise AssertionError("no transform for an empty window")
+
+    monkeypatch.setattr(functional, "fftconvolve", refuse)
+    assert trilinear_corner_counts(sets, "fft") == want
+    assert trilinear_corner_counts(sets, "direct") == want
+
+
+@pytest.mark.parametrize(
+    "shapes,fold",
+    [(((5,), (7,)), (8,)), (((3, 4), (2, 6)), (3, 9)), (((4, 3, 2), (5, 2, 3)), (5, 4, 3))],
+)
+def test_fftconvolve_at_a_shape_is_the_folded_full_conv(shapes, fold):
+    rng = np.random.default_rng(sum(fold))
+    a, b = ((rng.random(n) < 0.5).astype(np.float64) for n in shapes)
+    full = scipy_fftconvolve(a, b)
+    want = np.zeros(fold)
+    idx = np.indices(full.shape).reshape(full.ndim, -1)
+    np.add.at(want, tuple(i % n for i, n in zip(idx, fold)), full.reshape(-1))
+    got = functional.fftconvolve(a, b, fold)
+    assert got.shape == fold
+    assert np.abs(got - want).max() < 1e-12
 
 
 def test_triple_loop_sees_nonzero_counts():
@@ -158,7 +228,7 @@ def test_fft_rounding_is_certified(monkeypatch, noise):
     want = trilinear_corner_counts(sets, "direct")
     assert min(want.values()) > 0
     fft = functional.fftconvolve
-    monkeypatch.setattr(functional, "fftconvolve", lambda a, b: fft(a, b) + noise)
+    monkeypatch.setattr(functional, "fftconvolve", lambda *args: fft(*args) + noise)
     if noise < 0.25:  # still rounds to the exact counts
         assert trilinear_corner_counts(sets, "fft") == want
     else:

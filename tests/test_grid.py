@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from rieszvox import (
     AffineMapTriple,
+    Ellipsoid,
     SetTriple,
     VoxelSet,
     boolean,
@@ -160,6 +161,28 @@ class TestTransforms:
         t = translate_cells(e, [3, -1])
         assert _cells_set(t) == {(3, -1), (3, 0), (4, -1), (4, 0)}
 
+    def test_translate_cells_rejects_fractions(self):
+        # (1.5, 0) used to shift by one cell
+        e = VoxelSet.from_index(np.ones((2, 2), bool), [0, 0], H)
+        with pytest.raises(ValueError, match="offset must be an integer, got 1.5"):
+            translate_cells(e, (1.5, 0))
+        assert translate_cells(e, (3.0, -1.0)) == translate_cells(e, [3, -1])
+        assert translate_cells(e, np.array([3, -1])) == translate_cells(e, [3, -1])
+
+    def test_permute_axes_rejects_fractions(self):
+        # (0.5, 1) used to act as (0, 1)
+        e = VoxelSet.from_index(np.ones((2, 3), bool), [0, 0], H)
+        with pytest.raises(ValueError, match="perm must be an integer, got 0.5"):
+            permute_axes(e, (0.5, 1))
+        assert permute_axes(e, (1.0, 0.0)) == permute_axes(e, (1, 0))
+
+    def test_upscale_integer_rejects_fractions(self):
+        # a factor of 1.5 used to return the set unchanged
+        e = VoxelSet.from_index(np.ones((2, 2), bool), [0, 0], H)
+        with pytest.raises(ValueError, match="upscale factor must be an integer, got 1.5"):
+            upscale_integer(e, 1.5)
+        assert upscale_integer(e, 2.0) == upscale_integer(e, 2)
+
     def test_permute_axes(self):
         occ = np.zeros((2, 3), bool)
         occ[0, 2] = True
@@ -200,6 +223,18 @@ class TestRasterize:
 
         e = rasterize_ellipsoid(Shape(), 1.0 / 64, 3)
         assert e.measure == pytest.approx(np.pi * 0.25, rel=BALL_MEASURE_RTOL)
+
+    def test_supersample_must_be_an_integer(self):
+        ball = Ellipsoid(np.zeros(2), np.eye(2))
+        with pytest.raises(ValueError, match="supersample must be an integer, got 2.5"):
+            rasterize_ellipsoid(ball, H, 2.5)
+        e = rasterize_ellipsoid(ball, H, 2)
+        with pytest.raises(ValueError, match="supersample must be an integer, got 2.5"):
+            rasterize_affine_image(e, np.eye(2), np.zeros(2), H, 2.5)
+        assert rasterize_ellipsoid(ball, H, 2.0) == e
+        assert rasterize_affine_image(e, np.eye(2), np.zeros(2), H, 3.0) == (
+            rasterize_affine_image(e, np.eye(2), np.zeros(2), H, 3)
+        )
 
     def test_affine_integer_diagonal_exact(self):
         e = random_voxel_set(2, np.random.default_rng(5), cells=6, spacing=H)
@@ -262,6 +297,26 @@ class TestGenerate:
         assert (e.count, e.shape, tuple(e.origin_index)) == (3274, (59, 72), (-27, -26))
         digest = hashlib.sha256(np.packbits(e.occupancy).tobytes()).hexdigest()
         assert digest.startswith("f3a5d5e6e3ed2b75")
+
+    @pytest.mark.parametrize(
+        "kind,name,value",
+        [
+            ("blob", "steps", 5.5),  # used to write the steps=5 blob
+            ("blob", "supersample", 2.5),  # used to sample with s=2
+            ("ball", "dim", 2.5),  # used to give d=2
+            ("union_of_balls", "n", 2.5),
+            ("ball", "supersample", np.nan),
+        ],
+    )
+    def test_integer_params_reject_fractions(self, kind, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value}"):
+            generate(kind, {"dim": 2, "spacing": H, name: value})
+
+    def test_integral_floats_are_integers(self):
+        p = {"dim": 2, "spacing": H, "steps": 3, "supersample": 3}
+        want = generate("blob", p, seed=2)
+        assert generate("blob", {**p, "dim": 2.0, "steps": 3.0, "supersample": 3.0}, seed=2) == want
+        assert generate("blob", {**p, "steps": np.int64(3)}, seed=2) == want
 
     def test_ellipsoid_shape_as_entries_row_by_row(self):
         p = {"dim": 2, "spacing": H, "center": [0.1, 0.0]}

@@ -9,6 +9,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from rieszvox import (
     Ellipsoid,
@@ -71,6 +73,8 @@ def tie_corpus():
     With dyadic h, s in {1, 2} and the center at h/(2s) per axis, every
     sample coordinate relative to the center is an exact multiple of h/s,
     so radius r = 0.5 = 8h (h = 1/16) puts samples at qf == 1 exactly.
+    The last cases put a sample within rounding error of the boundary,
+    where a root computed without a margin can disagree with qf.
     """
     cases = []
     for dim in (1, 2, 3):
@@ -80,6 +84,11 @@ def tie_corpus():
             cases.append((dim, s, h, center, np.eye(dim) / 0.5**2))
             # r = 5h in 2-D and 3-D also meets the samples at (3h, 4h)
             cases.append((dim, s, h, center, np.eye(dim) / (5 * h) ** 2))
+    # at h = 0.1 nothing is exact: a ball through the sample c = (m + 1/(2s)) h
+    # per axis, with Q = I / (c . c) in floats, puts q within rounding of 1
+    for dim, s, m in ((1, 2, 9), (2, 2, 3), (3, 1, 3), (3, 2, 7)):
+        c = np.full(dim, (m + 0.5 / s) * 0.1)
+        cases.append((dim, s, 0.1, np.zeros(dim), np.eye(dim) / float(c @ c)))
     return cases
 
 
@@ -179,7 +188,7 @@ def test_integer_diagonal_replicates_like_sampling(dim):
 
 @pytest.fixture
 def phase1(monkeypatch):
-    """Records (full, band) of each phase 1, as handed to the vote."""
+    """Records (full, band) of each affine phase 1, as handed to the vote."""
     seen = []
     real = grid._band_vote
 
@@ -191,6 +200,37 @@ def phase1(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def kernels(monkeypatch):
+    """Names the box kernels called: the affine vote, the ellipsoid counts."""
+    seen = []
+
+    def spy(name, real):
+        def call(*args):
+            seen.append(name)
+            return real(*args)
+
+        return call
+
+    for name in ("_band_vote", "_ellipsoid_sample_counts"):
+        monkeypatch.setattr(grid, name, spy(name, getattr(grid, name)))
+    return seen
+
+
+@pytest.fixture
+def exact_samples(monkeypatch):
+    """Records how many samples each call of the per-sample expression takes."""
+    seen = []
+    real = grid._quadratic_form
+
+    def spy(Q, coords):
+        seen.append(coords[0].size)
+        return real(Q, coords)
+
+    monkeypatch.setattr(grid, "_quadratic_form", spy)
+    return seen
+
+
 def assert_phase1_sound(phase1, counts, s):
     # every cell phase 1 decides has all of its samples in, or none
     ((full, band),) = phase1
@@ -199,13 +239,64 @@ def assert_phase1_sound(phase1, counts, s):
     assert np.all(counts[~full & ~band] == 0)
 
 
+def assert_counts_equal_reference(dim, s, h, center, q):
+    # stricter than the vote: every cell's number of samples in the body
+    e = Ellipsoid(center, q)
+    got, lo = grid._ellipsoid_sample_counts(e, h, s)
+    want, want_lo, _ = ellipsoid_sample_counts(e, h, s)
+    assert np.array_equal(lo, want_lo)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dim,s,h,center,q", ellipsoid_corpus() + tie_corpus())
+def test_ellipsoid_sample_counts_equal_reference(dim, s, h, center, q):
+    assert_counts_equal_reference(dim, s, h, center, q)
+
+
+@seed(2016)
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 5),
+    st.sampled_from([6, 8, 10, 12]),
+    st.integers(0, 2**32 - 1),
+)
+def test_ellipsoid_sample_counts_on_random_ellipsoids(dim, s, n, rng_seed):
+    # rotated Q with uneven axes, centers off the lattice and off the samples
+    rng = np.random.default_rng(rng_seed)
+    center = rng.uniform(-0.5, 0.5, dim)
+    assert_counts_equal_reference(dim, s, 1.0 / n, center, _rotated_q(rng, dim))
+
+
 @pytest.mark.parametrize(
     "dim,s,h,center,q", [c for c in ellipsoid_corpus() + tie_corpus() if c[1] > 1]
 )
-def test_ellipsoid_phase1_decides_only_uniform_cells(phase1, dim, s, h, center, q):
-    e = _ellipsoid(center, q)
-    rasterize_ellipsoid(e, h, s)
-    assert_phase1_sound(phase1, ellipsoid_sample_counts(e, h, s)[0], s)
+def test_ellipsoid_phase1_decides_only_uniform_cells(monkeypatch, dim, s, h, center, q):
+    # the roots are the ellipsoid's phase 1: they decide a sample only as the
+    # per-sample expression would.  With every undecided sample forced out,
+    # then in, the counts bracket the exact ones, and a cell whose samples
+    # the roots decide alone (both counts agree) gets the exact count.
+    e = Ellipsoid(center, q)
+    want = ellipsoid_sample_counts(e, h, s)[0]
+    bounds = []
+    for forced in (np.inf, -np.inf):
+        monkeypatch.setattr(
+            grid, "_quadratic_form", lambda Q, coords, f=forced: np.full(coords[0].shape, f)
+        )
+        bounds.append(grid._ellipsoid_sample_counts(e, h, s)[0])
+    low, high = bounds
+    assert np.all(low <= want) and np.all(want <= high)
+    decided = low == high
+    assert np.array_equal(low[decided], want[decided])
+
+
+@pytest.mark.parametrize("dim,s,h,center,q", tie_corpus())
+def test_exact_ties_take_the_per_sample_expression(exact_samples, dim, s, h, center, q):
+    # a sample with q == 1 lies within rho of the level, so no root decides it
+    rasterize_ellipsoid(Ellipsoid(center, q), h, s)
+    (n,) = exact_samples
+    assert n > 0
 
 
 @pytest.mark.parametrize(
@@ -225,13 +316,21 @@ def test_band_is_a_small_part_of_the_box(phase1):
         assert 0 < band.sum() < band.size / 5
 
 
+def test_roots_decide_nearly_every_ellipsoid_sample(exact_samples):
+    # the unit ball's box holds 48^3 * 27 samples at h = 1/24; the roots
+    # decided all of them when this test was written
+    counts, _ = grid._ellipsoid_sample_counts(Ellipsoid(np.zeros(3), np.eye(3)), 1.0 / 24, 3)
+    (n,) = exact_samples
+    assert n <= 1e-4 * counts.size * 27
+
+
 @pytest.mark.parametrize("dim", [0, 4])
-def test_unsupported_dim_rejected_before_the_box(phase1, dim):
+def test_unsupported_dim_rejected_before_the_box(kernels, dim):
     # a 4-d center used to build and vote the whole box before VoxelSet
     # rejected the dimension
     with pytest.raises(ValueError, match="center of length"):
         rasterize_ellipsoid(_ellipsoid(np.zeros(dim), np.eye(dim)), 0.5)
-    assert phase1 == []
+    assert kernels == []
 
 
 # Each bad shape matrix fails Ellipsoid's one check, whether it arrives as
@@ -246,23 +345,23 @@ BAD_SHAPES = {
 
 
 @pytest.mark.parametrize("q", BAD_SHAPES.values(), ids=list(BAD_SHAPES))
-def test_one_shape_check_at_both_entry_points(phase1, q):
+def test_one_shape_check_at_both_entry_points(kernels, q):
     with pytest.raises(ValueError, match="shape matrix"):
         Ellipsoid(np.zeros(2), q)
     with pytest.raises(ValueError, match="shape matrix"):
         rasterize_ellipsoid(_ellipsoid(np.zeros(2), q), 1.0 / 8)
-    assert phase1 == []
+    assert kernels == []
 
 
 @pytest.mark.parametrize("center", [[np.nan, 0.0], [0.0, -np.inf]])
-def test_nonfinite_center_rejected_before_the_box(phase1, center):
+def test_nonfinite_center_rejected_before_the_box(kernels, center):
     # a NaN center used to reach the box arithmetic, warn, and fail on the
     # empty VoxelSet with a message about its shape
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="center must be finite"):
             rasterize_ellipsoid(_ellipsoid(center, np.eye(2)), 1.0 / 8)
-    assert phase1 == []
+    assert kernels == []
 
 
 def test_rounding_asymmetry_rasterizes_the_same_through_both_entry_points():
