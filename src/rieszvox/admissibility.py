@@ -6,10 +6,11 @@ with equality only for equal radii.  A triple is tau-admissible when
 margin >= tau.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .grid import check_triple
 
 
 @dataclass(frozen=True)
@@ -23,10 +24,8 @@ class AdmissibilityReport:
 
 
 def radius_margin(r):
-    """Admissibility report for a triple of positive radii."""
-    r1, r2, r3 = (float(x) for x in r)
-    if min(r1, r2, r3) <= 0:
-        raise ValueError("radii must be strictly positive")
+    """Admissibility report for a triple of finite positive radii."""
+    r1, r2, r3 = check_triple(r, "radii")
     top = max(r1, r2, r3)
     margin = min(
         (r1 + r2 - r3) / top,
@@ -39,11 +38,9 @@ def radius_margin(r):
 
 
 def measure_margin(gamma, dim):
-    """radius_margin applied to the dim-th roots of a measure triple."""
-    g = [float(x) for x in gamma]
-    if min(g) <= 0:
-        raise ValueError("measures must be strictly positive")
-    return radius_margin([x ** (1.0 / dim) for x in g])
+    """radius_margin applied to the dim-th roots of a triple of finite
+    positive measures."""
+    return radius_margin([x ** (1.0 / dim) for x in check_triple(gamma, "gamma")])
 
 
 def set_triple_margin(t):
@@ -54,12 +51,12 @@ def set_triple_margin(t):
 def slice_margin_profile(r, t):
     """Admissibility of the slice-radius triple (r_j * (1 - t_j^2)^(1/2)).
 
-    t is the triple of slice heights in (-1, 1); callers sampling slices
-    keep sum(r_j * t_j) = 0, which this function does not enforce.
+    r is a triple of finite positive radii and t the triple of slice
+    heights in (-1, 1); callers sampling slices keep sum(r_j * t_j) = 0,
+    which this function does not enforce.
     """
-    tv = [float(x) for x in t]
-    if max(abs(x) for x in tv) >= 1.0:
-        raise ValueError("slice parameters must satisfy |t| < 1")
-    rv = np.asarray([float(x) for x in r], dtype=float)
-    prof = np.array([math.sqrt(1.0 - x * x) for x in tv])
-    return radius_margin(rv * prof)
+    rv = np.asarray(check_triple(r, "radii"))
+    tv = np.asarray(t, dtype=float)
+    if tv.shape != (3,) or not np.all(np.abs(tv) < 1.0):
+        raise ValueError(f"slice parameters must be three numbers with |t| < 1, got {t}")
+    return radius_margin(rv * np.sqrt(1.0 - tv * tv))

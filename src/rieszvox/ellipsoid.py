@@ -15,6 +15,8 @@ import numpy as np
 from .grid import (
     Ellipsoid,
     SetTriple,
+    check_integer,
+    check_triple,
     rasterize_ellipsoid,
     symmetric_difference_measure,
     unit_ball_volume,
@@ -95,16 +97,11 @@ def fit_homothetic_triple(t):
     measures; epsilons compare against rasterizations at the triple's
     spacing.
     """
-    if not isinstance(t, SetTriple):
-        t = SetTriple(t)
+    t = SetTriple(t)
     d = t.dim
     fits = [fit_ellipsoid_moments(e) for e in t]
-    inv_mean = np.zeros((d, d))
-    for f in fits:
-        qn = f.shape / np.linalg.det(f.shape) ** (1.0 / d)
-        inv_mean += np.linalg.inv(qn)
-    inv_mean /= 3.0
-    s = np.linalg.inv(inv_mean)
+    inv_mean = sum(np.linalg.inv(f.shape / np.linalg.det(f.shape) ** (1.0 / d)) for f in fits)
+    s = np.linalg.inv(inv_mean / 3.0)
     s = (s + s.T) / 2
     s = s / np.linalg.det(s) ** (1.0 / d)  # det 1, measure omega_dim
     centers = np.array([f.center for f in fits])
@@ -118,8 +115,7 @@ def fit_homothetic_triple(t):
 
 def epsilon_of_fit(t, fit):
     """Worst-case relative symmetric difference of the fit, max over the sets."""
-    if not isinstance(t, SetTriple):
-        t = SetTriple(t)
+    t = SetTriple(t)
     vals = [
         _epsilon_one(e, fit.shape.shape, c, r)
         for e, c, r in zip(t, fit.centers, fit.radii)
@@ -205,21 +201,14 @@ def affine_regress_centers(field, weights=None):
     x = np.array(keys, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
-    cvals = []
-    wvals = []
-    for k in keys:
-        f = field[k]
-        cvals.append(f.center if isinstance(f, IntervalFit) else float(f))
-        if weights is not None:
-            wvals.append(float(weights[k]))
-        elif isinstance(f, IntervalFit):
-            wvals.append(f.length)
-        else:
-            wvals.append(1.0)
-    y = np.array(cvals)
-    w = np.array(wvals)
-    if np.any(w < 0) or w.sum() <= 0:
-        raise ValueError("weights must be nonnegative with positive total")
+    fits = [field[k] for k in keys]
+    y = np.array([f.center if isinstance(f, IntervalFit) else f for f in fits], dtype=float)
+    if weights is None:
+        w = np.array([f.length if isinstance(f, IntervalFit) else 1.0 for f in fits])
+    else:
+        w = np.array([weights[k] for k in keys], dtype=float)
+    if not (np.all(np.isfinite(w) & (w >= 0)) and w.sum() > 0):
+        raise ValueError("weights must be finite and nonnegative with positive total")
     design = np.hstack([x, np.ones((x.shape[0], 1))])
     sw = np.sqrt(w)
     dw = design * sw[:, None]
@@ -247,29 +236,28 @@ def center_compatibility(t, radii=None, samples=400, seed=0):
     In the scaled form of the theory the constraint reads
     sum_j r_j x'_j = 0 and the score is |sum_j r_j c_j(x'_j)|; substituting
     y_j = r_j x'_j shows the radii cancel, so the score is computed in
-    physical coordinates (radii are validated when given but do not affect
-    the value).  Columns g_1 and g_2 of the first two sets are drawn
-    uniformly; column g centers at (g + 1/2) h, so the exact zero-sum point
-    sits half a cell off the center lattice, between the integer columns
-    -(g_1 + g_2) - 2 and -(g_1 + g_2) - 1.  The third column is the first of
-    these that the third set occupies; draws where it occupies neither are
-    skipped.  Weights are the smallest of the three fiber measures.  Small
-    scores mean the three slice center fields are mutually consistent with
-    translates summing to zero.
+    physical coordinates (radii, a RadiusTriple or three finite positive
+    numbers, are validated when given but do not affect the value).
+    samples draws, an integer >= 0, pick columns g_1 and g_2 of the first
+    two sets uniformly; column g centers at (g + 1/2) h, so the exact
+    zero-sum point sits half a cell off the center lattice, between the
+    integer columns -(g_1 + g_2) - 2 and -(g_1 + g_2) - 1.  The third
+    column is the first of these that the third set occupies; draws where
+    it occupies neither are skipped.  Weights are the smallest of the three
+    fiber measures.  Small scores mean the three slice center fields are
+    mutually consistent with translates summing to zero.
     """
-    if not isinstance(t, SetTriple):
-        t = SetTriple(t)
+    t = SetTriple(t)
     if t.dim < 2:
         raise ValueError("center compatibility needs dim >= 2")
     if radii is not None:
-        rv = radii.radii if hasattr(radii, "radii") else tuple(radii)
-        if len(rv) != 3 or min(rv) <= 0:
-            raise ValueError("radii must be three positive numbers")
+        check_triple(getattr(radii, "radii", radii), "radii")
+    samples = check_integer(samples, "samples", low=0)
     (lead1, c1, l1, _), (lead2, c2, l2, _), (_, c3, l3, _) = (
         _columns(e, e.dim - 1) for e in t
     )
     rng = np.random.default_rng(seed)
-    i1, i2 = rng.integers([len(c1), len(c2)], size=(int(samples), 2)).T
+    i1, i2 = rng.integers([len(c1), len(c2)], size=(samples, 2)).T
     # the third set's column number at each cell of its lead box, -1 if empty
     occupied = t[2].occupancy.any(axis=-1)
     index3 = np.full(occupied.shape, -1)

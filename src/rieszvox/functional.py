@@ -40,9 +40,17 @@ import numpy as np
 from scipy.fft import irfftn, next_fast_len, rfftn
 from scipy.integrate import quad
 
-from .admissibility import measure_margin, set_triple_margin
+from .admissibility import measure_margin, radius_margin, set_triple_margin
 from .ellipsoid import fit_homothetic_triple
-from .grid import SetTriple, VoxelSet, _check_aligned, unit_ball_volume
+from .grid import (
+    SetTriple,
+    VoxelSet,
+    _check_aligned,
+    check_integer,
+    check_positive,
+    check_triple,
+    unit_ball_volume,
+)
 from .symmetrize import dyadic_layers
 
 DIRECT_PAIR_GUARD = 10**8  # max product of the two smallest cell counts
@@ -51,20 +59,17 @@ _PAIR_BLOCK = 2 * 10**6  # pair sums held at once by the direct path
 
 @dataclass(frozen=True)
 class RadiusTriple:
-    """Three positive ball radii; converts to and from measure triples."""
+    """Three finite positive ball radii; converts to and from measure triples."""
 
     radii: tuple
 
     def __post_init__(self):
-        r = tuple(float(x) for x in self.radii)
-        if len(r) != 3 or min(r) <= 0:
-            raise ValueError("radii must be three positive numbers")
-        object.__setattr__(self, "radii", r)
+        object.__setattr__(self, "radii", check_triple(self.radii, "radii"))
 
     @classmethod
     def from_measures(cls, gamma, dim):
         w = unit_ball_volume(dim)
-        return cls(tuple((float(g) / w) ** (1.0 / dim) for g in gamma))
+        return cls(tuple((g / w) ** (1.0 / dim) for g in check_triple(gamma, "gamma")))
 
     def measures(self, dim):
         w = unit_ball_volume(dim)
@@ -227,13 +232,9 @@ def lambda_1(gamma):
     For admissible gamma (each entry at most the sum of the others) this is
     (2(g1 g2 + g1 g3 + g2 g3) - g1^2 - g2^2 - g3^2) / 4; when one entry
     dominates, the convolution mass saturates at the product of the two
-    smallest.  Zero entries give 0; negative entries are rejected.
+    smallest.  Zero entries give 0; negative or non-finite ones raise.
     """
-    g = tuple(float(x) for x in gamma)
-    if len(g) != 3:
-        raise ValueError("gamma must be a triple")
-    if min(g) < 0:
-        raise ValueError("measures must be nonnegative")
+    g = check_triple(gamma, "gamma", zero_ok=True)
     if min(g) == 0.0:
         return 0.0
     s = sorted(g)
@@ -284,19 +285,16 @@ def lambda_d(gamma, dim):
 
         Lambda = dim * omega * integral_0^r3 s^(dim-1) lens(r1, r2, s) ds
 
-    with a quadrature break at the containment radius |r1 - r2|.
+    with a quadrature break at the containment radius |r1 - r2|.  gamma is
+    checked as in lambda_1.
     """
-    g = tuple(float(x) for x in gamma)
-    if len(g) != 3:
-        raise ValueError("gamma must be a triple")
-    if min(g) < 0:
-        raise ValueError("measures must be nonnegative")
-    if min(g) == 0.0:
-        return 0.0
     if dim == 1:
-        return lambda_1(g)
+        return lambda_1(gamma)
     if dim not in (2, 3):
         raise ValueError("dim must be 1, 2, or 3")
+    g = check_triple(gamma, "gamma", zero_ok=True)
+    if min(g) == 0.0:
+        return 0.0
     w = unit_ball_volume(dim)
     r1, r2, r3 = sorted(((x / w) ** (1.0 / dim) for x in g), reverse=True)
     lens = _lens_area_2d if dim == 2 else _lens_volume_3d
@@ -327,8 +325,7 @@ def deficit(t, with_fit=False):
     measures, so a single rasterization error enters, not two.  with_fit
     attaches the homothetic ellipsoid fit and its per-set epsilons.
     """
-    if not isinstance(t, SetTriple):
-        t = SetTriple(t)
+    t = SetTriple(t)
     tv = trilinear_form(t)
     lam = lambda_d(t.measures, t.dim)
     if lam <= 0:
@@ -345,16 +342,12 @@ def deficit(t, with_fit=False):
 def superadditivity_gap(alpha, beta, dim):
     """Lambda_dim(alpha + beta) - Lambda_dim(alpha) - Lambda_dim(beta).
 
-    alpha and beta are nonnegative measure triple summands; their sum must
-    be positive and admissible (dim-th root margin >= 0).
+    alpha and beta are finite nonnegative measure triple summands; their
+    sum must be positive and admissible (dim-th root margin >= 0).
     """
-    a = np.asarray([float(x) for x in alpha])
-    b = np.asarray([float(x) for x in beta])
-    if a.min() < 0 or b.min() < 0:
-        raise ValueError("summands must be nonnegative")
-    g = a + b
-    if g.min() <= 0:
-        raise ValueError("total measures must be positive")
+    a = np.asarray(check_triple(alpha, "alpha", zero_ok=True))
+    b = np.asarray(check_triple(beta, "beta", zero_ok=True))
+    g = check_triple(a + b, "alpha + beta")
     if measure_margin(g, dim).margin < 0:
         raise ValueError("total measure triple is inadmissible")
     return lambda_d(g, dim) - lambda_d(a, dim) - lambda_d(b, dim)
@@ -368,20 +361,20 @@ def strong_triangle_rho(tau, eta, dim, samples, seed=0):
     max_j beta_j at least eta * min_i gamma_i, returns the minimum of
     gap / Lambda(gamma).  The sample stream depends only on
     (tau, dim, samples, seed), never on eta, so shrinking eta can only
-    enlarge the qualifying set and lower the minimum.
+    enlarge the qualifying set and lower the minimum.  samples must be an
+    integer >= 0.
     """
     if not (0 < tau < 1) or not (0 < eta < 1):
         raise ValueError("tau and eta must lie in (0, 1)")
+    samples = check_integer(samples, "samples", low=0)
     rng = np.random.default_rng(seed)
     w = unit_ball_volume(dim)
     best = None
     found = 0
-    for _ in range(int(samples)):
+    for _ in range(samples):
         while True:  # rejection-sample a tau-admissible radius triple
             r = rng.uniform(0.2, 1.0, size=3)
-            top = r.max()
-            # the binding pairing excludes the largest radius
-            if (r.sum() - 2 * top) / top >= tau:
+            if radius_margin(r).margin >= tau:
                 break
         gamma = w * r**dim
         u = rng.uniform(0.0, 1.0, size=3)
@@ -408,17 +401,16 @@ def theta(layer_records):
     """The coupling factor of three selected dyadic layers.
 
     layer_records is a sequence of three (k, projection_measure,
-    layer_measure) records.  theta = 2^(-max|k_m - k_n|/3) *
-    (min proj / max proj)^(1/3), which never exceeds 1.
+    layer_measure) records: k an integer, the measures finite and
+    positive.  theta = 2^(-max|k_m - k_n|/3) * (min proj / max proj)^(1/3),
+    which never exceeds 1.
     """
     recs = list(layer_records)
     if len(recs) != 3:
-        raise ValueError("expected three layer records")
-    ks = [int(r[0]) for r in recs]
-    projs = [float(r[1]) for r in recs]
-    meas = [float(r[2]) for r in recs]
-    if min(projs) <= 0 or min(meas) <= 0:
-        raise ValueError("empty layer")
+        raise ValueError(f"layer_records must hold three records, got {len(recs)}")
+    ks = [check_integer(r[0], "k") for r in recs]
+    projs = check_triple([r[1] for r in recs], "projections")
+    check_triple([r[2] for r in recs], "layer measures")
     spread = max(abs(ks[i] - ks[j]) for i in range(3) for j in range(3))
     return 2.0 ** (-spread / 3.0) * (min(projs) / max(projs)) ** (1.0 / 3.0)
 
@@ -426,17 +418,20 @@ def theta(layer_records):
 def theta_bound_check(t, k, constant=4.0):
     """Check T(E_{1,k1}, E_{2,k2}, E_{3,k3}) <= C theta prod |E_{j,kj}|^(2/3).
 
-    Returns (lhs, rhs, ratio).  k is the triple of dyadic indices; each
-    selected layer must be populated.
+    Returns (lhs, rhs, ratio).  k is the triple of integer dyadic indices;
+    each selected layer must be populated.  constant must be finite and
+    positive.
     """
-    if not isinstance(t, SetTriple):
-        t = SetTriple(t)
+    t = SetTriple(t)
     return _theta_bound([dyadic_layers(e) for e in t], k, constant)
 
 
 def _theta_bound(decs, k, constant=4.0):
     # theta_bound_check on the dyadic decompositions of the three sets
-    ks = tuple(int(x) for x in k)
+    ks = tuple(check_integer(x, "k") for x in k)
+    if len(ks) != 3:
+        raise ValueError(f"k must be three layer indices, got {k}")
+    constant = check_positive(constant, "constant")
     for dec, kj in zip(decs, ks):
         if kj not in dec.layers:
             raise ValueError(f"empty layer k={kj}")

@@ -27,7 +27,6 @@ the result is the same cell for cell as sampling every cell of the
 bounding box.
 """
 
-import io
 import math
 import numbers
 import struct
@@ -46,7 +45,11 @@ ALIGN_RTOL = 1e-9
 SYMMETRY_RTOL = 1e-12
 
 
-def _positive(value, name):
+# The input checks of the package.  Each returns the value in the form its
+# caller computes with, and its message names the argument.
+
+
+def check_positive(value, name):
     """float(value), once it is finite and positive."""
     x = float(value)
     if not (x > 0 and math.isfinite(x)):
@@ -54,17 +57,50 @@ def _positive(value, name):
     return x
 
 
-def _integer(value, name):
-    """int(value), once it is integral: 3 and 3.0 pass, 2.5 and NaN raise."""
+def check_integer(value, name, low=None):
+    """int(value), once it is integral (3 and 3.0 pass, 2.5 and NaN raise)
+    and, when low is given, at least low."""
     if isinstance(value, numbers.Integral):
-        return int(value)
+        n = int(value)
+    else:
+        try:
+            x = float(value)
+        except (TypeError, ValueError):
+            x = math.nan
+        if not x.is_integer():
+            raise ValueError(f"{name} must be an integer, got {value}")
+        n = int(x)
+    if low is not None and n < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return n
+
+
+def check_triple(values, name, zero_ok=False):
+    """Three floats, once each is finite and positive (nonnegative with
+    zero_ok): a measure triple, a radius triple."""
     try:
-        x = float(value)
+        x = tuple(float(v) for v in values)
     except (TypeError, ValueError):
-        x = math.nan
-    if not x.is_integer():
-        raise ValueError(f"{name} must be an integer, got {value}")
-    return int(x)
+        x = ()
+    if len(x) != 3 or not all(math.isfinite(v) and (v >= 0 if zero_ok else v > 0) for v in x):
+        sign = "nonnegative" if zero_ok else "positive"
+        raise ValueError(f"{name} must be three finite {sign} numbers, got {values}")
+    return x
+
+
+def check_affine(a, v, dim):
+    """(A, v) as float arrays, once A is a finite dim x dim matrix with
+    |det A| >= 1e-12 and v a finite translation, or a stack of them, of
+    length dim."""
+    A = np.asarray(a, dtype=float)
+    if A.shape != (dim, dim) or not np.all(np.isfinite(A)):
+        raise ValueError(f"linear map must be a finite {dim}x{dim} matrix, got {A.tolist()}")
+    if abs(np.linalg.det(A)) < 1e-12:
+        raise ValueError(f"linear map must be invertible, got {A.tolist()}")
+    v = np.asarray(v, dtype=float)
+    if v.shape[-1:] != (dim,) or not np.all(np.isfinite(v)):
+        raise ValueError(f"translation must be finite of length {dim}, got {v.tolist()}")
+    return A, v
 
 
 def unit_ball_volume(dim):
@@ -127,7 +163,7 @@ def _validated(occupancy, origin, spacing):
         raise ValueError(f"dim must be 1, 2, or 3, got {occ.ndim}")
     if min(occ.shape) < 1:
         raise ValueError("shape entries must be >= 1")
-    h = _positive(spacing, "spacing")
+    h = check_positive(spacing, "spacing")
     origin = np.asarray(origin).reshape(-1)
     if origin.size != occ.ndim:
         raise ValueError("origin length must equal dim")
@@ -332,21 +368,20 @@ class SetTriple:
 
 
 class AffineMapTriple:
-    """A shared invertible linear map with three translations summing to zero."""
+    """A shared invertible linear map with three translations summing to
+    zero; the map and each translation pass check_affine."""
 
     __slots__ = ("linear", "translations")
 
     SUM_TOL = 1e-12
 
     def __init__(self, linear, translations):
-        A = np.asarray(linear, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError("linear part must be a square matrix")
-        if abs(np.linalg.det(A)) < 1e-12:
-            raise ValueError("linear part must be invertible")
         V = np.asarray(translations, dtype=float)
-        if V.shape != (3, A.shape[0]):
+        if V.ndim != 2 or len(V) != 3:
             raise ValueError("translations must be three vectors of matching length")
+        # dim is the map's row count, so a translation of another length
+        # is the one named
+        A, V = check_affine(linear, V, len(np.atleast_1d(linear)))
         if np.max(np.abs(V.sum(axis=0))) > self.SUM_TOL:
             raise ValueError("translations must sum to zero")
         A.setflags(write=False)
@@ -384,23 +419,14 @@ def _check_aligned(e, f):
 def _embed_pair(e, f):
     """Embed two aligned sets in their common bounding box; exact in counts."""
     lo = np.minimum(e.origin_index, f.origin_index)
-    hi = np.maximum(
-        e.origin_index + np.asarray(e.shape), f.origin_index + np.asarray(f.shape)
-    )
-    box = tuple(int(x) for x in (hi - lo))
-    a = np.zeros(box, dtype=bool)
-    b = np.zeros(box, dtype=bool)
-    sa = tuple(
-        slice(int(o), int(o) + n)
-        for o, n in zip(e.origin_index - lo, e.shape)
-    )
-    sb = tuple(
-        slice(int(o), int(o) + n)
-        for o, n in zip(f.origin_index - lo, f.shape)
-    )
-    a[sa] = e.occupancy
-    b[sb] = f.occupancy
-    return a, b, lo
+    box = tuple((np.maximum(e.origin_index + e.shape, f.origin_index + f.shape) - lo).tolist())
+    out = []
+    for g in (e, f):
+        a = np.zeros(box, dtype=bool)
+        at = (g.origin_index - lo).tolist()
+        a[tuple(slice(o, o + n) for o, n in zip(at, g.shape))] = g.occupancy
+        out.append(a)
+    return *out, lo
 
 
 def symmetric_difference_measure(e, f):
@@ -439,7 +465,7 @@ def reflect(e):
 
 def translate_cells(e, offset):
     """Shift by an integer number of cells per axis (origin moves by offset*h)."""
-    off = np.array([_integer(x, "offset") for x in np.ravel(offset)], dtype=np.int64)
+    off = np.array([check_integer(x, "offset") for x in np.ravel(offset)], dtype=np.int64)
     if off.size != e.dim:
         raise ValueError("offset length must equal dim")
     return VoxelSet.from_index(e.occupancy, e.origin_index + off, e.spacing)
@@ -447,7 +473,7 @@ def translate_cells(e, offset):
 
 def permute_axes(e, perm):
     """Reorder coordinate axes (used to interchange the roles of axes)."""
-    perm = tuple(_integer(p, "perm") for p in perm)
+    perm = tuple(check_integer(p, "perm") for p in perm)
     if sorted(perm) != list(range(e.dim)):
         raise ValueError("perm must be a permutation of the axes")
     return VoxelSet.from_index(
@@ -462,9 +488,7 @@ def upscale_integer(e, m):
 
     The physical set is unchanged; occupied count multiplies by m^dim exactly.
     """
-    m = _integer(m, "upscale factor")
-    if m < 1:
-        raise ValueError("upscale factor must be >= 1")
+    m = check_integer(m, "upscale factor", low=1)
     if m == 1:
         return e
     occ = e.occupancy
@@ -492,14 +516,6 @@ def from_cells(cells, dim, spacing):
 # terms the per-sample test sums; the rounding error of that test is below
 # 1e-14 of the same magnitude.
 BAND_RTOL = 1e-9
-
-
-def _subsample_offsets(spacing, supersample):
-    """Per-axis subsample offsets relative to the cell's low corner, for an
-    integer supersample."""
-    if supersample < 1:
-        raise ValueError("supersample must be >= 1")
-    return (np.arange(supersample) + 0.5) / supersample * spacing
 
 
 def _band_vote(inside, band, s, member):
@@ -533,8 +549,8 @@ def rasterize_ellipsoid(e, spacing, supersample=3):
 
     Returns a VoxelSet of the given spacing.
     """
-    h = _positive(spacing, "spacing")
-    s = _integer(supersample, "supersample")
+    h = check_positive(spacing, "spacing")
+    s = check_integer(supersample, "supersample", low=1)
     if not isinstance(e, Ellipsoid):
         e = Ellipsoid(e.center, e.shape)
     counts, lo = _ellipsoid_sample_counts(e, h, s)
@@ -575,8 +591,9 @@ def _ellipsoid_sample_counts(e, h, s):
 
     # sample coordinates relative to v, as the full-box loop computed them;
     # entry m * s + k of an axis is sample k of cell m
+    sub = (np.arange(s) + 0.5) / s * h  # offsets from a cell's low corner
     axes = [
-        (lo[i] * h + _subsample_offsets(h, s)[:, None] + np.arange(box[i]) * h - v[i]).T.ravel()
+        (lo[i] * h + sub[:, None] + np.arange(box[i]) * h - v[i]).T.ravel()
         for i in range(dim)
     ]
     *fixed, t = axes
@@ -663,17 +680,13 @@ def rasterize_affine_image(e, a, v, spacing, supersample=3):
     """Rasterize A(E) + v at the given spacing.
 
     Samples membership of A^-1 (y - v) in E on a supersample grid per
-    output cell, with the majority rule of rasterize_ellipsoid.
+    output cell, with the majority rule of rasterize_ellipsoid.  A must be
+    a finite dim x dim matrix with |det A| >= 1e-12 and v a finite vector
+    of length dim (check_affine).
     """
-    h = _positive(spacing, "spacing")
-    s = _integer(supersample, "supersample")
-    A = np.asarray(a, dtype=float)
-    if A.shape != (e.dim, e.dim):
-        raise ValueError("linear map has wrong dimensions")
-    det = np.linalg.det(A)
-    if abs(det) < 1e-12:
-        raise ValueError("singular linear map")
-    v = np.asarray(v, dtype=float).reshape(-1)
+    h = check_positive(spacing, "spacing")
+    s = check_integer(supersample, "supersample", low=1)
+    A, v = check_affine(a, np.ravel(v), e.dim)
 
     dim = e.dim
     Ainv = np.linalg.inv(A)
@@ -711,7 +724,7 @@ def rasterize_affine_image(e, a, v, spacing, supersample=3):
     # phase 2: the per-sample test, in the arithmetic of the full-box loop
     # that phase 1 replaced; E gets a border of empty cells so that clipping
     # sends every point outside E's box to an empty cell
-    sub = _subsample_offsets(h, s)
+    sub = (np.arange(s) + 0.5) / s * h
     axes = [lo[i] * h + np.arange(box[i]) * h + sub[:, None] for i in range(dim)]
     single = int(np.prod(box)) == 1
     border = np.pad(e.occupancy, 1)
@@ -756,16 +769,17 @@ def generate(kind, params=None, seed=0):
 
     The same (kind, params, seed) always produces the identical set.
     Raises if a radius, axis, rmin or rmax is not finite and positive, if
-    jitter lies outside [0, 1), or if the generated set is empty.
+    dim, supersample, steps or n is not an integer (steps and n at least
+    1), if jitter lies outside [0, 1), or if the generated set is empty.
     """
     p = dict(params or {})
-    dim = _integer(p.pop("dim", 2), "dim")
+    dim = check_integer(p.pop("dim", 2), "dim")
     h = float(p.pop("spacing", 1.0 / 64))
-    ss = _integer(p.pop("supersample", 3), "supersample")
+    ss = check_integer(p.pop("supersample", 3), "supersample")
     rng = np.random.default_rng(seed)
 
     if kind == "ball":
-        r = _positive(p.pop("radius", 1.0), "radius")
+        r = check_positive(p.pop("radius", 1.0), "radius")
         c = p.pop("center", np.zeros(dim))
         _reject_extra(kind, p)
         out = rasterize_ellipsoid(Ellipsoid(c, np.eye(dim) / r**2), h, ss)
@@ -779,12 +793,12 @@ def generate(kind, params=None, seed=0):
                 q = q.reshape(dim, dim)
         else:
             axes = np.ravel(p.pop("axes", np.ones(dim)))
-            q = np.diag(1.0 / np.array([_positive(a, "axes") for a in axes]) ** 2)
+            q = np.diag(1.0 / np.array([check_positive(a, "axes") for a in axes]) ** 2)
         _reject_extra(kind, p)
         out = rasterize_ellipsoid(Ellipsoid(c, q), h, ss)
     elif kind == "blob":
-        r = _positive(p.pop("radius", 0.35), "radius")
-        steps = _integer(p.pop("steps", 6), "steps")
+        r = check_positive(p.pop("radius", 0.35), "radius")
+        steps = check_integer(p.pop("steps", 6), "steps", low=1)
         step = float(p.pop("step", 0.4))
         c = np.asarray(p.pop("center", np.zeros(dim)), dtype=float)
         jit = float(p.pop("jitter", 0.3))
@@ -802,10 +816,10 @@ def generate(kind, params=None, seed=0):
             # keep the next ball overlapping the current one
             pos = pos + d * min(step, 1.6 * r) * rng.random()
     elif kind == "union_of_balls":
-        n = _integer(p.pop("n", 3), "n")
+        n = check_integer(p.pop("n", 3), "n", low=1)
         span = float(p.pop("span", 1.5))
-        rmin = _positive(p.pop("rmin", 0.2), "rmin")
-        rmax = _positive(p.pop("rmax", 0.5), "rmax")
+        rmin = check_positive(p.pop("rmin", 0.2), "rmin")
+        rmax = check_positive(p.pop("rmax", 0.5), "rmax")
         _reject_extra(kind, p)
         out = None
         for _ in range(n):
@@ -816,7 +830,7 @@ def generate(kind, params=None, seed=0):
     else:
         raise ValueError(f"unknown generator kind {kind!r}")
 
-    if out is None or out.is_empty:
+    if out.is_empty:
         raise ValueError(f"generated set is empty (kind={kind})")
     return out
 
@@ -831,18 +845,11 @@ def _reject_extra(kind, p):
 
 def save(e, path):
     """Write the VXG1 binary format (bit-exact round trip with load)."""
-    buf = io.BytesIO()
-    buf.write(VXG_MAGIC)
-    buf.write(struct.pack("<BB", VXG_VERSION, e.dim))
-    for n in e.shape:
-        buf.write(struct.pack("<I", n))
-    buf.write(struct.pack("<d", e.spacing))
-    for x in e.origin:
-        buf.write(struct.pack("<d", float(x)))
+    d = e.dim
+    header = struct.pack(f"<BB{d}Id{d}d", VXG_VERSION, d, *e.shape, e.spacing, *e.origin.tolist())
     bits = np.packbits(e.occupancy.reshape(-1), bitorder="little")
-    buf.write(bits.tobytes())
     with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+        fh.write(VXG_MAGIC + header + bits.tobytes())
 
 
 def load(path):
@@ -863,19 +870,13 @@ def load(path):
         raise ValueError(f"unsupported VXG version {version}")
     if dim not in (1, 2, 3):
         raise ValueError(f"unsupported dimension {dim}")
-    off = 6
-    need = 4 * dim + 8 + 8 * dim
-    if len(data) < off + need:
+    fmt = f"<{dim}Id{dim}d"  # shape, spacing, origin
+    off = 6 + struct.calcsize(fmt)
+    if len(data) < off:
         raise ValueError("truncated VXG1 file (incomplete header)")
-    shape = struct.unpack_from(f"<{dim}I", data, off)
-    off += 4 * dim
-    (spacing,) = struct.unpack_from("<d", data, off)
-    off += 8
-    origin = struct.unpack_from(f"<{dim}d", data, off)
-    off += 8 * dim
-    ncells = 1
-    for n in shape:
-        ncells *= n
+    head = struct.unpack_from(fmt, data, 6)
+    shape, spacing, origin = head[:dim], head[dim], head[dim + 1 :]
+    ncells = math.prod(shape)
     nbytes = (ncells + 7) // 8
     if len(data) - off < nbytes:
         raise ValueError("truncated VXG1 file (incomplete occupancy)")

@@ -23,22 +23,45 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .functional import deficit
-from .grid import AffineMapTriple, SetTriple, VoxelSet, from_cells, generate
+from .grid import (
+    AffineMapTriple,
+    SetTriple,
+    VoxelSet,
+    check_integer,
+    check_positive,
+    from_cells,
+    generate,
+)
 from .symmetrize import _greedy_ball_order
 
 FAMILIES = ("noise", "relocate", "shear", "skew")
 
 
+def _levels(value, name):
+    """Finite levels in ascending order, from a sequence or a comma string."""
+    parts = value.split(",") if isinstance(value, str) else value
+    levels = tuple(float(x) for x in parts)
+    if not np.all(np.isfinite(levels)) or list(levels) != sorted(levels):
+        raise ValueError(f"{name} must be finite and ascending, got {levels}")
+    return levels
+
+
+# a SweepConfig field's check by its type; metadata holds an int's lower bound
+_CHECKS = {int: check_integer, float: check_positive, tuple: _levels, str: lambda v, _: str(v)}
+
+
 @dataclass
 class SweepConfig:
-    """Each field is cast to its declared type; levels may be a comma string."""
+    """Each field is checked and cast by its type: integers (3.0 is 3, 2.5
+    an error), a finite positive spacing, finite ascending levels (a comma
+    string is split).  A bad value raises a ValueError naming the field."""
 
     dim: int = 2
     spacing: float = 1.0 / 64
-    seed: int = 0
+    seed: int = field(default=0, metadata={"low": 0})
     family: str = "noise"
     levels: tuple = (0.02, 0.05, 0.1, 0.2)
-    samples: int = 25
+    samples: int = field(default=25, metadata={"low": 1})
     out_csv: str = "sweep.csv"
     out_svg: str = "sweep.svg"
 
@@ -46,18 +69,11 @@ class SweepConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             try:
-                if f.type is tuple:
-                    parts = value.split(",") if isinstance(value, str) else value
-                    value = tuple(float(x) for x in parts)
-                setattr(self, f.name, f.type(value))
+                setattr(self, f.name, _CHECKS[f.type](value, f.name, **f.metadata))
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{f.name}: invalid value {value!r} ({exc})") from exc
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if list(self.levels) != sorted(self.levels):
-            raise ValueError("levels must be sorted ascending")
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2, or 3, got {self.dim}")
         if self.dim == 1 and self.family in ("shear", "skew"):
@@ -126,8 +142,8 @@ def perturb_noise(e, p, rng):
     """Flip boundary-adjacent cells with probability p, then restore the
     exact count by greedy boundary correction (remove farthest from the
     centroid / add nearest, ties lexicographic)."""
-    if p < 0 or p > 1:
-        raise ValueError("noise level must be in [0, 1]")
+    if not 0 <= p <= 1:
+        raise ValueError(f"noise level must be in [0, 1], got {p}")
     target = e.count
     occ = np.pad(e.occupancy, 1)
     origin = e.origin_index - 1
@@ -156,8 +172,8 @@ def perturb_noise(e, p, rng):
 def perturb_relocate(e, frac, rng=None):
     """Move a frac-fraction of the cells (the ones farthest from the
     centroid) into a greedy ball placed past the bounding box."""
-    if frac < 0 or frac > 1:
-        raise ValueError("relocate fraction must be in [0, 1]")
+    if not 0 <= frac <= 1:
+        raise ValueError(f"relocate fraction must be in [0, 1], got {frac}")
     n = e.count
     k = int(round(frac * n))
     if k == 0:
@@ -185,10 +201,11 @@ def _roll_columns(e, shifts):
 
 def skew_columns(e, slope):
     """Vertical skew by an affine map of the column coordinates: each column
-    at physical y gains the integer shift round(slope . y / h)."""
+    at physical y gains the integer shift round(slope . y / h); slope has
+    dim - 1 finite components."""
     slope = np.asarray(slope, dtype=float).reshape(-1)
-    if slope.size != e.dim - 1:
-        raise ValueError("slope must have dim-1 components")
+    if slope.size != e.dim - 1 or not np.all(np.isfinite(slope)):
+        raise ValueError(f"slope must have {e.dim - 1} finite components, got {slope}")
     lead = e.occupancy.shape[:-1]
     idx = np.indices(lead).reshape(e.dim - 1, -1).T + e.origin_index[:-1]
     y = (idx + 0.5) * e.spacing

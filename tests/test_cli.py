@@ -242,6 +242,13 @@ class TestSweep:
         assert "'0.2,x'" in err
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_nan_level_is_an_error(self, tmp_path, capsys):
+        # a NaN level used to write an unperturbed record with level=nan
+        rc = main(["sweep", "--levels", "nan", "--samples", "1", "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("rieszvox: error: levels: ")
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_bad_config_value_names_the_field(self, tmp_path, capsys):
         cfg = tmp_path / "s.cfg"
         cfg.write_text("family = skew\nsamples = two\n")
