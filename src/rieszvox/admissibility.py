@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import check_triple
+from .grid import check_integer, check_triple
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,8 @@ def radius_margin(r):
 
 def measure_margin(gamma, dim):
     """radius_margin applied to the dim-th roots of a triple of finite
-    positive measures."""
+    positive measures; dim is an integer >= 1."""
+    dim = check_integer(dim, "dim", low=1)
     return radius_margin([x ** (1.0 / dim) for x in check_triple(gamma, "gamma")])
 
 

@@ -16,7 +16,6 @@ from .grid import (
     Ellipsoid,
     SetTriple,
     check_integer,
-    check_triple,
     rasterize_ellipsoid,
     symmetric_difference_measure,
     unit_ball_volume,
@@ -111,16 +110,6 @@ def fit_homothetic_triple(t):
     shape = Ellipsoid(center=np.zeros(d), shape=s)
     eps = np.array([_epsilon_one(e, s, c, r) for e, c, r in zip(t, centers, radii)])
     return HomotheticFit(shape=shape, centers=centers, radii=radii, epsilons=eps)
-
-
-def epsilon_of_fit(t, fit):
-    """Worst-case relative symmetric difference of the fit, max over the sets."""
-    t = SetTriple(t)
-    vals = [
-        _epsilon_one(e, fit.shape.shape, c, r)
-        for e, c, r in zip(t, fit.centers, fit.radii)
-    ]
-    return float(max(vals))
 
 
 # -- slice machinery ---------------------------------------------------------
@@ -229,15 +218,14 @@ def _weighted_median(values, weights):
     return float(v[np.searchsorted(cum, 0.5 * cum[-1])])
 
 
-def center_compatibility(t, radii=None, samples=400, seed=0):
+def center_compatibility(t, samples=400, seed=0):
     """Weighted median of |sum_j center_j(y_j)| over sampled column triples
     with y_1 + y_2 + y_3 = 0.
 
     In the scaled form of the theory the constraint reads
     sum_j r_j x'_j = 0 and the score is |sum_j r_j c_j(x'_j)|; substituting
     y_j = r_j x'_j shows the radii cancel, so the score is computed in
-    physical coordinates (radii, a RadiusTriple or three finite positive
-    numbers, are validated when given but do not affect the value).
+    physical coordinates and takes no radii.
     samples draws, an integer >= 0, pick columns g_1 and g_2 of the first
     two sets uniformly; column g centers at (g + 1/2) h, so the exact
     zero-sum point sits half a cell off the center lattice, between the
@@ -250,8 +238,6 @@ def center_compatibility(t, radii=None, samples=400, seed=0):
     t = SetTriple(t)
     if t.dim < 2:
         raise ValueError("center compatibility needs dim >= 2")
-    if radii is not None:
-        check_triple(getattr(radii, "radii", radii), "radii")
     samples = check_integer(samples, "samples", low=0)
     (lead1, c1, l1, _), (lead2, c2, l2, _), (_, c3, l3, _) = (
         _columns(e, e.dim - 1) for e in t

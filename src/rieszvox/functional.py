@@ -59,7 +59,8 @@ _PAIR_BLOCK = 2 * 10**6  # pair sums held at once by the direct path
 
 @dataclass(frozen=True)
 class RadiusTriple:
-    """Three finite positive ball radii; converts to and from measure triples."""
+    """Three finite positive ball radii; converts to and from measure triples
+    at an integer dim >= 1."""
 
     radii: tuple
 
@@ -68,10 +69,12 @@ class RadiusTriple:
 
     @classmethod
     def from_measures(cls, gamma, dim):
+        dim = check_integer(dim, "dim", low=1)
         w = unit_ball_volume(dim)
         return cls(tuple((g / w) ** (1.0 / dim) for g in check_triple(gamma, "gamma")))
 
     def measures(self, dim):
+        dim = check_integer(dim, "dim", low=1)
         w = unit_ball_volume(dim)
         return tuple(w * r**dim for r in self.radii)
 
@@ -108,16 +111,10 @@ def _corners(dim):
     return list(product((-1, -2), repeat=dim))
 
 
-def fftconvolve(a, b, shape=None):
-    """The convolution of two real arrays by one FFT product.
-
-    shape None gives the full linear convolution.  A given shape, at least
-    each input's per axis, gives the circular convolution at that shape.
-    """
-    full = [n1 + n2 - 1 for n1, n2 in zip(a.shape, b.shape)]
-    fshape = shape or [next_fast_len(n, real=True) for n in full]
-    conv = irfftn(rfftn(a, fshape) * rfftn(b, fshape), fshape)
-    return conv if shape else conv[tuple(slice(n) for n in full)]
+def fftconvolve(a, b, shape):
+    """The circular convolution of two real arrays at shape, at least each
+    input's per axis, by one FFT product."""
+    return irfftn(rfftn(a, shape) * rfftn(b, shape), shape)
 
 
 def trilinear_corner_counts(t, method="fft"):

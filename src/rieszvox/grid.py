@@ -352,10 +352,6 @@ class SetTriple:
     def measures(self):
         return tuple(e.measure for e in self._sets)
 
-    @property
-    def max_measure(self):
-        return max(self.measures)
-
     def __iter__(self):
         return iter(self._sets)
 
@@ -767,10 +763,12 @@ def generate(kind, params=None, seed=0):
                     consecutive balls overlap so the result is connected
     union_of_balls: n (3), span (1.5), rmin (0.2), rmax (0.5)
 
-    The same (kind, params, seed) always produces the identical set.
-    Raises if a radius, axis, rmin or rmax is not finite and positive, if
-    dim, supersample, steps or n is not an integer (steps and n at least
-    1), if jitter lies outside [0, 1), or if the generated set is empty.
+    Each kind lists its bodies as (center, Q); the set is the union of
+    their rasterizations.  The same (kind, params, seed) always produces
+    the identical set.  Raises if a radius, axis, step, span, rmin or rmax
+    is not finite and positive, if dim, supersample, steps or n is not an
+    integer (steps and n at least 1), if jitter lies outside [0, 1), or if
+    the generated set is empty.
     """
     p = dict(params or {})
     dim = check_integer(p.pop("dim", 2), "dim")
@@ -780,9 +778,7 @@ def generate(kind, params=None, seed=0):
 
     if kind == "ball":
         r = check_positive(p.pop("radius", 1.0), "radius")
-        c = p.pop("center", np.zeros(dim))
-        _reject_extra(kind, p)
-        out = rasterize_ellipsoid(Ellipsoid(c, np.eye(dim) / r**2), h, ss)
+        bodies = [(p.pop("center", np.zeros(dim)), np.eye(dim) / r**2)]
     elif kind == "ellipsoid":
         c = p.pop("center", np.zeros(dim))
         if "shape" in p:
@@ -794,50 +790,45 @@ def generate(kind, params=None, seed=0):
         else:
             axes = np.ravel(p.pop("axes", np.ones(dim)))
             q = np.diag(1.0 / np.array([check_positive(a, "axes") for a in axes]) ** 2)
-        _reject_extra(kind, p)
-        out = rasterize_ellipsoid(Ellipsoid(c, q), h, ss)
+        bodies = [(c, q)]
     elif kind == "blob":
         r = check_positive(p.pop("radius", 0.35), "radius")
         steps = check_integer(p.pop("steps", 6), "steps", low=1)
-        step = float(p.pop("step", 0.4))
-        c = np.asarray(p.pop("center", np.zeros(dim)), dtype=float)
+        step = check_positive(p.pop("step", 0.4), "step")
+        pos = np.array(p.pop("center", np.zeros(dim)), dtype=float)  # copies the caller's
         jit = float(p.pop("jitter", 0.3))
         if not 0.0 <= jit < 1.0:  # a jitter of 1 or more can draw a radius <= 0
             raise ValueError(f"jitter must lie in [0, 1), got {jit}")
-        _reject_extra(kind, p)
-        pos = c.copy()
-        out = None
+        bodies = []
         for _ in range(steps):
             rr = r * (1.0 + jit * (rng.random() - 0.5) * 2)
-            ball = rasterize_ellipsoid(Ellipsoid(pos, np.eye(dim) / rr**2), h, ss)
-            out = ball if out is None else boolean(out, ball, "union")
+            bodies.append((pos, np.eye(dim) / rr**2))
             d = rng.normal(size=dim)
             d /= max(np.linalg.norm(d), 1e-12)
             # keep the next ball overlapping the current one
             pos = pos + d * min(step, 1.6 * r) * rng.random()
     elif kind == "union_of_balls":
         n = check_integer(p.pop("n", 3), "n", low=1)
-        span = float(p.pop("span", 1.5))
+        span = check_positive(p.pop("span", 1.5), "span")
         rmin = check_positive(p.pop("rmin", 0.2), "rmin")
         rmax = check_positive(p.pop("rmax", 0.5), "rmax")
-        _reject_extra(kind, p)
-        out = None
+        bodies = []
         for _ in range(n):
             c = (rng.random(dim) - 0.5) * span
             rr = rmin + (rmax - rmin) * rng.random()
-            ball = rasterize_ellipsoid(Ellipsoid(c, np.eye(dim) / rr**2), h, ss)
-            out = ball if out is None else boolean(out, ball, "union")
+            bodies.append((c, np.eye(dim) / rr**2))
     else:
         raise ValueError(f"unknown generator kind {kind!r}")
+    if p:
+        raise ValueError(f"unknown params for {kind!r}: {sorted(p)}")
 
+    out = None
+    for c, q in bodies:
+        body = rasterize_ellipsoid(Ellipsoid(c, q), h, ss)
+        out = body if out is None else boolean(out, body, "union")
     if out.is_empty:
         raise ValueError(f"generated set is empty (kind={kind})")
     return out
-
-
-def _reject_extra(kind, p):
-    if p:
-        raise ValueError(f"unknown params for {kind!r}: {sorted(p)}")
 
 
 # -- persistence ------------------------------------------------------------

@@ -169,7 +169,7 @@ def perturb_noise(e, p, rng):
     return VoxelSet.from_index(new, origin, e.spacing).tighten()
 
 
-def perturb_relocate(e, frac, rng=None):
+def perturb_relocate(e, frac):
     """Move a frac-fraction of the cells (the ones farthest from the
     centroid) into a greedy ball placed past the bounding box."""
     if not 0 <= frac <= 1:
@@ -267,7 +267,8 @@ def _one_record(config, li, si):
 
 
 def run_sweep(config, max_workers=None):
-    """One SweepRecord per (level, sample).  Samples run concurrently; the
+    """One SweepRecord per (level, sample).  Samples run concurrently on
+    max_workers threads (an integer >= 1, by default min(8, CPU count)); the
     returned list is always in (level, sample) order, each record seeded
     independently, so the output is identical regardless of scheduling."""
     jobs = [
@@ -277,8 +278,7 @@ def run_sweep(config, max_workers=None):
     ]
     if max_workers is None:
         max_workers = min(8, os.cpu_count() or 1)
-    if max_workers <= 1:
-        return [_one_record(config, li, si) for li, si in jobs]
+    max_workers = check_integer(max_workers, "max_workers", low=1)
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         return list(pool.map(lambda j: _one_record(config, *j), jobs))
 

@@ -205,10 +205,7 @@ def normalize_special_dilation(t, c_band):
             continue
         A = np.diag(scales)
         zero = np.zeros(d)
-        dilated = []
-        for e in t:
-            img = rasterize_affine_image(e, A, zero, h, supersample=3)
-            dilated.append(img)
+        dilated = [rasterize_affine_image(e, A, zero, h) for e in t]
         if any(e.is_empty for e in dilated):
             continue
         score = min(

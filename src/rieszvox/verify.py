@@ -23,15 +23,12 @@ from .grid import SetTriple, boolean, generate, load, reflect, save, upscale_int
 H = 1.0 / 32
 
 
-def _blob(dim, seed, h=H, r=0.5):
-    return generate("blob", {"dim": dim, "spacing": h, "radius": r, "steps": 4}, seed=seed)
+def _blob(dim, seed, h=H):
+    return generate("blob", {"dim": dim, "spacing": h, "radius": 0.5, "steps": 4}, seed=seed)
 
 
-def _ball(dim, r, h=H, center=None):
-    params = {"dim": dim, "spacing": h, "radius": r}
-    if center is not None:
-        params["center"] = center
-    return generate("ball", params, seed=0)
+def _ball(dim, r, h=H):
+    return generate("ball", {"dim": dim, "spacing": h, "radius": r}, seed=0)
 
 
 # The random sets of every check come from _blobs and _triples.  Both are

@@ -15,7 +15,7 @@ from rieszvox import (
     steiner_symmetrize,
     translate_cells,
 )
-from rieszvox.ellipsoid import IntervalFit, epsilon_of_fit
+from rieszvox.ellipsoid import IntervalFit
 from rieszvox.sweep import skew_columns
 
 H = 1.0 / 64
@@ -103,13 +103,6 @@ class TestHomotheticFit:
         want = np.array([e.measure for e in t]) ** 0.5
         got = np.asarray(fit.radii)
         assert np.allclose(got / got[0], want / want[0], rtol=1e-9)
-
-    def test_epsilon_of_fit_matches(self):
-        t = self._triple([(0, 0)] * 3, (1.0, 0.9, 0.8))
-        fit = fit_homothetic_triple(t)
-        assert epsilon_of_fit(t, fit) == pytest.approx(
-            float(fit.epsilons.max()), abs=1e-12
-        )
 
     def test_disjoint_centers_blow_up(self):
         t = self._triple([(0, 0)] * 3, (0.5, 0.5, 0.5))
@@ -262,11 +255,6 @@ class TestCenterCompatibility:
         e = generate("ball", {"dim": 1, "spacing": H, "radius": 0.5})
         with pytest.raises(ValueError):
             center_compatibility(SetTriple([e, e, e]))
-
-    def test_radii_validated(self):
-        t = SetTriple([_ball(r) for r in (1.0, 0.9, 0.8)])
-        with pytest.raises(ValueError):
-            center_compatibility(t, radii=(1.0, -1.0, 0.5))
 
     def test_disjoint_supports_raise(self):
         # columns of the first two sets sit far right, so the zero-sum

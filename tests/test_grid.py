@@ -318,6 +318,41 @@ class TestGenerate:
         assert generate("blob", {**p, "dim": 2.0, "steps": 3.0, "supersample": 3.0}, seed=2) == want
         assert generate("blob", {**p, "steps": np.int64(3)}, seed=2) == want
 
+    # sha256 of origin, shape and packed occupancy, recorded before every
+    # kind went through one rasterize-and-union loop
+    @pytest.mark.parametrize(
+        "kind,params,seed,want",
+        [
+            ("ball", {"dim": 3, "spacing": 1 / 16, "radius": 0.6, "center": [0.1, -0.2, 0.05]},
+             0, "eb69dd61c045fbc5"),
+            ("ellipsoid", {"dim": 2, "spacing": 1 / 32, "axes": [0.8, 0.3], "center": [0.1, 0.0]},
+             0, "8b0c6778493a0e76"),
+            ("ellipsoid", {"dim": 3, "spacing": 1 / 16, "shape": [[4, 1, 0], [1, 9, 0], [0, 0, 2]]},
+             0, "239c6c56be0f42ee"),
+            ("blob", {"dim": 1, "spacing": 1 / 32}, 1, "ed2ff9bc11c2e12a"),
+            ("blob", {"dim": 2, "spacing": 1 / 32}, 0, "f03106fada91c115"),
+            ("blob", {"dim": 2, "spacing": 1 / 32}, 7, "1ea486270b11987c"),
+            ("blob", {"dim": 3, "spacing": 1 / 16, "steps": 4}, 2, "04727c8c4a5b840c"),
+            ("union_of_balls", {"dim": 1, "spacing": 1 / 32}, 3, "88401e023a30ff41"),
+            ("union_of_balls", {"dim": 2, "spacing": 1 / 32, "n": 5}, 0, "553308a6c7e68d72"),
+            ("union_of_balls", {"dim": 2, "spacing": 1 / 32, "n": 5}, 4, "7d4fea48ffbbff36"),
+            ("union_of_balls", {"dim": 3, "spacing": 1 / 16}, 1, "1be310c152c57da3"),
+        ],
+    )
+    def test_output_pinned(self, kind, params, seed, want):
+        e = generate(kind, params, seed=seed)
+        h = hashlib.sha256()
+        for part in (e.origin_index, e.shape):
+            h.update(np.asarray(part, dtype=np.int64).tobytes())
+        h.update(np.packbits(e.occupancy).tobytes())
+        assert h.hexdigest()[:16] == want
+
+    def test_caller_center_stays_writable(self):
+        c = np.zeros(2)
+        generate("ball", {"spacing": H, "center": c})
+        generate("blob", {"spacing": H, "center": c, "steps": 2})
+        assert c.flags.writeable
+
     def test_ellipsoid_shape_as_entries_row_by_row(self):
         p = {"dim": 2, "spacing": H, "center": [0.1, 0.0]}
         q = [[4.0, 1.0], [1.0, 9.0]]

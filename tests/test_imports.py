@@ -92,3 +92,38 @@ def test_scipy_signal_and_stats_stay_unloaded():
         cwd=PACKAGE.parent,
     )
     assert out.stdout.strip() == "[]"
+
+
+def unread_parameters(path):
+    """module.function:parameter for each parameter its function or lambda
+    never reads."""
+    out = []
+    for fn in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = fn.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        read = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = f"{path.stem}.{getattr(fn, 'name', '<lambda>')}"
+        out += [f"{name}:{p.arg}" for p in params if p.arg not in read]
+    return out
+
+
+# parameters a protocol fixes: every verify check takes the suite's rng,
+# and every SweepConfig field check takes a name
+PROTOCOL_PARAMETERS = {
+    "verify.check_lambda_anchors:rng",
+    "verify.check_fit_epsilon_on_balls:rng",
+    "sweep.<lambda>:_",
+}
+
+
+def test_every_parameter_is_read():
+    unread = {u for p in sorted(PACKAGE.glob("*.py")) for u in unread_parameters(p)}
+    assert sorted(unread - PROTOCOL_PARAMETERS) == []

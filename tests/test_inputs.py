@@ -6,6 +6,7 @@ the checks moved to grid.py."""
 
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from rieszvox import (
     measure_margin,
     radius_margin,
     rasterize_affine_image,
+    run_sweep,
     slice_margin_profile,
     strong_triangle_rho,
     superadditivity_gap,
@@ -47,7 +49,7 @@ BAD_TRIPLES = {
     "negative": (1.0, 1.0, -1.0),
     "length": (1.0, 1.0),
 }
-BAD_SCALARS = {"nan": NAN, "inf": INF, "negative": -1, "fraction": 2.5}
+BAD_SCALARS = {"nan": NAN, "inf": INF, "negative": -1, "fraction": 2.5, "zero": 0}
 
 # (entry point, argument name, call taking the bad triple)
 TRIPLE_ENTRIES = [
@@ -61,7 +63,6 @@ TRIPLE_ENTRIES = [
     ("radius_margin", "radii", radius_margin),
     ("measure_margin", "gamma", lambda g: measure_margin(g, 2)),
     ("slice_margin_profile", "radii", lambda g: slice_margin_profile(g, (0.0, 0.0, 0.0))),
-    ("center_compatibility", "radii", lambda g: center_compatibility(TRIPLE, radii=g)),
 ]
 
 
@@ -76,6 +77,8 @@ def _theta_with(k=K0, projection=1.0, measure=1.0):
 # (entry point, argument name, the bad values that apply, call taking one);
 # a negative layer index, level or slope is valid
 POSITIVE, FINITE, COUNT = "nan inf negative", "nan inf", "nan inf negative fraction"
+AT_LEAST_1 = COUNT + " zero"
+ONE_CELL = SweepConfig(dim=1, spacing=H, levels=(0.1,), samples=1)
 SCALAR_ENTRIES = [
     ("theta", "projections", POSITIVE, lambda x: _theta_with(projection=x)),
     ("theta", "layer measures", POSITIVE, lambda x: _theta_with(measure=x)),
@@ -85,6 +88,12 @@ SCALAR_ENTRIES = [
     ("strong_triangle_rho", "tau", POSITIVE, lambda x: strong_triangle_rho(x, 0.25, 1, 10)),
     ("strong_triangle_rho", "samples", COUNT, lambda n: strong_triangle_rho(0.5, 0.25, 1, n)),
     ("center_compatibility", "samples", COUNT, lambda n: center_compatibility(TRIPLE, samples=n)),
+    ("generate", "step", POSITIVE, lambda x: generate("blob", {"spacing": H, "step": x})),
+    ("generate", "span", POSITIVE, lambda x: generate("union_of_balls", {"spacing": H, "span": x})),
+    ("measure_margin", "dim", AT_LEAST_1, lambda n: measure_margin(HALF, n)),
+    ("RadiusTriple.from_measures", "dim", AT_LEAST_1, partial(RadiusTriple.from_measures, HALF)),
+    ("RadiusTriple.measures", "dim", AT_LEAST_1, RadiusTriple(HALF).measures),
+    ("run_sweep", "max_workers", AT_LEAST_1, lambda n: run_sweep(ONE_CELL, max_workers=n)),
     ("perturb_noise", "noise level", POSITIVE, lambda x: perturb_noise(BALL, x, RNG(0))),
     ("perturb_relocate", "relocate fraction", POSITIVE, lambda x: perturb_relocate(BALL, x)),
     ("apply_family", "noise level", POSITIVE, _family("noise")),
