@@ -12,19 +12,20 @@ Measures are computed count-first: integer cell count, multiplied by h^dim
 once at the end.
 
 Rasterization (rasterize_ellipsoid, rasterize_affine_image) supersamples
-each cell at s^dim points, s per axis at offsets (k + 1/2) h / s; a cell
-is occupied when at least half of its samples are in the body (2 * in >=
-s^dim), and a sample exactly on the boundary counts as in.  Neither
-kernel runs the per-sample test on the whole bounding box.  For an
-ellipsoid, q is a quadratic along each line of samples on the last axis:
-its roots at the levels 1 -+ rho, rho far above rounding error, decide
-every sample outside a thin shell, and only the shell's samples are
-tested.  For an affine image, a first pass proves, from one value per
-cell and a bound on how far that value can move within the cell, that
-all samples are in or all are out, with a margin far above rounding
-error; the remaining boundary band runs the per-sample test.  Either way
-the result is the same cell for cell as sampling every cell of the
-bounding box.
+each cell at s^dim points, s per axis at offsets (k + 1/2) h / s, and a
+sample exactly on the boundary counts as in.  Each rasterizer is a kernel
+that returns the exact number of samples in the body per cell of the
+bounding box, followed by one vote: a cell is occupied when at least half
+of its samples are in (2 * in >= s^dim).  Neither kernel runs the
+per-sample test on the whole box.  For an ellipsoid, q is a quadratic
+along each line of samples on the last axis: its roots at the levels
+1 -+ rho, rho far above rounding error, decide every sample outside a thin
+shell, and only the shell's samples are tested.  For an affine image, the
+preimages of a cell's samples fall in a fixed-width window of E's cells,
+with a margin far above rounding error; window sums of E decide the cells
+whose window is all occupied or all empty, and only the remaining band
+runs the per-sample test.  Either way the counts are those of sampling
+every cell of the bounding box.
 """
 
 import math
@@ -49,9 +50,17 @@ SYMMETRY_RTOL = 1e-12
 # caller computes with, and its message names the argument.
 
 
+def _number(value):
+    """float(value), or NaN when value is not one number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+
+
 def check_positive(value, name):
     """float(value), once it is finite and positive."""
-    x = float(value)
+    x = _number(value)
     if not (x > 0 and math.isfinite(x)):
         raise ValueError(f"{name} must be finite and positive, got {value}")
     return x
@@ -63,10 +72,7 @@ def check_integer(value, name, low=None):
     if isinstance(value, numbers.Integral):
         n = int(value)
     else:
-        try:
-            x = float(value)
-        except (TypeError, ValueError):
-            x = math.nan
+        x = _number(value)
         if not x.is_integer():
             raise ValueError(f"{name} must be an integer, got {value}")
         n = int(x)
@@ -203,8 +209,11 @@ class VoxelSet:
     @classmethod
     def from_index(cls, occupancy, origin_index, spacing):
         """Construct from an integer low-corner index, bypassing the float snap."""
+        occ, idx, h = _validated(occupancy, origin_index, spacing)
+        if idx.dtype.kind not in "iu" and np.any(idx != np.floor(idx)):
+            raise ValueError(f"origin_index must be integers, got {idx.tolist()}")
         self = object.__new__(cls)
-        self._set(*_validated(occupancy, origin_index, spacing))
+        self._set(occ, idx, h)
         return self
 
     def _set(self, occ, origin_index, spacing):
@@ -514,25 +523,6 @@ def from_cells(cells, dim, spacing):
 BAND_RTOL = 1e-9
 
 
-def _band_vote(inside, band, s, member):
-    """Phase 2 of rasterize_affine_image: the supersample vote on the band
-    cells.
-
-    `inside` marks the cells phase 1 proved full and is completed in place;
-    `band` marks the undecided cells.  member(combo, cells) returns, for
-    the sample slot `combo` (one subsample index per axis), whether that
-    sample of each band cell (`cells`, per-axis local indices) is in the
-    body.  A cell is occupied when 2 * (samples in) >= s^dim.
-    """
-    cells = np.nonzero(band)
-    if cells[0].size:
-        counts = np.zeros(cells[0].size, dtype=np.int32)
-        for combo in np.ndindex(*([s] * band.ndim)):
-            counts += member(combo, cells)
-        inside[cells] = 2 * counts >= s**band.ndim
-    return inside
-
-
 def rasterize_ellipsoid(e, spacing, supersample=3):
     """Rasterize the ellipsoid {x : (x-v)^T Q (x-v) <= 1}.
 
@@ -649,29 +639,6 @@ def _quadratic_form(Q, coords):
     return qf
 
 
-def _window_counts(e, lo, hi):
-    """Occupied cells of E in the boxes [lo, hi) of local indices.
-
-    lo and hi are per-axis integer arrays (broadcast together), clipped to
-    E's box; the count comes from an exclusive prefix sum over E.
-    """
-    dim = e.dim
-    pre = np.pad(e.occupancy.astype(np.int64), [(1, 0)] * dim)
-    for ax in range(dim):
-        np.cumsum(pre, axis=ax, out=pre)
-    flat = pre.reshape(-1)
-    stride = np.asarray(pre.strides) // pre.itemsize
-    ends = [
-        [np.clip(b[j], 0, e.shape[j]) * stride[j] for b in (lo, hi)]
-        for j in range(dim)
-    ]
-    total = 0
-    for corner in np.ndindex(*([2] * dim)):
-        sign = -1 if (dim - sum(corner)) % 2 else 1
-        total = total + sign * flat[sum(ends[j][corner[j]] for j in range(dim))]
-    return total
-
-
 def rasterize_affine_image(e, a, v, spacing, supersample=3):
     """Rasterize A(E) + v at the given spacing.
 
@@ -683,12 +650,29 @@ def rasterize_affine_image(e, a, v, spacing, supersample=3):
     h = check_positive(spacing, "spacing")
     s = check_integer(supersample, "supersample", low=1)
     A, v = check_affine(a, np.ravel(v), e.dim)
+    counts, lo = _affine_sample_counts(e, A, v, h, s)
+    return VoxelSet.from_index(2 * counts >= s**e.dim, lo, h).tighten()
 
-    dim = e.dim
+
+def _affine_sample_counts(e, A, v, h, s):
+    """Samples in A(E) + v per cell of its bounding box, and the box's low
+    corner index.
+
+    Phase 1: every sample lies within h/2 of its cell center per axis, so
+    its preimage lies within reach_j of the center's along E's axis j, a
+    bound that carries a BAND_RTOL margin.  Those preimages therefore fall
+    in the window of w_j = floor(2 reach_j / h_E) + 2 E-cells that starts
+    at the cell of (center's preimage - reach_j), and a cell whose window
+    is all occupied has all of its samples in, one whose window is empty
+    has none (_uniform_windows).  Phase 2 runs the per-sample expression of
+    the full-box loop on the remaining band cells, one sample slot at a
+    time.
+    """
+    dim, he = e.dim, e.spacing
     Ainv = np.linalg.inv(A)
     # bounding box: hull of the transformed corners of E's bounding box
-    lo_phys = e.origin_index * e.spacing
-    hi_phys = (e.origin_index + np.asarray(e.shape)) * e.spacing
+    lo_phys = e.origin_index * he
+    hi_phys = (e.origin_index + np.asarray(e.shape)) * he
     corners = np.array(
         [
             [lo_phys[i] if (k >> i) & 1 == 0 else hi_phys[i] for i in range(dim)]
@@ -700,49 +684,61 @@ def rasterize_affine_image(e, a, v, spacing, supersample=3):
     hi = np.ceil(img.max(axis=0) / h).astype(np.int64)
     box = tuple(int(x) for x in (hi - lo))
 
-    # phase 1: every sample lies within h/2 of its cell center per axis, so
-    # its preimage lies within reach_j of the center's along E's axis j; the
-    # cell is decided when the E-cells in that window are all occupied or
-    # all empty
-    he = e.spacing
     ext = np.maximum(np.abs(lo), np.abs(hi)) * h + np.abs(v) + h
-    reach = np.abs(Ainv).sum(axis=1) * (h / 2) + BAND_RTOL * (np.abs(Ainv) @ ext)
+    reach = (np.abs(Ainv).sum(axis=1) * (h / 2) + BAND_RTOL * (np.abs(Ainv) @ ext)) / he
+    w = np.floor(2 * reach).astype(np.int64) + 2
+    # phase 1: each cell's window, as an index into E padded by w
     y = np.ix_(*[(lo[i] + np.arange(box[i]) + 0.5) * h - v[i] for i in range(dim)])
-    first, stop = [], []
-    for j in range(dim):
-        t = sum(Ainv[j, i] * y[i] for i in range(dim)) / he
-        first.append(np.floor(t - reach[j] / he).astype(np.int64) - e.origin_index[j])
-        stop.append(np.floor(t + reach[j] / he).astype(np.int64) + 1 - e.origin_index[j])
-    hits = _window_counts(e, first, stop)
-    inside = hits == math.prod(b - a for a, b in zip(first, stop))
-    band = ~inside & (hits > 0)
+    full, band = _uniform_windows(e.occupancy, w, [
+        np.floor(sum(Ainv[j, i] * y[i] for i in range(dim)) / he - reach[j]).astype(np.int64)
+        - (e.origin_index[j] - w[j])
+        for j in range(dim)
+    ])
 
-    # phase 2: the per-sample test, in the arithmetic of the full-box loop
-    # that phase 1 replaced; E gets a border of empty cells so that clipping
-    # sends every point outside E's box to an empty cell
+    # phase 2, in the arithmetic of the full-box loop; E gets a border of
+    # empty cells so that clipping sends every point outside E's box to an
+    # empty cell
+    counts = np.where(full, s**dim, 0)
+    cells = np.nonzero(band)
+    n = cells[0].size
+    hits = np.zeros(n, dtype=np.int64)
     sub = (np.arange(s) + 0.5) / s * h
     axes = [lo[i] * h + np.arange(box[i]) * h + sub[:, None] for i in range(dim)]
-    single = int(np.prod(box)) == 1
     border = np.pad(e.occupancy, 1)
     stride = np.asarray(border.strides) // border.itemsize
     last = np.asarray(border.shape) - 1
-    border = border.reshape(-1)
-
-    def member(combo, cells):
+    for combo in np.ndindex(*([s] * dim)):
         pts = np.stack([axes[i][combo[i]][cells[i]] for i in range(dim)], axis=-1)
-        n = len(pts)
-        if n == 1 and not single:
+        if n == 1 and counts.size > 1:
             # numpy hands a one-row product to gemv and longer ones to gemm,
             # whose roundings can differ; the full box always had many rows
             pts = np.vstack([pts, pts])
         x = (pts - v) @ Ainv.T
-        idx = np.floor(x[:n] / he).astype(np.int64)
-        idx -= e.origin_index - 1
+        idx = np.floor(x[:n] / he).astype(np.int64) - (e.origin_index - 1)
         np.clip(idx, 0, last, out=idx)
-        return border[idx @ stride]
+        hits += border.reshape(-1)[idx @ stride]
+    counts[cells] = hits
+    return counts, lo
 
-    occ = _band_vote(inside, band, s, member)
-    return VoxelSet.from_index(occ, lo, h).tighten()
+
+def _uniform_windows(occ, w, first):
+    """Phase 1 of _affine_sample_counts: for each window padded[first :
+    first + w] of occ padded by w empty cells on each side (first holds one
+    broadcastable index array per axis), whether all of its cells are
+    occupied (full) and, if not, whether any is (band).
+
+    One cumulative sum per axis gives the sums of all windows that meet
+    occ; a window wholly outside padded is empty, as is the one at the
+    nearest edge, to which it is clipped.
+    """
+    sums = np.pad(occ, [(k + 1, k) for k in w]).astype(np.int32)
+    for ax, k in enumerate(w):
+        c = np.cumsum(sums, axis=ax, dtype=np.int32)
+        at = (slice(None),) * ax
+        sums = c[at + (slice(k, None),)] - c[at + (slice(None, -k),)]
+    hits = sums.reshape(-1)[np.ravel_multi_index(first, sums.shape, mode="clip")]
+    full = hits == math.prod(w)
+    return full, ~full & (hits > 0)
 
 
 # -- generators -----------------------------------------------------------
@@ -765,14 +761,14 @@ def generate(kind, params=None, seed=0):
 
     Each kind lists its bodies as (center, Q); the set is the union of
     their rasterizations.  The same (kind, params, seed) always produces
-    the identical set.  Raises if a radius, axis, step, span, rmin or rmax
-    is not finite and positive, if dim, supersample, steps or n is not an
-    integer (steps and n at least 1), if jitter lies outside [0, 1), or if
-    the generated set is empty.
+    the identical set.  Raises if spacing or a radius, axis, step, span,
+    rmin or rmax is not finite and positive, if dim, supersample, steps or
+    n is not an integer (steps and n at least 1), if jitter lies outside
+    [0, 1), or if the generated set is empty.
     """
     p = dict(params or {})
     dim = check_integer(p.pop("dim", 2), "dim")
-    h = float(p.pop("spacing", 1.0 / 64))
+    h = check_positive(p.pop("spacing", 1.0 / 64), "spacing")
     ss = check_integer(p.pop("supersample", 3), "supersample")
     rng = np.random.default_rng(seed)
 
@@ -796,9 +792,10 @@ def generate(kind, params=None, seed=0):
         steps = check_integer(p.pop("steps", 6), "steps", low=1)
         step = check_positive(p.pop("step", 0.4), "step")
         pos = np.array(p.pop("center", np.zeros(dim)), dtype=float)  # copies the caller's
-        jit = float(p.pop("jitter", 0.3))
+        jitter = p.pop("jitter", 0.3)
+        jit = _number(jitter)
         if not 0.0 <= jit < 1.0:  # a jitter of 1 or more can draw a radius <= 0
-            raise ValueError(f"jitter must lie in [0, 1), got {jit}")
+            raise ValueError(f"jitter must lie in [0, 1), got {jitter}")
         bodies = []
         for _ in range(steps):
             rr = r * (1.0 + jit * (rng.random() - 0.5) * 2)

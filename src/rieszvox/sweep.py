@@ -38,11 +38,11 @@ FAMILIES = ("noise", "relocate", "shear", "skew")
 
 
 def _levels(value, name):
-    """Finite levels in ascending order, from a sequence or a comma string."""
+    """One or more finite levels, ascending, from a sequence or a comma string."""
     parts = value.split(",") if isinstance(value, str) else value
     levels = tuple(float(x) for x in parts)
-    if not np.all(np.isfinite(levels)) or list(levels) != sorted(levels):
-        raise ValueError(f"{name} must be finite and ascending, got {levels}")
+    if not levels or not np.all(np.isfinite(levels)) or list(levels) != sorted(levels):
+        raise ValueError(f"{name} must be nonempty, finite and ascending, got {levels}")
     return levels
 
 
@@ -53,8 +53,9 @@ _CHECKS = {int: check_integer, float: check_positive, tuple: _levels, str: lambd
 @dataclass
 class SweepConfig:
     """Each field is checked and cast by its type: integers (3.0 is 3, 2.5
-    an error), a finite positive spacing, finite ascending levels (a comma
-    string is split).  A bad value raises a ValueError naming the field."""
+    an error), a finite positive spacing, one or more finite ascending
+    levels (a comma string is split).  A bad value raises a ValueError
+    naming the field."""
 
     dim: int = 2
     spacing: float = 1.0 / 64

@@ -152,6 +152,10 @@ class TestErrors:
             ("center=nan,0", "center must be finite"),
             ("radius=nan", "radius must be finite and positive"),
             ("radius=-1", "radius must be finite and positive"),
+            # a list and a word used to escape as a TypeError traceback and
+            # as a float() message that did not name radius
+            ("radius=1,2", "radius must be finite and positive, got [1.0, 2.0]"),
+            ("radius=abc", "radius must be finite and positive, got abc"),
         ],
     )
     def test_bad_ball_names_the_field(self, tmp_path, capsys, param, message):
@@ -159,6 +163,21 @@ class TestErrors:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["gen", "ball", "--param", param, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "param,message",
+        [
+            ("step=1,2", "step must be finite and positive, got [1.0, 2.0]"),
+            ("jitter=1,2", "jitter must lie in [0, 1), got [1.0, 2.0]"),
+            ("jitter=abc", "jitter must lie in [0, 1), got abc"),
+            ("spacing=abc", "spacing must be finite and positive, got abc"),
+        ],
+    )
+    def test_bad_blob_number_names_the_field(self, tmp_path, capsys, param, message):
+        out = tmp_path / "x.vxg"
+        assert main(["gen", "blob", "--param", param, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
 

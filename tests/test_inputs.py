@@ -1,8 +1,9 @@
 """Bad numbers are rejected where they enter: every public entry point that
 takes a measure triple, a radius triple, a count or a linear map raises a
 ValueError that names the argument on NaN, inf, a negative value, the wrong
-length or a fractional count.  Valid input gives the same bits as before
-the checks moved to grid.py."""
+length or a fractional count, and a generator's number also on a list or a
+word.  Valid input gives the same bits as before the checks moved to
+grid.py."""
 
 import math
 import re
@@ -16,6 +17,7 @@ from rieszvox import (
     RadiusTriple,
     SetTriple,
     SweepConfig,
+    VoxelSet,
     affine_regress_centers,
     apply_family,
     center_compatibility,
@@ -49,7 +51,10 @@ BAD_TRIPLES = {
     "negative": (1.0, 1.0, -1.0),
     "length": (1.0, 1.0),
 }
-BAD_SCALARS = {"nan": NAN, "inf": INF, "negative": -1, "fraction": 2.5, "zero": 0}
+BAD_SCALARS = {
+    "nan": NAN, "inf": INF, "negative": -1, "fraction": 2.5, "zero": 0,
+    "list": [1.0, 2.0], "text": "abc",
+}
 
 # (entry point, argument name, call taking the bad triple)
 TRIPLE_ENTRIES = [
@@ -78,6 +83,7 @@ def _theta_with(k=K0, projection=1.0, measure=1.0):
 # a negative layer index, level or slope is valid
 POSITIVE, FINITE, COUNT = "nan inf negative", "nan inf", "nan inf negative fraction"
 AT_LEAST_1 = COUNT + " zero"
+NUMBER = POSITIVE + " list text"  # what the CLI's --param hands a generator
 ONE_CELL = SweepConfig(dim=1, spacing=H, levels=(0.1,), samples=1)
 SCALAR_ENTRIES = [
     ("theta", "projections", POSITIVE, lambda x: _theta_with(projection=x)),
@@ -88,8 +94,11 @@ SCALAR_ENTRIES = [
     ("strong_triangle_rho", "tau", POSITIVE, lambda x: strong_triangle_rho(x, 0.25, 1, 10)),
     ("strong_triangle_rho", "samples", COUNT, lambda n: strong_triangle_rho(0.5, 0.25, 1, n)),
     ("center_compatibility", "samples", COUNT, lambda n: center_compatibility(TRIPLE, samples=n)),
-    ("generate", "step", POSITIVE, lambda x: generate("blob", {"spacing": H, "step": x})),
-    ("generate", "span", POSITIVE, lambda x: generate("union_of_balls", {"spacing": H, "span": x})),
+    ("generate", "step", NUMBER, lambda x: generate("blob", {"spacing": H, "step": x})),
+    ("generate", "span", NUMBER, lambda x: generate("union_of_balls", {"spacing": H, "span": x})),
+    ("generate", "radius", NUMBER, lambda x: generate("ball", {"spacing": H, "radius": x})),
+    ("generate", "jitter", NUMBER, lambda x: generate("blob", {"spacing": H, "jitter": x})),
+    ("generate", "spacing", NUMBER + " zero", lambda x: generate("ball", {"spacing": x})),
     ("measure_margin", "dim", AT_LEAST_1, lambda n: measure_margin(HALF, n)),
     ("RadiusTriple.from_measures", "dim", AT_LEAST_1, partial(RadiusTriple.from_measures, HALF)),
     ("RadiusTriple.measures", "dim", AT_LEAST_1, RadiusTriple(HALF).measures),
@@ -166,6 +175,11 @@ def test_bad_affine_map_is_rejected_by_name(call, name):
         pytest.param(lambda: theta([(K0, 1.0, 1.0)] * 2), "layer_records", id="theta"),
         pytest.param(lambda: theta_bound_check(TRIPLE, (K0,) * 4), "k", id="theta_bound_check"),
         pytest.param(lambda: skew_columns(BALL, [0.1, 0.1]), "slope", id="skew_columns"),
+        pytest.param(lambda: SweepConfig(levels=()), "levels", id="SweepConfig-levels-empty"),
+        pytest.param(
+            lambda: VoxelSet.from_index(np.ones((2, 2), bool), [0.5, -0.7], H), "origin_index",
+            id="VoxelSet.from_index",
+        ),
         pytest.param(
             lambda: slice_margin_profile((1, 1, 1), (0.0, NAN, 0.0)), "slice parameters",
             id="slice_margin_profile",
@@ -185,6 +199,7 @@ def test_wrong_length_or_range_is_rejected_by_name(call, name):
 def test_integral_floats_still_count():
     assert SweepConfig(dim=2.0, samples=3.0, seed=4.0) == SweepConfig(dim=2, samples=3, seed=4)
     assert theta([(2.0, 1.0, 1.0), (2, 1.0, 1.0), (np.int64(2), 1.0, 1.0)]) == 1.0
+    assert VoxelSet.from_index(np.ones((1, 1), bool), [1.0, -2.0], H).origin_index.tolist() == [1, -2]
     assert strong_triangle_rho(0.5, 0.25, 1, samples=50.0) == strong_triangle_rho(
         0.5, 0.25, 1, samples=50
     )

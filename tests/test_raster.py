@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from rieszvox import (
@@ -20,6 +20,7 @@ from rieszvox import (
     rasterize_ellipsoid,
 )
 from rieszvox import grid
+from conftest import random_voxel_set
 from reference_raster import (
     affine_sample_counts,
     ellipsoid_sample_counts,
@@ -158,14 +159,60 @@ def single_band_cell_case():
     return (2, 1, e, np.asarray(a), np.asarray(v), 0.25)
 
 
-@pytest.mark.parametrize(
-    "dim,s,e,a,v,h",
-    affine_corpus() + near_singular_corpus() + [single_band_cell_case()],
-)
+def uncovered_affine_corpus():
+    """Cases the blob corpus lacks: maps that reverse orientation or permute
+    the axes (so that A^-1[-1, -1] == 0), random sets with holes, shifts of
+    several units, and a one-cell output box."""
+    rng = np.random.default_rng(1507)
+    cases = []
+    for dim in (1, 2, 3):
+        h = 1.0 / 12 if dim < 3 else 1.0 / 8
+        blob = _blob(dim, 7, h)
+        flip = np.eye(dim)
+        flip[0, 0] = -1.0
+        reverse = np.eye(dim)[::-1] * rng.uniform(0.7, 1.3, dim)
+        holes = random_voxel_set(dim, rng, cells=8 if dim < 3 else 5, spacing=h)
+        rand = np.eye(dim) + rng.normal(size=(dim, dim)) * 0.35
+        far = rng.integers(-5, 6, dim) + rng.normal(size=dim) * 0.1
+        one = VoxelSet.from_index(np.ones((1,) * dim, bool), np.zeros(dim, int), 1.0 / 8)
+        cases += [
+            (dim, 3, blob, flip, rng.normal(size=dim) * 0.2, h),
+            (dim, 2, blob, reverse @ (np.eye(dim) + np.triu(np.ones((dim, dim)), 1) * 0.3),
+             rng.normal(size=dim) * 0.2, h * 1.25),
+            (dim, 3, holes, rand, rng.normal(size=dim) * 0.2, h),
+            (dim, 2, holes, np.eye(dim)[::-1], np.zeros(dim), h),
+            (dim, 3, blob, rand, far, h * 0.75),
+            (dim, 3, one, np.eye(dim) * 0.5, np.full(dim, 0.01), 1.0 / 8),
+        ]
+    return cases
+
+
+UNCOVERED = uncovered_affine_corpus()
+AFFINE_CORPUS = affine_corpus() + near_singular_corpus() + [single_band_cell_case()] + UNCOVERED
+
+
+@pytest.mark.parametrize("dim,s,e,a,v,h", AFFINE_CORPUS)
 def test_affine_matches_reference(dim, s, e, a, v, h):
     assert_identical(
         rasterize_affine_image(e, a, v, h, s), reference_affine_image(e, a, v, h, s)
     )
+
+
+def test_uncovered_cases_are_what_they_claim():
+    assert any(np.linalg.det(a) < 0 for _, _, _, a, _, _ in UNCOVERED)
+    assert any(np.linalg.inv(a)[-1, -1] == 0 for d, _, _, a, _, _ in UNCOVERED if d > 1)
+    assert any(np.max(np.abs(v)) > 3 for _, _, _, _, v, _ in UNCOVERED)
+    assert any(affine_sample_counts(e, a, v, h, s)[0].size == 1 for _, s, e, a, v, h in UNCOVERED)
+
+
+@pytest.mark.parametrize("dim,s,e,a,v,h", AFFINE_CORPUS)
+def test_affine_sample_counts_equal_reference(dim, s, e, a, v, h):
+    # stricter than the vote: every cell's number of samples in the image
+    got, lo = grid._affine_sample_counts(e, np.asarray(a, float), np.asarray(v, float), h, s)
+    want, want_lo, _ = affine_sample_counts(e, a, v, h, s)
+    assert np.array_equal(lo, want_lo)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -188,21 +235,22 @@ def test_integer_diagonal_replicates_like_sampling(dim):
 
 @pytest.fixture
 def phase1(monkeypatch):
-    """Records (full, band) of each affine phase 1, as handed to the vote."""
+    """Records (full, band) of each affine phase 1."""
     seen = []
-    real = grid._band_vote
+    real = grid._uniform_windows
 
-    def spy(inside, band, s, member):
-        seen.append((inside.copy(), band.copy()))
-        return real(inside, band, s, member)
+    def spy(occ, w, first):
+        full, band = real(occ, w, first)
+        seen.append((full.copy(), band.copy()))
+        return full, band
 
-    monkeypatch.setattr(grid, "_band_vote", spy)
+    monkeypatch.setattr(grid, "_uniform_windows", spy)
     return seen
 
 
 @pytest.fixture
 def kernels(monkeypatch):
-    """Names the box kernels called: the affine vote, the ellipsoid counts."""
+    """Names the box kernels called: the affine and the ellipsoid counts."""
     seen = []
 
     def spy(name, real):
@@ -212,7 +260,7 @@ def kernels(monkeypatch):
 
         return call
 
-    for name in ("_band_vote", "_ellipsoid_sample_counts"):
+    for name in ("_affine_sample_counts", "_ellipsoid_sample_counts"):
         monkeypatch.setattr(grid, name, spy(name, getattr(grid, name)))
     return seen
 
@@ -299,9 +347,29 @@ def test_exact_ties_take_the_per_sample_expression(exact_samples, dim, s, h, cen
     assert n > 0
 
 
-@pytest.mark.parametrize(
-    "dim,s,e,a,v,h", [c for c in affine_corpus() + near_singular_corpus() if c[1] > 1]
+@seed(2017)
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.sampled_from([0.6, 1.0, 1.4]),
+    st.integers(0, 2**32 - 1),
 )
+def test_affine_sample_counts_on_random_maps(dim, s, scale, rng_seed):
+    # random sets with holes under random maps of either orientation, at
+    # output spacings finer and coarser than E's
+    rng = np.random.default_rng(rng_seed)
+    e = random_voxel_set(dim, rng, cells=7 if dim < 3 else 4)
+    a = rng.normal(size=(dim, dim))
+    assume(abs(np.linalg.det(a)) > 0.1)
+    v = rng.normal(size=dim)
+    got, lo = grid._affine_sample_counts(e, a, v, e.spacing * scale, s)
+    want, want_lo, _ = affine_sample_counts(e, a, v, e.spacing * scale, s)
+    assert np.array_equal(lo, want_lo)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dim,s,e,a,v,h", [c for c in AFFINE_CORPUS if c[1] > 1])
 def test_affine_phase1_decides_only_uniform_cells(phase1, dim, s, e, a, v, h):
     rasterize_affine_image(e, a, v, h, s)
     assert_phase1_sound(phase1, affine_sample_counts(e, a, v, h, s)[0], s)
