@@ -671,14 +671,8 @@ def _affine_sample_counts(e, A, v, h, s):
     dim, he = e.dim, e.spacing
     Ainv = np.linalg.inv(A)
     # bounding box: hull of the transformed corners of E's bounding box
-    lo_phys = e.origin_index * he
-    hi_phys = (e.origin_index + np.asarray(e.shape)) * he
-    corners = np.array(
-        [
-            [lo_phys[i] if (k >> i) & 1 == 0 else hi_phys[i] for i in range(dim)]
-            for k in range(2**dim)
-        ]
-    )
+    ends = zip(e.origin_index * he, (e.origin_index + np.asarray(e.shape)) * he)
+    corners = np.stack(np.meshgrid(*ends), axis=-1).reshape(-1, dim)
     img = corners @ A.T + v
     lo = np.floor(img.min(axis=0) / h).astype(np.int64)
     hi = np.ceil(img.max(axis=0) / h).astype(np.int64)
@@ -687,11 +681,11 @@ def _affine_sample_counts(e, A, v, h, s):
     ext = np.maximum(np.abs(lo), np.abs(hi)) * h + np.abs(v) + h
     reach = (np.abs(Ainv).sum(axis=1) * (h / 2) + BAND_RTOL * (np.abs(Ainv) @ ext)) / he
     w = np.floor(2 * reach).astype(np.int64) + 2
-    # phase 1: each cell's window, as an index into E padded by w
+    # phase 1: the first cell of each cell's window, counted from E's box
     y = np.ix_(*[(lo[i] + np.arange(box[i]) + 0.5) * h - v[i] for i in range(dim)])
     full, band = _uniform_windows(e.occupancy, w, [
         np.floor(sum(Ainv[j, i] * y[i] for i in range(dim)) / he - reach[j]).astype(np.int64)
-        - (e.origin_index[j] - w[j])
+        - e.origin_index[j]
         for j in range(dim)
     ])
 
@@ -705,8 +699,6 @@ def _affine_sample_counts(e, A, v, h, s):
     sub = (np.arange(s) + 0.5) / s * h
     axes = [lo[i] * h + np.arange(box[i]) * h + sub[:, None] for i in range(dim)]
     border = np.pad(e.occupancy, 1)
-    stride = np.asarray(border.strides) // border.itemsize
-    last = np.asarray(border.shape) - 1
     for combo in np.ndindex(*([s] * dim)):
         pts = np.stack([axes[i][combo[i]][cells[i]] for i in range(dim)], axis=-1)
         if n == 1 and counts.size > 1:
@@ -715,29 +707,37 @@ def _affine_sample_counts(e, A, v, h, s):
             pts = np.vstack([pts, pts])
         x = (pts - v) @ Ainv.T
         idx = np.floor(x[:n] / he).astype(np.int64) - (e.origin_index - 1)
-        np.clip(idx, 0, last, out=idx)
-        hits += border.reshape(-1)[idx @ stride]
+        hits += border.reshape(-1)[np.ravel_multi_index(idx.T, border.shape, mode="clip")]
     counts[cells] = hits
     return counts, lo
 
 
 def _uniform_windows(occ, w, first):
-    """Phase 1 of _affine_sample_counts: for each window padded[first :
-    first + w] of occ padded by w empty cells on each side (first holds one
-    broadcastable index array per axis), whether all of its cells are
-    occupied (full) and, if not, whether any is (band).
+    """Phase 1 of _affine_sample_counts: for each window [first, first + w)
+    of occ's cells (first holds one index array per axis, overwritten
+    here), whether all of its cells are occupied (full) and, if not,
+    whether any is (band).
 
-    One cumulative sum per axis gives the sums of all windows that meet
-    occ; a window wholly outside padded is empty, as is the one at the
-    nearest edge, to which it is clipped.
+    Along an axis of n cells, a window wider than n + 1 is never full and
+    meets occ in the cells that one n + 1 wide does, if that one starts at
+    first when first >= 0 and otherwise ends where it ends, but not after
+    cell n.  Capped so, no array exceeds 3 (n + 1) cells per axis for any
+    map.  One cumulative sum per axis of occ padded by the width gives the
+    sums of all windows that meet occ; a window outside is empty, as is the
+    one at the nearest edge, to which it is clipped.
     """
-    sums = np.pad(occ, [(k + 1, k) for k in w]).astype(np.int32)
-    for ax, k in enumerate(w):
+    k = np.minimum(w, np.asarray(occ.shape) + 1)
+    for f, cut, kj in zip(first, w - k, k):
+        if cut:
+            np.minimum(f + cut, np.maximum(f, -1), out=f)
+        f += kj
+    sums = np.pad(occ, [(kj + 1, kj) for kj in k])
+    for ax, kj in enumerate(k):
         c = np.cumsum(sums, axis=ax, dtype=np.int32)
         at = (slice(None),) * ax
-        sums = c[at + (slice(k, None),)] - c[at + (slice(None, -k),)]
+        sums = c[at + (slice(kj, None),)] - c[at + (slice(None, -kj),)]
     hits = sums.reshape(-1)[np.ravel_multi_index(first, sums.shape, mode="clip")]
-    full = hits == math.prod(w)
+    full = hits == math.prod(k)
     return full, ~full & (hits > 0)
 
 

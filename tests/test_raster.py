@@ -4,6 +4,7 @@ Both kernels must return the identical VoxelSet (origin, shape and every
 cell) as sampling all s^d points of every cell in the bounding box.
 """
 
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -162,7 +163,8 @@ def single_band_cell_case():
 def uncovered_affine_corpus():
     """Cases the blob corpus lacks: maps that reverse orientation or permute
     the axes (so that A^-1[-1, -1] == 0), random sets with holes, shifts of
-    several units, and a one-cell output box."""
+    several units, a one-cell output box, and maps that contract so strongly
+    that a cell's window is wider than E."""
     rng = np.random.default_rng(1507)
     cases = []
     for dim in (1, 2, 3):
@@ -175,6 +177,9 @@ def uncovered_affine_corpus():
         rand = np.eye(dim) + rng.normal(size=(dim, dim)) * 0.35
         far = rng.integers(-5, 6, dim) + rng.normal(size=dim) * 0.1
         one = VoxelSet.from_index(np.ones((1,) * dim, bool), np.zeros(dim, int), 1.0 / 8)
+        thin = np.eye(dim)
+        thin[-1, 0] += 0.5
+        thin[0, 0] = 0.02
         cases += [
             (dim, 3, blob, flip, rng.normal(size=dim) * 0.2, h),
             (dim, 2, blob, reverse @ (np.eye(dim) + np.triu(np.ones((dim, dim)), 1) * 0.3),
@@ -183,6 +188,8 @@ def uncovered_affine_corpus():
             (dim, 2, holes, np.eye(dim)[::-1], np.zeros(dim), h),
             (dim, 3, blob, rand, far, h * 0.75),
             (dim, 3, one, np.eye(dim) * 0.5, np.full(dim, 0.01), 1.0 / 8),
+            (dim, 3, blob, np.eye(dim) * 1e-3, np.full(dim, h / 2), h),
+            (dim, 3, holes, thin, rng.normal(size=dim) * 0.2, h),
         ]
     return cases
 
@@ -203,6 +210,11 @@ def test_uncovered_cases_are_what_they_claim():
     assert any(np.linalg.inv(a)[-1, -1] == 0 for d, _, _, a, _, _ in UNCOVERED if d > 1)
     assert any(np.max(np.abs(v)) > 3 for _, _, _, _, v, _ in UNCOVERED)
     assert any(affine_sample_counts(e, a, v, h, s)[0].size == 1 for _, s, e, a, v, h in UNCOVERED)
+    assert any(
+        np.any(np.abs(np.linalg.inv(a)).sum(axis=1) * h / e.spacing > e.shape)
+        and np.any(affine_sample_counts(e, a, v, h, s)[0] > 0)
+        for _, s, e, a, v, h in UNCOVERED
+    )
 
 
 @pytest.mark.parametrize("dim,s,e,a,v,h", AFFINE_CORPUS)
@@ -353,15 +365,18 @@ def test_exact_ties_take_the_per_sample_expression(exact_samples, dim, s, h, cen
     st.integers(1, 3),
     st.integers(1, 4),
     st.sampled_from([0.6, 1.0, 1.4]),
+    st.sampled_from([1.0, 0.02]),
     st.integers(0, 2**32 - 1),
 )
-def test_affine_sample_counts_on_random_maps(dim, s, scale, rng_seed):
+def test_affine_sample_counts_on_random_maps(dim, s, scale, thin, rng_seed):
     # random sets with holes under random maps of either orientation, at
-    # output spacings finer and coarser than E's
+    # output spacings finer and coarser than E's; a thin first row makes
+    # windows wider than E that start left of it, inside it or far left
     rng = np.random.default_rng(rng_seed)
     e = random_voxel_set(dim, rng, cells=7 if dim < 3 else 4)
     a = rng.normal(size=(dim, dim))
     assume(abs(np.linalg.det(a)) > 0.1)
+    a[0] *= thin
     v = rng.normal(size=dim)
     got, lo = grid._affine_sample_counts(e, a, v, e.spacing * scale, s)
     want, want_lo, _ = affine_sample_counts(e, a, v, e.spacing * scale, s)
@@ -382,6 +397,26 @@ def test_band_is_a_small_part_of_the_box(phase1):
     rasterize_affine_image(ball, shear, np.zeros(3), 1.0 / 24)
     for full, band in phase1:
         assert 0 < band.sum() < band.size / 5
+
+
+def test_strong_contraction_keeps_phase1_near_the_size_of_e():
+    # under A = 1e-3 I every cell's window is about 1000 E-cells wide, and
+    # E padded by such windows would hold about 2069^3 cells (35 GB as
+    # int32); capped at E's width plus one, phase 1's arrays stay within
+    # 195^3 cells and its peak was 66 MiB when this test was written
+    h = 1.0 / 32
+    ball = rasterize_ellipsoid(_ellipsoid(np.zeros(3), np.eye(3)), h)
+    a, v = np.eye(3) * 1e-3, np.full(3, h / 2)
+    tracemalloc.start()
+    try:
+        got = rasterize_affine_image(ball, a, v, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ball.shape == (64, 64, 64)
+    assert peak < 128 * 2**20
+    assert_identical(got, reference_affine_image(ball, a, v, h))
+    assert np.array_equal(affine_sample_counts(ball, a, v, h, 3)[0], [[[1]]])
 
 
 def test_roots_decide_nearly_every_ellipsoid_sample(exact_samples):
