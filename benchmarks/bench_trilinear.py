@@ -1,7 +1,9 @@
 """Timing comparison of the two exact corner-count backends: 'fft' (float
-Fourier convolution over the window the gather reads, rounded) and
-'direct' (int64 pair-sum histogram of the two smallest sets).  Both share
-the corner gather; every timed case asserts that their counts are equal.
+Fourier convolution over the window the corner counts read, rounded) and
+'direct' (int64 pair-sum histogram of the two smallest sets).  Each
+returns the convolution on that window as exact integers, from which the
+same slice reads take the corner counts; every timed case asserts that
+their counts are equal.
 Cases whose n1 * n2 pair count exceeds DIRECT_PAIR_GUARD are reported as
 guarded.  Cases marked "relocated" move a tenth of the first blob's cells
 into a ball past its box, as the sweep's relocate family does, so that

@@ -226,7 +226,7 @@ def center_compatibility(t, samples=400, seed=0):
     sum_j r_j x'_j = 0 and the score is |sum_j r_j c_j(x'_j)|; substituting
     y_j = r_j x'_j shows the radii cancel, so the score is computed in
     physical coordinates and takes no radii.
-    samples draws, an integer >= 0, pick columns g_1 and g_2 of the first
+    samples draws, an integer >= 1, pick columns g_1 and g_2 of the first
     two sets uniformly; column g centers at (g + 1/2) h, so the exact
     zero-sum point sits half a cell off the center lattice, between the
     integer columns -(g_1 + g_2) - 2 and -(g_1 + g_2) - 1.  The third
@@ -238,7 +238,7 @@ def center_compatibility(t, samples=400, seed=0):
     t = SetTriple(t)
     if t.dim < 2:
         raise ValueError("center compatibility needs dim >= 2")
-    samples = check_integer(samples, "samples", low=0)
+    samples = check_integer(samples, "samples", low=1)
     (lead1, c1, l1, _), (lead2, c2, l2, _), (_, c3, l3, _) = (
         _columns(e, e.dim - 1) for e in t
     )

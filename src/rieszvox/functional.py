@@ -13,22 +13,26 @@ vanishes otherwise.  Hence
 which is symmetric under permutations, invariant under reflection about the
 origin (s maps to -s-3, a bijection of the corner set), and exactly
 covariant under integer grid refinement, because it IS the continuum T of
-the voxelized sets.  Both evaluation paths build the box conv = 1_E1 * 1_E2
-of two members and share one gather of N_s at the cells of the third.  The
-boxes are built independently: 'fft' by one real Fourier product, rfftn of
-both occupancies zero-padded to a fast length L per axis, multiplied and
-inverted by irfftn, whose gathered entries are rounded to integers;
-'direct' by an int64 histogram of the pair sums a + b of the two smallest
-members, which uses integer addition only.
+the voxelized sets.
 
-The gather reads conv only at the indices -(c + o1 + o2) - 1 and - 2 for
-the cells c of E3 (o1, o2 the low-corner indices of E1 and E2), so per
-axis only a window [lo, hi] of the full length S = n1 + n2 - 1.  The FFT
-product at length L is the circular convolution, the full one folded
-modulo L; it equals the full one on [lo, hi] when nothing folds onto the
-window, that is when L >= S - lo and L >= hi + 1.  L is the fast length
-above both, and above n1 and n2, so no input is truncated.  A window
-that is empty on some axis makes every count zero without a transform.
+Both evaluation paths read N_s from conv = 1_E1 * 1_E2 at the cells of E3.
+Per axis, with o1, o2, o3 the low-corner indices and n3 the length of E3's
+box, cell k reads conv at s - (o1 + o2 + o3) - k: only the n3 + 1 indices
+from start = -(o1 + o2 + o3 + n3) - 1, of which a window [lo, hi] lies in
+the full linear conv of length S = n1 + n2 - 1.  The window is computed
+once; an empty set or window makes every count zero with no transform and
+no histogram.  Each backend returns conv on the window as exact int64:
+'fft' by one real Fourier product at a fast length L per axis (rfftn,
+irfftn), rounded once every window value is certified within 1/4 of its
+integer; 'direct' by an int64 histogram of the pair sums a + b of the two
+smallest members.  Zero-padded to n3 + 1 cells per axis and reversed, the
+window holds what cell k reads for corner s at k - 1 - s, so N_s sums one
+slice over the occupied cells of E3.
+
+The FFT product at length L is the circular convolution, the full one
+folded modulo L; it equals the full one on [lo, hi] when nothing folds
+onto the window, that is when L >= S - lo and L >= hi + 1.  L is the fast
+length above both, and above n1 and n2, so no input is truncated.
 """
 
 import math
@@ -107,10 +111,6 @@ def _coerce_triple(t):
     return sets
 
 
-def _corners(dim):
-    return list(product((-1, -2), repeat=dim))
-
-
 def fftconvolve(a, b, shape):
     """The circular convolution of two real arrays at shape, at least each
     input's per axis, by one FFT product."""
@@ -125,82 +125,76 @@ def trilinear_corner_counts(t, method="fft"):
     the integer pair sums of occupied cells.  Both produce identical counts.
     """
     sets = _coerce_triple(t)
-    if any(e.is_empty for e in sets):
-        return {s: 0 for s in _corners(sets[0].dim)}
-    if method == "fft":
-        return _corner_counts_fft(sets)
     if method == "direct":
-        return _corner_counts_direct(sets)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _corner_counts_fft(sets):
-    # the circular convolution at a length that leaves the gathered window
-    # unaliased (module docstring); the window comes from E3's box in plain
-    # ints, since layer triples call this many times on small sets
+        # N_s is symmetric, so histogram the pair sums of the two smallest
+        # sets and read the counts at the cells of the largest
+        sets = sorted(sets, key=lambda e: e.count)
+        n1, n2 = sets[0].count, sets[1].count
+        if n1 * n2 > DIRECT_PAIR_GUARD:
+            raise ValueError(
+                f"direct path guard exceeded: {n1} * {n2} > {DIRECT_PAIR_GUARD}"
+            )
+    elif method != "fft":
+        raise ValueError(f"unknown method {method!r}")
     e1, e2, e3 = sets
+    zeros = dict.fromkeys(product((-1, -2), repeat=e1.dim), 0)
+    if any(e.is_empty for e in sets):
+        return zeros
+    # the window in plain ints, since layer triples call this many times on
+    # small sets: per axis the n3 + 1 conv indices from start, of which
+    # [lo, hi] lie inside the full linear conv
     low = (e1.origin_index + e2.origin_index + e3.origin_index).tolist()
-    shape, window = [], []
+    window, pad = [], []
     for n1, n2, n3, g in zip(e1.shape, e2.shape, e3.shape, low):
-        # c + o1 + o2 runs over g .. g + n3 - 1 on this axis
-        full = n1 + n2 - 1
-        lo, hi = max(-(g + n3 - 1) - 2, 0), min(-g - 1, full - 1)
+        start = -(g + n3) - 1
+        lo, hi = max(start, 0), min(start + n3, n1 + n2 - 2)
         if hi < lo:
-            return {s: 0 for s in _corners(e1.dim)}
-        shape.append(next_fast_len(max(full - lo, hi + 1, n1, n2), real=True))
-        window.append(slice(hi + 1))
+            return zeros
+        window.append(slice(lo, hi + 1))
+        pad.append(slice(lo - start, hi - start + 1))
+    conv = (_conv_fft if method == "fft" else _conv_direct)(e1, e2, window)
+    # reversed, the padded window holds conv[s - g - k] for cell k of E3's
+    # box at k - 1 - s, so each corner reads one slice
+    read = np.zeros([n + 1 for n in e3.shape], dtype=np.int64)
+    read[tuple(pad)] = conv
+    read = read[(slice(None, None, -1),) * e1.dim]
+    occ = e3.occupancy
+    return {
+        s: int(read[tuple(slice(-1 - c, n - 1 - c) for c, n in zip(s, e3.shape))][occ].sum())
+        for s in zeros
+    }
+
+
+def _conv_fft(e1, e2, window):
+    # the circular convolution at a length that leaves the window unaliased
+    # (module docstring), rounded once it is certified
+    shape = [
+        next_fast_len(max(n1 + n2 - 1 - w.start, w.stop, n1, n2), real=True)
+        for n1, n2, w in zip(e1.shape, e2.shape, window)
+    ]
     occ = (e.occupancy.astype(np.float64) for e in (e1, e2))
-    return _gather(sets, fftconvolve(*occ, shape)[tuple(window)])
-
-
-def _corner_counts_direct(sets):
-    # N_s is symmetric, so histogram the pair sums of the two smallest sets
-    # and gather the largest from the histogram
-    e1, e2, e3 = sorted(sets, key=lambda e: e.count)
-    n1, n2 = e1.count, e2.count
-    if n1 * n2 > DIRECT_PAIR_GUARD:
+    vals = fftconvolve(*occ, shape)[tuple(window)]
+    rounded = np.rint(vals)
+    err = np.abs(vals - rounded).max()
+    if err >= 0.25:
         raise ValueError(
-            f"direct path guard exceeded: {n1} * {n2} > {DIRECT_PAIR_GUARD}"
+            f"fft corner counts are not exact: a convolution value is "
+            f"{err:.3g} from its integer; use method='direct'"
         )
+    return rounded.astype(np.int64)
+
+
+def _conv_direct(e1, e2, window):
+    # the int64 histogram of the pair sums a + b, in blocks of pairs
     shape = tuple(int(a + b - 1) for a, b in zip(e1.shape, e2.shape))
     l1 = np.ravel_multi_index(e1.local_indices().T, shape)
     l2 = np.ravel_multi_index(e2.local_indices().T, shape)
     conv = np.zeros(math.prod(shape), dtype=np.int64)
-    block = max(1, _PAIR_BLOCK // n2)
-    for i0 in range(0, n1, block):
+    block = max(1, _PAIR_BLOCK // l2.size)
+    for i0 in range(0, l1.size, block):
         hist = np.bincount((l1[i0 : i0 + block, None] + l2[None, :]).ravel())
         conv[: hist.size] += hist
-    return _gather((e1, e2, e3), conv.reshape(shape))
-
-
-def _gather(sets, conv):
-    # N_s = sum over cells c of E3 of conv[s - c], conv = 1_E1 * 1_E2; a
-    # float conv (the FFT path) is rounded per gathered value, which is
-    # exact only while every value lies within 1/4 of its integer
-    e1, e2, e3 = sets
-    shape = np.asarray(conv.shape)
-    strides = np.append(np.cumprod(shape[:0:-1])[::-1], 1)  # row-major
-    # conv index of s = 0 for each cell of E3, and per axis whether the
-    # corner component c = -1, -2 keeps it inside the box
-    base = -(e3.global_indices() + e1.origin_index + e2.origin_index)
-    inside = {c: (base + c >= 0) & (base + c < shape) for c in (-1, -2)}
-    lin = base @ strides
-    flat = conv.reshape(-1)
-    out = {}
-    for corner in _corners(e1.dim):
-        ok = np.logical_and.reduce([inside[c][:, i] for i, c in enumerate(corner)])
-        vals = flat[lin[ok] + np.dot(corner, strides)]
-        if vals.dtype.kind == "f":
-            rounded = np.rint(vals)
-            err = np.abs(vals - rounded).max(initial=0.0)
-            if err >= 0.25:
-                raise ValueError(
-                    f"fft corner counts are not exact: a convolution value is "
-                    f"{err:.3g} from its integer; use method='direct'"
-                )
-            vals = rounded
-        out[corner] = int(vals.sum())
-    return out
+    return conv.reshape(shape)[tuple(window)]
 
 
 def _form(t, method):

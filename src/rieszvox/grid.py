@@ -761,10 +761,11 @@ def generate(kind, params=None, seed=0):
 
     Each kind lists its bodies as (center, Q); the set is the union of
     their rasterizations.  The same (kind, params, seed) always produces
-    the identical set.  Raises if spacing or a radius, axis, step, span,
-    rmin or rmax is not finite and positive, if dim, supersample, steps or
-    n is not an integer (steps and n at least 1), if jitter lies outside
-    [0, 1), or if the generated set is empty.
+    the identical set.  Raises, naming the parameter, if center or axes is
+    not dim numbers or shape not dim^2, if spacing or a radius, axis, step,
+    span, rmin or rmax is not finite and positive, if dim, supersample,
+    steps or n is not an integer (steps and n at least 1), if jitter lies
+    outside [0, 1), or if the generated set is empty.
     """
     p = dict(params or {})
     dim = check_integer(p.pop("dim", 2), "dim")
@@ -772,26 +773,30 @@ def generate(kind, params=None, seed=0):
     ss = check_integer(p.pop("supersample", 3), "supersample")
     rng = np.random.default_rng(seed)
 
+    def numbers(name, size, default=0.0):
+        # the parameter as a new flat float array of size numbers
+        raw = p.pop(name, np.full(size, default))
+        try:
+            return np.array(raw, dtype=float).reshape(size)
+        except (TypeError, ValueError):
+            raise ValueError(f"{name} needs {size} numbers at dim {dim}, got {raw}") from None
+
     if kind == "ball":
         r = check_positive(p.pop("radius", 1.0), "radius")
-        bodies = [(p.pop("center", np.zeros(dim)), np.eye(dim) / r**2)]
+        bodies = [(numbers("center", dim), np.eye(dim) / r**2)]
     elif kind == "ellipsoid":
-        c = p.pop("center", np.zeros(dim))
-        if "shape" in p:
-            q = np.asarray(p.pop("shape"), dtype=float)
-            if q.ndim < 2:  # dim^2 numbers, row by row, as the CLI passes them
-                if q.size != dim * dim:
-                    raise ValueError(f"shape needs {dim * dim} numbers at dim {dim}, got {q.size}")
-                q = q.reshape(dim, dim)
+        c = numbers("center", dim)
+        if "shape" in p:  # Q, or its dim^2 entries row by row as the CLI passes them
+            q = numbers("shape", dim * dim).reshape(dim, dim)
         else:
-            axes = np.ravel(p.pop("axes", np.ones(dim)))
-            q = np.diag(1.0 / np.array([check_positive(a, "axes") for a in axes]) ** 2)
+            axes = [check_positive(a, "axes") for a in numbers("axes", dim, 1.0)]
+            q = np.diag(1.0 / np.array(axes) ** 2)
         bodies = [(c, q)]
     elif kind == "blob":
         r = check_positive(p.pop("radius", 0.35), "radius")
         steps = check_integer(p.pop("steps", 6), "steps", low=1)
         step = check_positive(p.pop("step", 0.4), "step")
-        pos = np.array(p.pop("center", np.zeros(dim)), dtype=float)  # copies the caller's
+        pos = numbers("center", dim)
         jitter = p.pop("jitter", 0.3)
         jit = _number(jitter)
         if not 0.0 <= jit < 1.0:  # a jitter of 1 or more can draw a radius <= 0

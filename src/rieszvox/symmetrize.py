@@ -93,12 +93,11 @@ def schwarz_symmetrize(e):
     order = _greedy_ball_order(int(counts.max()), e.dim - 1)
     lo = order.min(axis=0)
     hi = order.max(axis=0) + 1
-    new = np.zeros(tuple(int(x) for x in (hi - lo)) + (nz,), dtype=bool)
-    for s in range(nz):
-        c = int(counts[s])
-        if c:
-            sel = order[:c] - lo
-            new[tuple(sel.T) + (s,)] = True
+    # each cell's place in the fill order; the cells the order never reaches
+    # rank past every count
+    rank = np.full(tuple(int(x) for x in (hi - lo)), len(order))
+    rank[tuple((order - lo).T)] = np.arange(len(order))
+    new = rank[..., None] < counts
     origin = np.concatenate([lo, [e.origin_index[-1]]])
     return VoxelSet.from_index(new, origin, e.spacing).tighten()
 

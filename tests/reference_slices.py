@@ -51,6 +51,8 @@ def reference_slice_center_field(e, axis=None):
 def reference_center_compatibility(t, samples=400, seed=0):
     """Alternating scalar draws; the third column is snapped in physical
     coordinates to one of the two lattice columns straddling -(y1 + y2)."""
+    if samples < 1:  # the library names the argument before drawing
+        raise ValueError(f"samples must be >= 1, got {samples}")
     h = t.spacing
     fields = [reference_slice_center_field(e) for e in t]
     keys1 = sorted(fields[0].keys())

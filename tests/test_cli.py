@@ -156,6 +156,8 @@ class TestErrors:
             # as a float() message that did not name radius
             ("radius=1,2", "radius must be finite and positive, got [1.0, 2.0]"),
             ("radius=abc", "radius must be finite and positive, got abc"),
+            ("center=abc", "center needs 2 numbers at dim 2, got abc"),
+            ("center=1,2,3", "center needs 2 numbers at dim 2, got [1.0, 2.0, 3.0]"),
         ],
     )
     def test_bad_ball_names_the_field(self, tmp_path, capsys, param, message):
@@ -163,6 +165,20 @@ class TestErrors:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["gen", "ball", "--param", param, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "param,message",
+        [
+            ("shape=abc", "shape needs 4 numbers at dim 2, got abc"),
+            ("axes=1,2,3", "axes needs 2 numbers at dim 2, got [1.0, 2.0, 3.0]"),
+            ("center=abc", "center needs 2 numbers at dim 2, got abc"),
+        ],
+    )
+    def test_bad_ellipsoid_names_the_field(self, tmp_path, capsys, param, message):
+        out = tmp_path / "x.vxg"
+        assert main(["gen", "ellipsoid", "--param", param, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
 

@@ -123,12 +123,15 @@ def test_empty_window_gives_zeros_without_a_transform(monkeypatch, side):
     want = oracle_counts(sets)
     assert set(want.values()) == {0}
 
-    def refuse(*args):
-        raise AssertionError("no transform for an empty window")
+    def refuse(*args, **kwargs):
+        raise AssertionError("no transform or histogram for an empty window")
 
     monkeypatch.setattr(functional, "fftconvolve", refuse)
-    assert trilinear_corner_counts(sets, "fft") == want
-    assert trilinear_corner_counts(sets, "direct") == want
+    monkeypatch.setattr(functional.np, "bincount", refuse)
+    for k in range(3):  # the window is empty whichever set is read last
+        order = sets[k:] + sets[:k]
+        assert trilinear_corner_counts(order, "fft") == want
+        assert trilinear_corner_counts(order, "direct") == want
 
 
 @pytest.mark.parametrize(
@@ -195,6 +198,7 @@ def test_pair_guard_message(monkeypatch):
         VoxelSet.from_index(rng.random((6, 6)) < 0.5, (0, 0), 1.0 / 8) for _ in range(3)
     ]
     n1, n2 = sorted(e.count for e in sets)[:2]
+    # every origin is 0, so the corner window is empty: the guard fires first
     monkeypatch.setattr(functional, "DIRECT_PAIR_GUARD", n1 * n2 - 1)
     with pytest.raises(ValueError) as exc:
         trilinear_corner_counts(sets, method="direct")
@@ -236,6 +240,42 @@ def test_fft_rounding_is_certified(monkeypatch, noise):
     else:
         with pytest.raises(ValueError, match="fft corner counts are not exact: .* 0.3 "):
             trilinear_corner_counts(sets, "fft")
+
+
+def test_certificate_covers_every_window_value(monkeypatch):
+    # a value 0.7 from its integer raises wherever it sits in the window the
+    # corners read, clipped at both ends here; off the window it is never
+    # read and the counts stay exact
+    rng = np.random.default_rng(6)
+    e1, e2 = (VoxelSet.from_index(rng.random((3, 4)) < 0.7, o, 0.125) for o in ((3, -2), (-4, 5)))
+    o3 = -(e1.origin_index + e2.origin_index) + (-6, -9)
+    sets = (e1, e2, VoxelSet.from_index(rng.random((4, 3)) < 0.7, o3, 0.125))
+    want = oracle_counts(sets)
+    assert sum(want.values()) > 0
+    g = sum(e.origin_index for e in sets)
+    full = np.add(e1.shape, e2.shape) - 1
+    reads = {tuple(s - g - k) for s in want for k in np.ndindex(sets[2].shape)}
+    window = {j for j in reads if all(0 <= x < n for x, n in zip(j, full))}
+    assert len(window) == 4 * 2
+
+    fft, lengths = functional.fftconvolve, []
+    monkeypatch.setattr(functional, "fftconvolve", lambda *a: lengths.append(a[2]) or fft(*a))
+    assert trilinear_corner_counts(sets, "fft") == want
+    raised = set()
+    for cell in np.ndindex(*lengths[0]):
+
+        def off(*args, cell=cell):
+            out = fft(*args)
+            out[cell] += 0.7
+            return out
+
+        monkeypatch.setattr(functional, "fftconvolve", off)
+        try:
+            assert trilinear_corner_counts(sets, "fft") == want
+        except ValueError as exc:
+            assert str(exc).startswith("fft corner counts are not exact")
+            raised.add(cell)
+    assert raised == window
 
 
 def _theta_line_per_triple(rng):

@@ -93,7 +93,10 @@ SCALAR_ENTRIES = [
     ("theta_bound_check", "k", "nan inf fraction", lambda n: theta_bound_check(TRIPLE, (n, 0, 0))),
     ("strong_triangle_rho", "tau", POSITIVE, lambda x: strong_triangle_rho(x, 0.25, 1, 10)),
     ("strong_triangle_rho", "samples", COUNT, lambda n: strong_triangle_rho(0.5, 0.25, 1, n)),
-    ("center_compatibility", "samples", COUNT, lambda n: center_compatibility(TRIPLE, samples=n)),
+    (
+        "center_compatibility", "samples", AT_LEAST_1,
+        lambda n: center_compatibility(TRIPLE, samples=n),
+    ),
     ("generate", "step", NUMBER, lambda x: generate("blob", {"spacing": H, "step": x})),
     ("generate", "span", NUMBER, lambda x: generate("union_of_balls", {"spacing": H, "span": x})),
     ("generate", "radius", NUMBER, lambda x: generate("ball", {"spacing": H, "radius": x})),
@@ -140,6 +143,20 @@ AFFINE_CASES = [
 ]
 
 
+# (case, parameter, kind, params): a generator's center, shape or axes that
+# is not the dim (shape: dim^2) numbers of the set is rejected by name
+VECTOR_CASES = [
+    ("ball-center-text", "center", "ball", {"center": "abc"}),
+    ("ball-center-length", "center", "ball", {"center": [0, 0, 0]}),
+    ("blob-center-length", "center", "blob", {"center": [0.0]}),
+    ("ellipsoid-center-text", "center", "ellipsoid", {"center": "abc"}),
+    ("ellipsoid-shape-text", "shape", "ellipsoid", {"shape": "abc"}),
+    ("ellipsoid-shape-3x3", "shape", "ellipsoid", {"shape": np.eye(3)}),
+    ("ellipsoid-axes-text", "axes", "ellipsoid", {"axes": "abc"}),
+    ("ellipsoid-axes-length", "axes", "ellipsoid", {"axes": [1, 2, 3]}),
+]
+
+
 def _named(name):
     # the argument's name, then its complaint
     return rf"\b{re.escape(name)}\b.*\bmust\b"
@@ -167,6 +184,14 @@ def test_bad_value_is_rejected_by_name(call, value, name):
 def test_bad_affine_map_is_rejected_by_name(call, name):
     with pytest.raises(ValueError, match=_named(name)):
         call()
+
+
+@pytest.mark.parametrize(
+    "name,kind,params", [pytest.param(n, k, p, id=i) for i, n, k, p in VECTOR_CASES]
+)
+def test_bad_generator_vector_is_rejected_by_name(name, kind, params):
+    with pytest.raises(ValueError, match=rf"^{name} needs \d+ numbers at dim 2, got "):
+        generate(kind, {"spacing": H, **params})
 
 
 @pytest.mark.parametrize(
