@@ -133,10 +133,10 @@ def _face_or(a):
 
 
 def _ordered_by_distance(cells, centroid, farthest):
+    # cells come in lexicographic order, so the stable sort breaks distance
+    # ties lexicographically
     d2 = ((cells - centroid) ** 2).sum(axis=1)
-    key = -d2 if farthest else d2
-    order = np.lexsort(tuple(cells[:, i] for i in reversed(range(cells.shape[1]))) + (key,))
-    return cells[order]
+    return cells[np.argsort(-d2 if farthest else d2, kind="stable")]
 
 
 def perturb_noise(e, p, rng):
@@ -184,7 +184,7 @@ def perturb_relocate(e, frac):
     ordered = _ordered_by_distance(cells, centroid, farthest=True)
     keep = ordered[k:]
     ball = _greedy_ball_order(k, e.dim)
-    rb = int(np.abs(ball).max()) + 2 if len(ball) else 2
+    rb = int(np.abs(ball).max()) + 2
     shift = np.zeros(e.dim, dtype=np.int64)
     shift[0] = int(e.origin_index[0] + e.shape[0]) + rb + 4
     moved = ball + shift

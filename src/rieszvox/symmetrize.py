@@ -1,9 +1,15 @@
 """Symmetrizations of voxel sets, dyadic height layers, and the
 layer-balancing special dilation.
 
-All four rearrangements preserve the occupied cell count exactly.  On a
-corner-aligned lattice a run of n cells can be centered exactly only for
-even n, so the fixed convention is: even fiber counts center exactly, odd
+The three rearrangements are one operation, the lattice form of the
+rearrangement of Hardy, Littlewood and Polya: each section of E along a set
+of axes is replaced by the first n cells of the greedy centered order on
+those axes, n being the section's cell count.  Ball symmetrization takes the
+whole set as its one section, Steiner symmetrization the last-axis fibers,
+and Schwarz symmetrization the slices across the last axis.  Counts, and so
+measures, are preserved exactly.  The greedy order fills a 1-D fiber
+outward from the cell pair around 0, negative side first, so its prefixes
+are runs that start at -((n+1)//2): even fiber counts center exactly, odd
 counts put the extra cell on the negative side (center offset -h/2).
 """
 
@@ -15,7 +21,7 @@ import numpy as np
 from .grid import (
     SetTriple,
     VoxelSet,
-    from_cells,
+    check_integer,
     rasterize_affine_image,
     unit_ball_volume,
 )
@@ -26,80 +32,64 @@ MAX_TOTAL_CELLS = 1 << 24
 
 
 def _greedy_ball_order(n, dim):
-    """The first n global cells by increasing center distance to the origin.
+    """The first n >= 1 global cells by increasing center distance to the
+    origin.
 
     Cell g has center (g + 1/2) h, so the squared distance is proportional to
     the integer key sum((2 g_i + 1)^2); ties break lexicographically on the
-    index tuple.  The candidate box is grown until the selection is provably
-    complete (the n-th key fits inside the box's inscribed ball).
+    index tuple, because the candidates are listed in that order and the
+    sort is stable.  The candidate box is grown until the selection is
+    provably complete (the n-th key fits inside the box's inscribed ball).
     """
-    if n <= 0:
-        return np.zeros((0, dim), dtype=np.int64)
     radius = int(math.ceil((n / unit_ball_volume(dim)) ** (1.0 / dim))) + 2
     while True:
         span = np.arange(-radius - 1, radius + 1, dtype=np.int64)
         grids = np.meshgrid(*([span] * dim), indexing="ij")
         cells = np.stack([g.reshape(-1) for g in grids], axis=1)
-        if cells.shape[0] < n:
-            radius += 2
-            continue
         key = ((2 * cells + 1) ** 2).sum(axis=1)
-        order = np.lexsort(
-            tuple(cells[:, i] for i in reversed(range(dim))) + (key,)
-        )
-        sel = order[:n]
-        if key[sel[-1]] > (2 * radius + 1) ** 2:
-            radius += 2  # selection might be truncated by the box; retry
-            continue
-        return cells[sel]
+        sel = np.argsort(key, kind="stable")[:n]
+        if key[sel[-1]] <= (2 * radius + 1) ** 2:
+            return cells[sel]
+        radius += 2  # selection might be truncated by the box; retry
+
+
+def _greedy_sections(e, axes):
+    """Fill each section of E along axes (the cells sharing their other
+    coordinates) with the greedy prefix of its cell count.  Prefixes of one
+    order are nested, so the filled sections are too."""
+    counts = e.occupancy.sum(axis=axes, keepdims=True)
+    if not counts.any():
+        return VoxelSet.empty(e.dim, e.spacing)
+    order = _greedy_ball_order(int(counts.max()), len(axes))
+    lo = order.min(axis=0)
+    # each cell's place in the fill order; the cells the order never reaches
+    # rank past every count
+    rank = np.full(order.max(axis=0) + 1 - lo, len(order))
+    rank[tuple((order - lo).T)] = np.arange(len(order))
+    others = tuple(a for a in range(e.dim) if a not in axes)
+    new = np.expand_dims(rank, others) < counts
+    origin = e.origin_index.copy()
+    origin[list(axes)] = lo
+    return VoxelSet.from_index(new, origin, e.spacing).tighten()
 
 
 def ball_symmetrize(e):
     """E -> the greedy centered quasi-ball with the same cell count."""
-    n = e.count
-    if n == 0:
-        return VoxelSet.empty(e.dim, e.spacing)
-    return from_cells(_greedy_ball_order(n, e.dim), e.dim, e.spacing)
+    return _greedy_sections(e, tuple(range(e.dim)))
 
 
 def steiner_symmetrize(e):
-    """Center each last-axis fiber: n occupied cells become one contiguous
-    run of n cells starting at index -((n+1)//2)."""
-    occ = e.occupancy
-    counts = occ.sum(axis=-1)
-    if not occ.any():
-        return VoxelSet.empty(e.dim, e.spacing)
-    start = -((counts + 1) // 2)
-    stop = start + counts
-    lo = int(start[counts > 0].min())
-    hi = int(stop[counts > 0].max())
-    span = np.arange(lo, hi, dtype=np.int64)
-    new = (span >= start[..., None]) & (span < stop[..., None])
-    origin = np.concatenate([e.origin_index[:-1], [lo]])
-    return VoxelSet.from_index(new, origin, e.spacing).tighten()
+    """Center each last-axis fiber: its n cells become the run of n cells
+    starting at index -((n+1)//2)."""
+    return _greedy_sections(e, (e.dim - 1,))
 
 
 def schwarz_symmetrize(e):
     """Replace each last-axis slice by the greedy centered (d-1)-ball with
-    the same count.  Slices are prefixes of one fixed fill order, so they
-    are nested."""
+    the same count; the slices are nested."""
     if e.dim < 2:
         raise ValueError("schwarz symmetrization needs dim >= 2")
-    occ = e.occupancy
-    nz = occ.shape[-1]
-    counts = occ.reshape(-1, nz).sum(axis=0)
-    if counts.sum() == 0:
-        return VoxelSet.empty(e.dim, e.spacing)
-    order = _greedy_ball_order(int(counts.max()), e.dim - 1)
-    lo = order.min(axis=0)
-    hi = order.max(axis=0) + 1
-    # each cell's place in the fill order; the cells the order never reaches
-    # rank past every count
-    rank = np.full(tuple(int(x) for x in (hi - lo)), len(order))
-    rank[tuple((order - lo).T)] = np.arange(len(order))
-    new = rank[..., None] < counts
-    origin = np.concatenate([lo, [e.origin_index[-1]]])
-    return VoxelSet.from_index(new, origin, e.spacing).tighten()
+    return _greedy_sections(e, tuple(range(e.dim - 1)))
 
 
 def double_symmetrize(e):
@@ -164,21 +154,6 @@ def dyadic_layers(e):
     return out
 
 
-def _dilation_candidates():
-    """Quarter-octave exponents ordered 0, 1, -1, 2, -2, ... so that ties
-    resolve toward the identity."""
-    yield 0
-    for i in range(1, 41):
-        yield i
-        yield -i
-
-
-def _predicted_cells(e, scales, h):
-    ext = (np.asarray(e.shape) * e.spacing) * scales / h
-    cells = np.ceil(ext) + 1
-    return cells
-
-
 def normalize_special_dilation(t, c_band):
     """Search determinant-1 special dilations (r x', rho x_d), r^(d-1) rho = 1,
     for the one concentrating each set's layer mass in the central dyadic
@@ -188,16 +163,20 @@ def normalize_special_dilation(t, c_band):
     min_j band_measure / measure, over rho in {2^(i/4) : |i| <= 40};
     candidates whose rasterization would exceed the grid caps are skipped.
     """
+    t = SetTriple(t)
+    c_band = check_integer(c_band, "c_band", low=0)
     d = t.dim
     if d < 2:
         raise ValueError("special dilations need dim >= 2")
     h = t.spacing
     best = None
-    for i in _dilation_candidates():
+    # quarter-octave exponents 0, 1, -1, 2, -2, ..., so that ties resolve
+    # toward the identity
+    for i in sorted(range(-40, 41), key=lambda i: (abs(i), -i)):
         rho = 2.0 ** (i / 4.0)
         r = rho ** (-1.0 / (d - 1))
         scales = np.array([r] * (d - 1) + [rho])
-        sizes = [_predicted_cells(e, scales, h) for e in t]
+        sizes = [np.ceil(np.asarray(e.shape) * e.spacing * scales / h) + 1 for e in t]
         if any(
             s.max() > MAX_AXIS_CELLS or s.prod() > MAX_TOTAL_CELLS for s in sizes
         ):

@@ -26,6 +26,7 @@ from rieszvox import (
     lambda_1,
     lambda_d,
     measure_margin,
+    normalize_special_dilation,
     radius_margin,
     rasterize_affine_image,
     run_sweep,
@@ -116,6 +117,10 @@ SCALAR_ENTRIES = [
     ("SweepConfig", "samples", COUNT, lambda n: SweepConfig(samples=n)),
     ("SweepConfig", "seed", COUNT, lambda n: SweepConfig(seed=n)),
     ("SweepConfig", "dim", COUNT, lambda n: SweepConfig(dim=n)),
+    (
+        "normalize_special_dilation", "c_band", COUNT + " text",
+        lambda n: normalize_special_dilation(TRIPLE, n),
+    ),
 ]
 
 EYE, ZERO = np.eye(2), np.zeros(2)
@@ -228,6 +233,13 @@ def test_integral_floats_still_count():
     assert strong_triangle_rho(0.5, 0.25, 1, samples=50.0) == strong_triangle_rho(
         0.5, 0.25, 1, samples=50
     )
+
+
+def test_special_dilation_takes_a_list_of_three_sets():
+    want, r, rho = normalize_special_dilation(TRIPLE, 0)
+    got, r_list, rho_list = normalize_special_dilation([BALL, BALL, BALL], 0.0)
+    assert (r_list, rho_list) == (r, rho)
+    assert list(got) == list(want)
 
 
 def test_zero_measures_keep_lambda_zero():

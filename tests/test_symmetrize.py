@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -16,7 +17,9 @@ from rieszvox import (
     steiner_symmetrize,
     SetTriple,
 )
-from rieszvox.symmetrize import _greedy_ball_order
+from rieszvox import symmetrize
+from rieszvox.sweep import _ordered_by_distance
+from rieszvox.symmetrize import OPS, _greedy_ball_order
 
 from conftest import random_voxel_set
 
@@ -31,6 +34,12 @@ def _blob(dim, seed, h=H):
 
 def _key(cells):
     return ((2 * np.asarray(cells) + 1) ** 2).sum(axis=1)
+
+
+def _lexsorted(cells, key):
+    # ascending key, ties broken lexicographically on the index tuple
+    cells = np.asarray(cells)
+    return cells[np.lexsort(tuple(cells[:, i] for i in reversed(range(cells.shape[1]))) + (key,))]
 
 
 class TestGreedyBallOrder:
@@ -53,6 +62,34 @@ class TestGreedyBallOrder:
         a = _greedy_ball_order(50, 2)
         b = _greedy_ball_order(50, 2)
         assert np.array_equal(a, b)
+
+    def test_ties_break_toward_the_lexicographically_first_cell(self):
+        assert _greedy_ball_order(2, 1).tolist() == [[-1], [0]]
+        assert _greedy_ball_order(4, 2).tolist() == [[-1, -1], [-1, 0], [0, -1], [0, 0]]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_every_prefix_equals_the_lexsort_order(self, dim):
+        n_max = 300
+        r = math.ceil(n_max ** (1.0 / dim)) + 2
+        span = np.arange(-r - 1, r + 1)
+        box = np.stack(np.meshgrid(*[span] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+        want = _lexsorted(box, _key(box))
+        assert _key(want[n_max - 1 : n_max])[0] <= (2 * r + 1) ** 2  # the box holds them
+        for n in range(1, n_max + 1):
+            assert np.array_equal(_greedy_ball_order(n, dim), want[:n]), n
+
+
+class TestOrderedByDistance:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("farthest", [True, False])
+    def test_equals_the_lexsort_order(self, dim, farthest):
+        # a ball's cells tie in distance to its centroid by the dozen
+        cells = generate("ball", {"dim": dim, "spacing": 1 / 8, "radius": 0.6}).global_indices()
+        centroid = cells.mean(axis=0)
+        d2 = ((cells - centroid) ** 2).sum(axis=1)
+        assert len(np.unique(d2)) < len(d2) // 4
+        want = _lexsorted(cells, -d2 if farthest else d2)
+        assert np.array_equal(_ordered_by_distance(cells, centroid, farthest), want)
 
 
 class TestBallSymmetrize:
@@ -140,6 +177,92 @@ class TestSchwarz:
             # refilling the already-greedy slices reproduces them exactly
             assert schwarz_symmetrize(ds) == ds
             assert double_symmetrize(ds) == ds
+
+
+def _digest(e):
+    h = hashlib.sha256()
+    for part in (e.origin_index, e.shape):
+        h.update(np.asarray(part, dtype=np.int64).tobytes())
+    h.update(np.packbits(e.occupancy).tobytes())
+    return h.hexdigest()[:12]
+
+
+def _pinned_corpus():
+    rng = np.random.default_rng(14)
+    sets = {}
+    for dim in (1, 2, 3):
+        for i in range(3):
+            sets[f"random-d{dim}-{i}"] = random_voxel_set(dim, rng, cells=24 if dim == 1 else 12)
+    for dim, seed, h in ((1, 4, H), (2, 0, H), (3, 3, 1 / 16)):
+        sets[f"blob-d{dim}"] = _blob(dim, seed, h)
+    box = np.zeros((7, 6), bool)
+    box[2:5, 1:4] = [[1, 0, 1], [1, 1, 0], [0, 1, 1]]
+    sets["loose-box-d2"] = VoxelSet.from_index(box, [-3, 4], H)
+    sets["empty-d2"] = VoxelSet.empty(2, H)
+    sets["empty-box-d3"] = VoxelSet.from_index(np.zeros((2, 3, 2), bool), [1, -1, 0], H)
+    return sets
+
+
+PINNED_CORPUS = _pinned_corpus()
+
+# sha256 of origin, shape and packed occupancy of the bullet, star, dagger
+# and daggerstar images (None: the op rejects d=1), recorded before the
+# three rearrangements shared one section kernel
+PINNED_DIGESTS = {
+    "random-d1-0": ("dc8407d8d66f", "dc8407d8d66f", None, None),
+    "random-d1-1": ("dc8407d8d66f", "dc8407d8d66f", None, None),
+    "random-d1-2": ("bd587e7286b9", "bd587e7286b9", None, None),
+    "random-d2-0": ("23fd2568c3f6", "c1b1ca3c221d", "82b3d91a4e11", "f249ba18a560"),
+    "random-d2-1": ("e357104f34f1", "fba6e057d788", "47ed92508c4f", "68ab86dac2d9"),
+    "random-d2-2": ("8f2151c5e5a1", "2aee04e6787e", "5e31b4bfa6f4", "f3638526c510"),
+    "random-d3-0": ("507da4eb96b7", "f5017d94788c", "3451b7cdef7c", "b075b9ff73e3"),
+    "random-d3-1": ("92b1976c05d9", "5d727c62eeff", "5cf6244c3d17", "45687943ab96"),
+    "random-d3-2": ("f08a4ce87143", "e54ab1c1c934", "7e6c819e5b8d", "efeeac78a750"),
+    "blob-d1": ("12655cb95a0f", "12655cb95a0f", None, None),
+    "blob-d2": ("6486e5055a23", "80adb7e31b31", "1dc96275c571", "a32f8a8eee36"),
+    "blob-d3": ("44dac8fb4ff7", "9a34f373d4fd", "f8cc33e8b657", "69127798b5fb"),
+    "loose-box-d2": ("d30ece0adb97", "b621588397c8", "83b0fdc6f6d7", "1b6eb8c963f5"),
+    "empty-d2": ("c42ee2d90918",) * 4,
+    "empty-box-d3": ("58d170801732",) * 4,
+}
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("name", PINNED_DIGESTS)
+    @pytest.mark.parametrize("i,op", enumerate(["bullet", "star", "dagger", "daggerstar"]))
+    def test_output_pinned(self, name, i, op):
+        e, want = PINNED_CORPUS[name], PINNED_DIGESTS[name][i]
+        if want is None:
+            with pytest.raises(ValueError, match="dim >= 2"):
+                OPS[op](e)
+        else:
+            assert _digest(OPS[op](e)) == want
+
+    @pytest.mark.parametrize("name", [n for n in PINNED_CORPUS if "-d1" in n])
+    def test_ball_and_steiner_agree_at_d1(self, name):
+        e = PINNED_CORPUS[name]
+        assert _digest(ball_symmetrize(e)) == _digest(steiner_symmetrize(e))
+
+
+class TestModuleGlobals:
+    """perfbench rebinds the module's rearrangement names to time them, so
+    the ops must reach each other through those names."""
+
+    def test_double_calls_schwarz_then_steiner_by_name(self, monkeypatch):
+        calls = []
+        for name in ("schwarz_symmetrize", "steiner_symmetrize"):
+            real = getattr(symmetrize, name)
+            monkeypatch.setattr(
+                symmetrize, name, lambda e, real=real, name=name: calls.append(name) or real(e)
+            )
+        e = _blob(2, seed=0)
+        assert symmetrize.double_symmetrize(e) == steiner_symmetrize(schwarz_symmetrize(e))
+        assert calls == ["schwarz_symmetrize", "steiner_symmetrize"]
+
+    def test_ops_are_the_module_functions(self):
+        assert list(OPS) == ["bullet", "star", "dagger", "daggerstar"]
+        for op in OPS.values():
+            assert getattr(symmetrize, op.__name__) is op
 
 
 class TestDyadicLayers:
