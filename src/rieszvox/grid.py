@@ -114,7 +114,7 @@ def unit_ball_volume(dim):
     return math.pi ** (dim / 2) / math.gamma(dim / 2 + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ellipsoid:
     """Center v and symmetric positive definite shape matrix Q, with the
     convention {x : (x-v)^T Q (x-v) <= 1}.
@@ -148,6 +148,15 @@ class Ellipsoid:
         Q.setflags(write=False)
         object.__setattr__(self, "center", v)
         object.__setattr__(self, "shape", Q)
+
+    def __eq__(self, other):
+        if not isinstance(other, Ellipsoid):
+            return NotImplemented
+        return np.array_equal(self.center, other.center) and np.array_equal(self.shape, other.shape)
+
+    def __hash__(self):
+        # + 0.0 turns -0.0 into 0.0, which array_equal counts as equal
+        return hash(((self.center + 0.0).tobytes(), (self.shape + 0.0).tobytes()))
 
     @property
     def dim(self):
@@ -317,8 +326,8 @@ class VoxelSet:
             and np.array_equal(a._occ, b._occ)
         )
 
-    def __hash__(self):  # immutable but content hashing is not needed
-        return id(self)
+    def __hash__(self):  # equal sets share their dim and cell count
+        return hash((self.dim, self.count))
 
     def __repr__(self):
         return (

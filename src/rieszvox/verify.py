@@ -2,6 +2,7 @@
 then tolerance-based inequalities. Each check returns (ok, detail) where
 detail reports the worst case observed."""
 
+import itertools
 import os
 import tempfile
 
@@ -9,10 +10,9 @@ import numpy as np
 
 from . import functional, symmetrize
 from .admissibility import measure_margin, radius_margin
-from .ellipsoid import fit_ellipsoid_moments, fit_homothetic_triple
+from .ellipsoid import _columns, fit_ellipsoid_moments, fit_homothetic_triple
 from .functional import (
     deficit,
-    lambda_1,
     lambda_d,
     superadditivity_gap,
     trilinear_corner_counts,
@@ -27,8 +27,8 @@ def _blob(dim, seed, h=H):
     return generate("blob", {"dim": dim, "spacing": h, "radius": 0.5, "steps": 4}, seed=seed)
 
 
-def _ball(dim, r, h=H):
-    return generate("ball", {"dim": dim, "spacing": h, "radius": r}, seed=0)
+def _ball(dim, r):
+    return generate("ball", {"dim": dim, "spacing": 1.0 / 64, "radius": r}, seed=0)
 
 
 # The random sets of every check come from _blobs and _triples.  Both are
@@ -154,20 +154,18 @@ def check_double_symmetrization_fixed_point(rng):
 
 
 def check_steiner_fibers(rng):
+    # a fiber's interval residual is 0 exactly when it is one run; at the
+    # suite's dyadic h that run starts at -((n + 1) // 2) exactly when its
+    # centroid is 0 (n even) or -h/2 (n odd)
     for e in _blobs(rng, (1, 2, 3)):
         s = symmetrize.steiner_symmetrize(e)
-        occ = s.occupancy.reshape(-1, s.shape[-1])
-        lo = s.origin_index[-1]
-        for row in occ:
-            idx = np.flatnonzero(row)
-            if idx.size == 0:
-                continue
-            if idx[-1] - idx[0] + 1 != idx.size:
-                return False, "fiber not contiguous"
-            n = idx.size
-            start = lo + idx[0]
-            if start != -((n + 1) // 2):
-                return False, f"fiber start {start} for n={n}"
+        _, center, length, residual = _columns(s, s.dim - 1)
+        if np.any(residual != 0):
+            return False, "fiber not contiguous"
+        n = length / s.spacing
+        bad = np.flatnonzero(center != -(n % 2) * s.spacing / 2)
+        if bad.size:
+            return False, f"fiber centroid {center[bad[0]]} for n={n[bad[0]]:.0f}"
     return True, "fibers contiguous with centers offset 0 or -h/2"
 
 
@@ -177,9 +175,10 @@ def check_layer_partition(rng):
         total = sum(layer.count for layer in dec.layers.values())
         if total != e.count:
             return False, f"layer counts do not partition at dim={e.dim}"
-        m = sum(dec.projections.values())
-        cols = (e.occupancy.any(axis=-1)).sum()
-        if abs(m - cols * e.spacing ** (e.dim - 1)) > 1e-12:
+        # each projection is an integer column count times h^(d-1), exactly
+        # so at the suite's dyadic h
+        cols = [m / e.spacing ** (e.dim - 1) for m in dec.projections.values()]
+        if any(c % 1 for c in cols) or sum(cols) != e.occupancy.any(axis=-1).sum():
             return False, "projection measures inconsistent"
     return True, "layers partition cells, projections consistent"
 
@@ -187,11 +186,8 @@ def check_layer_partition(rng):
 def check_riesz_sobolev(rng):
     worst = 0.0
     for t in _triples(rng, per_dim=3):
-        tv = trilinear_form(t)
-        lam = lambda_d(t.measures, t.dim)
-        if lam == 0:
-            continue
-        ratio = tv / lam
+        rep = deficit(t)
+        ratio = rep.t_value / rep.lambda_value
         worst = max(worst, ratio)
         if ratio > 1.02:
             return False, f"T/Lambda = {ratio:.4f}"
@@ -210,22 +206,20 @@ def check_admissibility_invariance(rng):
 
 
 def check_lambda_anchors(rng):
-    table = {
-        (1.0, 1.0, 1.0): 0.75,
-        (1.0, 1.0, 2.0): 1.0,
-        (1.0, 0.8, 0.9): 0.5975,
-        (0.5, 0.5, 0.5): 0.1875,
-    }
-    for g, want in table.items():
-        got = lambda_1(g)
-        if abs(got - want) > 1e-12:
-            return False, f"lambda_1{g} = {got}"
-    v2 = lambda_d((1.0, 1.0, 1.0), 2)
-    if abs(v2 - (1 - 3 * np.sqrt(3) / (4 * np.pi))) > 1e-7:
-        return False, f"lambda_2(1,1,1) = {v2}"
-    v3 = lambda_d((1.0, 1.0, 1.0), 3)
-    if abs(v3 - 15.0 / 32.0) > 1e-7:
-        return False, f"lambda_3(1,1,1) = {v3}"
+    # (measures, dim, value, tolerance): Lambda_1 in closed form, Lambda_2 and
+    # Lambda_3 of three unit balls by their quadrature
+    table = (
+        ((1.0, 1.0, 1.0), 1, 0.75, 1e-12),
+        ((1.0, 1.0, 2.0), 1, 1.0, 1e-12),
+        ((1.0, 0.8, 0.9), 1, 0.5975, 1e-12),
+        ((0.5, 0.5, 0.5), 1, 0.1875, 1e-12),
+        ((1.0, 1.0, 1.0), 2, 1 - 3 * np.sqrt(3) / (4 * np.pi), 1e-7),
+        ((1.0, 1.0, 1.0), 3, 15.0 / 32.0, 1e-7),
+    )
+    for g, dim, want, tol in table:
+        got = lambda_d(g, dim)
+        if abs(got - want) > tol:
+            return False, f"lambda_{dim}{g} = {got}"
     return True, "closed forms match the quadrature"
 
 
@@ -251,11 +245,8 @@ def check_symmetrization_monotone(rng):
     worst = 0.0
     for t in _triples(rng, dims=(1, 2)):
         tv = trilinear_form(t)
-        if t.dim == 1:
-            sym = SetTriple([symmetrize.steiner_symmetrize(e) for e in t])
-        else:
-            sym = SetTriple([symmetrize.double_symmetrize(e) for e in t])
-        sv = trilinear_form(sym)
+        op = symmetrize.steiner_symmetrize if t.dim == 1 else symmetrize.double_symmetrize
+        sv = trilinear_form(SetTriple([op(e) for e in t]))
         rel = (tv - sv) / max(sv, 1e-30)
         worst = max(worst, rel)
         if tv > sv * 1.01:
@@ -267,14 +258,11 @@ def check_theta_bound(rng):
     worst = 0.0
     for t in _triples(rng, dims=(2,), per_dim=5):
         decs = [symmetrize.dyadic_layers(e) for e in t]
-        keys = [sorted(d.layers) for d in decs]
-        for k1 in keys[0]:
-            for k2 in keys[1]:
-                for k3 in keys[2]:
-                    lhs, rhs, ratio = functional._theta_bound(decs, (k1, k2, k3))
-                    worst = max(worst, ratio)
-                    if lhs > rhs:
-                        return False, f"violated at k={(k1, k2, k3)}"
+        for k in itertools.product(*(sorted(d.layers) for d in decs)):
+            lhs, rhs, ratio = functional._theta_bound(decs, k)
+            worst = max(worst, ratio)
+            if lhs > rhs:
+                return False, f"violated at k={k}"
     return True, f"max lhs/rhs = {worst:.3f}"
 
 
@@ -282,7 +270,7 @@ def check_moment_fit_recovery(rng):
     worst = 0.0
     for dim in (2, 3):
         r = 0.6 + 0.3 * rng.random()
-        e = _ball(dim, r, h=1.0 / 64)
+        e = _ball(dim, r)
         fit = fit_ellipsoid_moments(e)
         rel = abs(fit.measure - e.measure) / e.measure
         worst = max(worst, rel)
@@ -292,7 +280,7 @@ def check_moment_fit_recovery(rng):
 
 
 def check_fit_epsilon_on_balls(rng):
-    t = SetTriple([_ball(2, r, h=1.0 / 64) for r in (1.0, 0.9, 0.8)])
+    t = SetTriple([_ball(2, r) for r in (1.0, 0.9, 0.8)])
     fit = fit_homothetic_triple(t)
     eps = float(fit.epsilons.max())
     if eps > 0.05:
@@ -338,15 +326,15 @@ ALL_CHECKS = FAST_CHECKS + (
 
 
 def run_suite(suite="fast", seed=0, out=print):
+    if suite not in ("fast", "all"):
+        raise ValueError(f"suite must be 'fast' or 'all', got {suite!r}")
     checks = FAST_CHECKS if suite == "fast" else ALL_CHECKS
     rng = np.random.default_rng(seed)
     failures = 0
     width = max(len(name) for name, _ in checks)
     for name, fn in checks:
         ok, detail = fn(rng)
-        status = "PASS" if ok else "FAIL"
-        if not ok:
-            failures += 1
-        out(f"{status}  {name:<{width}}  {detail}")
+        failures += not ok
+        out(f"{'PASS' if ok else 'FAIL'}  {name:<{width}}  {detail}")
     out(f"{len(checks) - failures}/{len(checks)} checks passed")
     return failures

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,15 @@ def blob_triples(blob_corpus):
         )
         for i in range(n)
     ]
+
+
+def set_digest(e):
+    """sha256 of a set's origin, shape and packed occupancy, 16 hex digits."""
+    h = hashlib.sha256()
+    for part in (e.origin_index, e.shape):
+        h.update(np.asarray(part, dtype=np.int64).tobytes())
+    h.update(np.packbits(e.occupancy).tobytes())
+    return h.hexdigest()[:16]
 
 
 def random_voxel_set(dim, rng, cells=16, spacing=None, density=None):

@@ -43,6 +43,12 @@ class TestEllipsoidClass:
         with pytest.raises(ValueError):
             Ellipsoid(np.zeros(2), np.diag([1.0, -1.0]))
 
+    def test_equality_and_hash_compare_the_arrays(self):
+        a, b = Ellipsoid(np.zeros(2), np.eye(2)), Ellipsoid(-np.zeros(2), np.eye(2))
+        assert a == b
+        assert len({a, b, Ellipsoid(np.zeros(2), 2 * np.eye(2))}) == 2
+        assert a != Ellipsoid(np.zeros(3), np.eye(3))
+
 
 class TestMomentFit:
     def test_recovers_ball(self):

@@ -37,6 +37,7 @@ from rieszvox import (
     theta_bound_check,
 )
 from rieszvox.sweep import perturb_noise, perturb_relocate, skew_columns
+from rieszvox.verify import run_suite
 
 NAN, INF = math.nan, math.inf
 H = 1.0 / 16
@@ -219,6 +220,7 @@ def test_bad_generator_vector_is_rejected_by_name(name, kind, params):
             "weights",
             id="affine_regress_centers",
         ),
+        pytest.param(lambda: run_suite("fats", out=None), "suite", id="run_suite"),
     ],
 )
 def test_wrong_length_or_range_is_rejected_by_name(call, name):

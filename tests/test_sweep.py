@@ -23,6 +23,8 @@ from rieszvox.sweep import (
     write_csv,
 )
 
+from conftest import set_digest
+
 H = 1.0 / 48
 
 
@@ -143,6 +145,28 @@ class TestPerturbations:
             out = apply_family(t, fam, 0.15, np.random.default_rng(4))
             for a, b in zip(t, out):
                 assert a.count == b.count, fam
+
+
+# set_digest of each perturbed ball, noise rng seeded by 8.  A centred ball
+# has many cells at equal distance from its centroid, so these catch a change
+# in how _ordered_by_distance breaks ties: relocate at every dim, noise at d=1.
+PERTURB_SPACING = {1: 1 / 64, 2: 1 / 32, 3: 1 / 16}
+PERTURB_DIGESTS = {
+    (1, 0.1): ("1d93e12c8f64243f", "1d6c317fd105df75"),
+    (1, 0.3): ("1d93e12c8f64243f", "bf950b17b2567dd2"),
+    (2, 0.1): ("2b34764707aea2a5", "c469ad7eaaf90787"),
+    (2, 0.3): ("6f26e026d6ba5a54", "bb9b476c8f82a10a"),
+    (3, 0.1): ("3497bdf7f9da04fc", "7022056f97b7ed79"),
+    (3, 0.3): ("f497555e1bd51f21", "cc42f6385041032d"),
+}
+
+
+@pytest.mark.parametrize("dim,level", PERTURB_DIGESTS)
+def test_perturbations_pinned(dim, level):
+    e = generate("ball", {"dim": dim, "spacing": PERTURB_SPACING[dim], "radius": 0.5})
+    noise = perturb_noise(e, level, np.random.default_rng(8))
+    relocated = perturb_relocate(e, level)
+    assert (set_digest(noise), set_digest(relocated)) == PERTURB_DIGESTS[dim, level]
 
 
 class TestRunner:

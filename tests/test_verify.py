@@ -1,8 +1,12 @@
 """The verify suite: its printed lines and the teeth of its exact checks."""
 
+import hashlib
+import json
+import pathlib
+
 import numpy as np
 
-from rieszvox import grid, verify
+from rieszvox import grid, symmetrize, verify
 
 # run_suite("all", seed=0) before its corpus moved into _blobs and _triples;
 # every line, details included, must stay the same
@@ -37,6 +41,20 @@ def test_suite_all_lines_unchanged():
     assert lines == SUITE_ALL_SEED_0
 
 
+def test_suite_all_seed_1000_matches_the_benchmark_reference():
+    # perfbench pins sha256[:16] of every line of the suite seeds it runs;
+    # benchmark seed 1 runs suite seed 1000 first
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "reference.json"
+    want = json.loads(path.read_text())["verify_all"]["1"]
+    lines = []
+    assert verify.run_suite("all", seed=1000, out=lines.append) == 0
+    got = {
+        f"s1000:{label}": hashlib.sha256(line.encode()).hexdigest()[:16]
+        for (label, _), line in zip(verify.ALL_CHECKS, lines)
+    }
+    assert len(got) == 20 and got == {k: want[k] for k in got}
+
+
 def test_dilation_covariance_catches_a_wrong_refinement(monkeypatch):
     # keeping the coarse sets leaves the corner-count sum unscaled
     monkeypatch.setattr(verify, "upscale_integer", lambda e, m: e)
@@ -53,6 +71,40 @@ def test_dilation_covariance_catches_one_lost_cell(monkeypatch):
     monkeypatch.setattr(verify, "upscale_integer", lossy)
     ok, _ = verify.check_dilation_covariance(np.random.default_rng(0))
     assert not ok
+
+
+def test_steiner_fibers_catch_a_moved_or_split_fiber(monkeypatch):
+    real = symmetrize.steiner_symmetrize
+
+    def moved(e):
+        return grid.translate_cells(real(e), [0] * (e.dim - 1) + [1])
+
+    def split(e):
+        cells = real(e).global_indices()
+        cells[:, -1] *= 2
+        return grid.from_cells(cells, e.dim, e.spacing)
+
+    rng = np.random.default_rng
+    monkeypatch.setattr(symmetrize, "steiner_symmetrize", moved)
+    ok, detail = verify.check_steiner_fibers(rng(0))
+    assert not ok and detail.startswith("fiber centroid")
+    monkeypatch.setattr(symmetrize, "steiner_symmetrize", split)
+    assert verify.check_steiner_fibers(rng(0)) == (False, "fiber not contiguous")
+
+
+def test_layer_partition_compares_projections_exactly(monkeypatch):
+    # a projection one ulp above its column count times h^(d-1) must fail
+    real = symmetrize.dyadic_layers
+
+    def nudged(e):
+        dec = real(e)
+        k = min(dec.projections)
+        dec.projections[k] = np.nextafter(dec.projections[k], np.inf)
+        return dec
+
+    monkeypatch.setattr(symmetrize, "dyadic_layers", nudged)
+    ok, detail = verify.check_layer_partition(np.random.default_rng(0))
+    assert not ok and detail == "projection measures inconsistent"
 
 
 def test_triples_take_a_spacing_per_dim():
