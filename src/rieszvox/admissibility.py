@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import check_integer, check_triple
+from .grid import check_integer, check_triple, float_or_nan
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ def slice_margin_profile(r, t):
     which this function does not enforce.
     """
     rv = np.asarray(check_triple(r, "radii"))
-    tv = np.asarray(t, dtype=float)
+    tv = np.vectorize(float_or_nan, otypes=[float])(t)
     if tv.shape != (3,) or not np.all(np.abs(tv) < 1.0):
         raise ValueError(f"slice parameters must be three numbers with |t| < 1, got {t}")
     return radius_margin(rv * np.sqrt(1.0 - tv * tv))

@@ -99,63 +99,58 @@ def cmd_sweep(args):
 
 
 def cmd_verify(args):
-    failures = verify.run_suite(suite=args.suite, **_given(args, ("seed",)))
+    failures = verify.run_suite(**_given(args, ("suite", "seed")))
     return 1 if failures else 0
 
 
-# The global flags are accepted before or after the subcommand.  They default
-# to SUPPRESS, so a subparser cannot clobber a value given before it, and
-# main() starts from these values: unset --spacing and --seed stay None, and
-# each command falls back to its library's default or the sweep config file.
-GLOBAL_DEFAULTS = {"spacing": None, "seed": None, "out_dir": ".", "config": None}
-
-
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--spacing", type=float)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--out-dir")
-    common.add_argument("--config", help="key=value config file")
-    p = argparse.ArgumentParser(prog="rieszvox", parents=[common])
+    p = argparse.ArgumentParser(prog="rieszvox")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen", parents=[common], help="rasterize a generator family")
+    g = sub.add_parser("gen", help="rasterize a generator family")
     g.add_argument("kind", choices=("ball", "ellipsoid", "blob", "union_of_balls"))
-    g.add_argument("--dim", type=int, default=2)
+    g.add_argument("--dim", type=int)
+    g.add_argument("--spacing", type=float)
+    g.add_argument("--seed", type=int)
     g.add_argument("--param", action="append", metavar="KEY=VALUE")
     g.add_argument("--out", required=True)
     g.set_defaults(fn=cmd_gen)
 
-    s = sub.add_parser("symmetrize", parents=[common], help="apply a symmetrization")
+    s = sub.add_parser("symmetrize", help="apply a symmetrization")
     s.add_argument("input")
     s.add_argument("--op", choices=tuple(symmetrize.OPS), required=True)
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_symmetrize)
 
-    d = sub.add_parser("deficit", parents=[common], help="T, Lambda, delta for a stored triple")
+    d = sub.add_parser("deficit", help="T, Lambda, delta for a stored triple")
     d.add_argument("inputs", nargs=3)
     d.set_defaults(fn=cmd_deficit)
 
-    f = sub.add_parser("fit", parents=[common], help="homothetic ellipsoid fit for a triple")
+    f = sub.add_parser("fit", help="homothetic ellipsoid fit for a triple")
     f.add_argument("inputs", nargs=3)
     f.set_defaults(fn=cmd_fit)
 
-    w = sub.add_parser("sweep", parents=[common], help="perturbation sweep to CSV and SVG")
-    w.add_argument("--family", choices=sweep.FAMILIES, default=None)
-    w.add_argument("--levels", default=None, help="comma separated, ascending")
-    w.add_argument("--samples", type=int, default=None)
-    w.add_argument("--dim", type=int, default=None)
+    w = sub.add_parser("sweep", help="perturbation sweep to CSV and SVG")
+    w.add_argument("--family", choices=sweep.FAMILIES)
+    w.add_argument("--levels", help="comma separated, ascending")
+    w.add_argument("--samples", type=int)
+    w.add_argument("--dim", type=int)
+    w.add_argument("--spacing", type=float)
+    w.add_argument("--seed", type=int)
+    w.add_argument("--out-dir", default=".")
+    w.add_argument("--config", help="key=value config file")
     w.set_defaults(fn=cmd_sweep)
 
-    v = sub.add_parser("verify", parents=[common], help="run the invariant check suite")
-    v.add_argument("--suite", choices=("fast", "all"), default="fast")
+    v = sub.add_parser("verify", help="run the invariant check suite")
+    v.add_argument("--suite", choices=("fast", "all"))
+    v.add_argument("--seed", type=int)
     v.set_defaults(fn=cmd_verify)
     return p
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv, argparse.Namespace(**GLOBAL_DEFAULTS))
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:

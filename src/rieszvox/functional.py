@@ -53,6 +53,7 @@ from .grid import (
     check_integer,
     check_positive,
     check_triple,
+    float_or_nan,
     unit_ball_volume,
 )
 from .symmetrize import dyadic_layers
@@ -355,6 +356,7 @@ def strong_triangle_rho(tau, eta, dim, samples, seed=0):
     enlarge the qualifying set and lower the minimum.  samples must be an
     integer >= 0.
     """
+    tau, eta = float_or_nan(tau), float_or_nan(eta)
     if not (0 < tau < 1) or not (0 < eta < 1):
         raise ValueError("tau and eta must lie in (0, 1)")
     samples = check_integer(samples, "samples", low=0)

@@ -50,7 +50,7 @@ SYMMETRY_RTOL = 1e-12
 # caller computes with, and its message names the argument.
 
 
-def _number(value):
+def float_or_nan(value):
     """float(value), or NaN when value is not one number."""
     try:
         return float(value)
@@ -60,7 +60,7 @@ def _number(value):
 
 def check_positive(value, name):
     """float(value), once it is finite and positive."""
-    x = _number(value)
+    x = float_or_nan(value)
     if not (x > 0 and math.isfinite(x)):
         raise ValueError(f"{name} must be finite and positive, got {value}")
     return x
@@ -72,7 +72,7 @@ def check_integer(value, name, low=None):
     if isinstance(value, numbers.Integral):
         n = int(value)
     else:
-        x = _number(value)
+        x = float_or_nan(value)
         if not x.is_integer():
             raise ValueError(f"{name} must be an integer, got {value}")
         n = int(x)
@@ -512,10 +512,25 @@ def upscale_integer(e, m):
 
 
 def from_cells(cells, dim, spacing):
-    """Build a VoxelSet from an (n, dim) array of occupied global cell indices."""
-    cells = np.asarray(cells, dtype=np.int64).reshape(-1, dim)
-    if cells.shape[0] == 0:
+    """Build a VoxelSet from an (n, dim) array of occupied global cell
+    indices, integers or integral floats; an empty sequence is the empty set."""
+    dim = check_integer(dim, "dim", low=1)
+    try:
+        raw = np.asarray(cells)
+    except ValueError:  # ragged rows
+        raw = np.array(None)
+    if raw.shape == (0,):
+        raw = raw.reshape(0, dim)
+    # an integer dtype needs no scan of the values; floats must be integral
+    # and within int64, which NaN and inf are not
+    integral = raw.dtype.kind in "iu" or (
+        raw.dtype.kind == "f" and bool(np.all((raw == np.rint(raw)) & (np.abs(raw) < 2.0**62)))
+    )
+    if raw.ndim != 2 or raw.shape[1] != dim or not integral:
+        raise ValueError(f"cells must be an (n, {dim}) array of integer cell indices, got {cells}")
+    if raw.shape[0] == 0:
         return VoxelSet.empty(dim, spacing)
+    cells = raw.astype(np.int64, copy=False)
     lo = cells.min(axis=0)
     hi = cells.max(axis=0) + 1
     occ = np.zeros(tuple(int(x) for x in (hi - lo)), dtype=bool)
@@ -773,14 +788,15 @@ def generate(kind, params=None, seed=0):
     the identical set.  Raises, naming the parameter, if center or axes is
     not dim numbers or shape not dim^2, if spacing or a radius, axis, step,
     span, rmin or rmax is not finite and positive, if dim, supersample,
-    steps or n is not an integer (steps and n at least 1), if jitter lies
-    outside [0, 1), or if the generated set is empty.
+    steps, n or seed is not an integer (dim, steps and n at least 1, seed
+    at least 0), if jitter lies outside [0, 1), or if the generated set is
+    empty.
     """
     p = dict(params or {})
-    dim = check_integer(p.pop("dim", 2), "dim")
+    dim = check_integer(p.pop("dim", 2), "dim", low=1)
     h = check_positive(p.pop("spacing", 1.0 / 64), "spacing")
     ss = check_integer(p.pop("supersample", 3), "supersample")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_integer(seed, "seed", low=0))
 
     def numbers(name, size, default=0.0):
         # the parameter as a new flat float array of size numbers
@@ -807,7 +823,7 @@ def generate(kind, params=None, seed=0):
         step = check_positive(p.pop("step", 0.4), "step")
         pos = numbers("center", dim)
         jitter = p.pop("jitter", 0.3)
-        jit = _number(jitter)
+        jit = float_or_nan(jitter)
         if not 0.0 <= jit < 1.0:  # a jitter of 1 or more can draw a radius <= 0
             raise ValueError(f"jitter must lie in [0, 1), got {jitter}")
         bodies = []

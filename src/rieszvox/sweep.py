@@ -29,6 +29,7 @@ from .grid import (
     VoxelSet,
     check_integer,
     check_positive,
+    float_or_nan,
     from_cells,
     generate,
 )
@@ -143,13 +144,14 @@ def perturb_noise(e, p, rng):
     """Flip boundary-adjacent cells with probability p, then restore the
     exact count by greedy boundary correction (remove farthest from the
     centroid / add nearest, ties lexicographic)."""
-    if not 0 <= p <= 1:
+    x = float_or_nan(p)
+    if not 0 <= x <= 1:
         raise ValueError(f"noise level must be in [0, 1], got {p}")
     target = e.count
     occ = np.pad(e.occupancy, 1)
     origin = e.origin_index - 1
     band = (occ & _face_or(~occ)) | (~occ & _face_or(occ))
-    flip = band & (rng.random(occ.shape) < p)
+    flip = band & (rng.random(occ.shape) < x)
     new = occ ^ flip
     if not new.any():
         return e  # the level destroyed the set; keep the original
@@ -173,10 +175,11 @@ def perturb_noise(e, p, rng):
 def perturb_relocate(e, frac):
     """Move a frac-fraction of the cells (the ones farthest from the
     centroid) into a greedy ball placed past the bounding box."""
-    if not 0 <= frac <= 1:
+    x = float_or_nan(frac)
+    if not 0 <= x <= 1:
         raise ValueError(f"relocate fraction must be in [0, 1], got {frac}")
     n = e.count
-    k = int(round(frac * n))
+    k = int(round(x * n))
     if k == 0:
         return e
     cells = e.global_indices()
@@ -204,13 +207,13 @@ def skew_columns(e, slope):
     """Vertical skew by an affine map of the column coordinates: each column
     at physical y gains the integer shift round(slope . y / h); slope has
     dim - 1 finite components."""
-    slope = np.asarray(slope, dtype=float).reshape(-1)
-    if slope.size != e.dim - 1 or not np.all(np.isfinite(slope)):
+    v = np.vectorize(float_or_nan, otypes=[float])(slope).reshape(-1)
+    if v.size != e.dim - 1 or not np.all(np.isfinite(v)):
         raise ValueError(f"slope must have {e.dim - 1} finite components, got {slope}")
     lead = e.occupancy.shape[:-1]
     idx = np.indices(lead).reshape(e.dim - 1, -1).T + e.origin_index[:-1]
     y = (idx + 0.5) * e.spacing
-    k = np.rint((y @ slope) / e.spacing).astype(np.int64).reshape(lead)
+    k = np.rint((y @ v) / e.spacing).astype(np.int64).reshape(lead)
     return _roll_columns(e, k)
 
 

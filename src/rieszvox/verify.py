@@ -18,7 +18,7 @@ from .functional import (
     trilinear_corner_counts,
     trilinear_form,
 )
-from .grid import SetTriple, boolean, generate, load, reflect, save, upscale_integer
+from .grid import SetTriple, boolean, check_integer, generate, load, reflect, save, upscale_integer
 
 H = 1.0 / 32
 
@@ -329,7 +329,7 @@ def run_suite(suite="fast", seed=0, out=print):
     if suite not in ("fast", "all"):
         raise ValueError(f"suite must be 'fast' or 'all', got {suite!r}")
     checks = FAST_CHECKS if suite == "fast" else ALL_CHECKS
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_integer(seed, "seed", low=0))
     failures = 0
     width = max(len(name) for name, _ in checks)
     for name, fn in checks:

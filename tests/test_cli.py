@@ -1,4 +1,7 @@
 import argparse
+import pathlib
+import re
+import shlex
 import warnings
 
 import pytest
@@ -23,13 +26,22 @@ class TestGen:
         assert e.count > 0
         assert "cells" in capsys.readouterr().out
 
-    def test_seed_before_or_after_subcommand(self, tmp_path):
+    def test_seed_before_or_after_subcommand(self, tmp_path, capsys):
+        # a flag belongs to its subcommand: after the name it works, before
+        # it argparse rejects it
         a = tmp_path / "a.vxg"
         b = tmp_path / "b.vxg"
         blob = ["blob", "--param", "radius=0.35", "--param", "steps=4"]
-        assert main(["--seed", "11", "gen"] + blob + ["--out", str(a)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", "11", "gen"] + blob + ["--out", str(a)])
+        assert exc.value.code == 2
+        assert "usage: rieszvox" in capsys.readouterr().err
+        assert not a.exists()
         assert main(["gen"] + blob + ["--seed", "11", "--out", str(b)]) == 0
+        assert main(["gen"] + blob + ["--out", str(a), "--seed", "11"]) == 0
         assert a.read_bytes() == b.read_bytes()
+        assert main(["gen"] + blob + ["--out", str(a)]) == 0  # seed 0
+        assert a.read_bytes() != b.read_bytes()
 
     def test_spacing_flag(self, tmp_path):
         out = _gen(tmp_path, "c.vxg", "--spacing", "0.125")
@@ -206,6 +218,22 @@ class TestErrors:
         assert f"{name} must be an integer, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            # numpy used to reject these without naming dim or seed
+            (["gen", "ball", "--dim", "-1"], "dim must be >= 1, got -1"),
+            (["gen", "ball", "--seed", "-1"], "seed must be >= 0, got -1"),
+            (["verify", "--seed", "-1"], "seed must be >= 0, got -1"),
+        ],
+    )
+    def test_negative_dim_or_seed_names_the_flag(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "x.vxg"
+        extra = ["--out", str(out)] if argv[0] == "gen" else []
+        assert main(argv + extra) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweep:
     ARGS = [
@@ -291,6 +319,87 @@ class TestSweep:
         assert rc == 2
         assert "samples: invalid value 'two'" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
+
+
+# the shared flags each subcommand reads; every other (subcommand, flag)
+# pair, and any of them before the subcommand, is argparse's usage error
+SHARED = ("--spacing", "--seed", "--out-dir", "--config")
+READS = {
+    "gen": ("--spacing", "--seed"),
+    "symmetrize": (),
+    "deficit": (),
+    "fit": (),
+    "sweep": SHARED,
+    "verify": ("--seed",),
+}
+READ = [(c, f) for c, flags in READS.items() for f in flags]
+UNREAD = [(c, f) for c, flags in READS.items() for f in SHARED if f not in flags]
+
+
+class TestFlagPlacement:
+    @pytest.fixture
+    def setup(self, tmp_path, monkeypatch):
+        """Each subcommand's quick argv and each shared flag's value, run in
+        tmp_path, so a sweep without --out-dir writes there."""
+        monkeypatch.chdir(tmp_path)
+        src = str(_gen(tmp_path, "src.vxg"))
+        (tmp_path / "s.cfg").write_text("family = skew\n")
+        commands = {
+            "gen": ["gen", "ball", "--param", "radius=0.4", "--out", "g.vxg"],
+            "symmetrize": ["symmetrize", src, "--op", "star", "--out", "s.vxg"],
+            "deficit": ["deficit", src, src, src],
+            "fit": ["fit", src, src, src],
+            "sweep": ["sweep", "--levels", "0.0", "--samples", "1", "--spacing", "0.25"],
+            "verify": ["verify"],
+        }
+        values = {"--spacing": "0.125", "--seed": "1", "--out-dir": "D", "--config": "s.cfg"}
+        return commands, values
+
+    def test_matrix_covers_every_pair(self):
+        assert (len(READ), len(UNREAD)) == (7, 17)
+
+    @pytest.mark.parametrize("command,flag", UNREAD)
+    def test_unread_flag_exits_2(self, tmp_path, capsys, setup, command, flag):
+        commands, values = setup
+        files = sorted(tmp_path.rglob("*"))
+        with pytest.raises(SystemExit) as exc:
+            main(commands[command] + [flag, values[flag]])
+        assert exc.value.code == 2
+        assert f"error: unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == files
+
+    @pytest.mark.parametrize("flag", SHARED)
+    def test_flag_before_subcommand_exits_2(self, tmp_path, capsys, setup, flag):
+        commands, values = setup
+        files = sorted(tmp_path.rglob("*"))
+        with pytest.raises(SystemExit) as exc:
+            main([flag, values[flag]] + commands["sweep"])
+        assert exc.value.code == 2
+        assert "usage: rieszvox" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == files
+
+    @pytest.mark.parametrize("command,flag", READ)
+    def test_read_flag_works(self, tmp_path, setup, command, flag):
+        commands, values = setup
+        assert main(commands[command] + [flag, values[flag]]) == 0
+        if command == "sweep":
+            out = tmp_path / ("D" if flag == "--out-dir" else "")
+            assert (out / "sweep.csv").exists()
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_commands_parse():
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    lines = [line for block in blocks for line in block.splitlines()]
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("rieszvox ")]
+    assert len(commands) >= 10
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: rieszvox {shlex.join(argv)}")
 
 
 class TestVerify:

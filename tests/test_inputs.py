@@ -22,6 +22,7 @@ from rieszvox import (
     apply_family,
     center_compatibility,
     dyadic_layers,
+    from_cells,
     generate,
     lambda_1,
     lambda_d,
@@ -93,7 +94,8 @@ SCALAR_ENTRIES = [
     ("theta", "k", "nan inf fraction", lambda n: _theta_with(k=n)),
     ("theta_bound_check", "constant", POSITIVE, lambda x: theta_bound_check(TRIPLE, (K0,) * 3, x)),
     ("theta_bound_check", "k", "nan inf fraction", lambda n: theta_bound_check(TRIPLE, (n, 0, 0))),
-    ("strong_triangle_rho", "tau", POSITIVE, lambda x: strong_triangle_rho(x, 0.25, 1, 10)),
+    ("strong_triangle_rho", "tau", NUMBER, lambda x: strong_triangle_rho(x, 0.25, 1, 10)),
+    ("strong_triangle_rho", "eta", NUMBER, lambda x: strong_triangle_rho(0.5, x, 1, 10)),
     ("strong_triangle_rho", "samples", COUNT, lambda n: strong_triangle_rho(0.5, 0.25, 1, n)),
     (
         "center_compatibility", "samples", AT_LEAST_1,
@@ -104,15 +106,23 @@ SCALAR_ENTRIES = [
     ("generate", "radius", NUMBER, lambda x: generate("ball", {"spacing": H, "radius": x})),
     ("generate", "jitter", NUMBER, lambda x: generate("blob", {"spacing": H, "jitter": x})),
     ("generate", "spacing", NUMBER + " zero", lambda x: generate("ball", {"spacing": x})),
+    ("generate", "dim", AT_LEAST_1, lambda n: generate("ball", {"spacing": H, "dim": n})),
+    ("generate", "seed", COUNT, lambda n: generate("ball", {"spacing": H}, seed=n)),
+    ("run_suite", "seed", COUNT, lambda n: run_suite(seed=n, out=None)),
+    ("from_cells", "dim", AT_LEAST_1, lambda n: from_cells([[0]], n, H)),
     ("measure_margin", "dim", AT_LEAST_1, lambda n: measure_margin(HALF, n)),
     ("RadiusTriple.from_measures", "dim", AT_LEAST_1, partial(RadiusTriple.from_measures, HALF)),
     ("RadiusTriple.measures", "dim", AT_LEAST_1, RadiusTriple(HALF).measures),
     ("run_sweep", "max_workers", AT_LEAST_1, lambda n: run_sweep(ONE_CELL, max_workers=n)),
-    ("perturb_noise", "noise level", POSITIVE, lambda x: perturb_noise(BALL, x, RNG(0))),
-    ("perturb_relocate", "relocate fraction", POSITIVE, lambda x: perturb_relocate(BALL, x)),
-    ("apply_family", "noise level", POSITIVE, _family("noise")),
-    ("apply_family", "relocate fraction", POSITIVE, _family("relocate")),
-    ("skew_columns", "slope", FINITE, lambda x: skew_columns(BALL, [x])),
+    ("perturb_noise", "noise level", NUMBER, lambda x: perturb_noise(BALL, x, RNG(0))),
+    ("perturb_relocate", "relocate fraction", NUMBER, lambda x: perturb_relocate(BALL, x)),
+    ("apply_family", "noise level", NUMBER, _family("noise")),
+    ("apply_family", "relocate fraction", NUMBER, _family("relocate")),
+    ("skew_columns", "slope", FINITE + " text", lambda x: skew_columns(BALL, [x])),
+    (
+        "slice_margin_profile", "slice parameters", FINITE + " text",
+        lambda x: slice_margin_profile((1, 1, 1), (0.0, x, 0.0)),
+    ),
     ("SweepConfig", "spacing", POSITIVE, lambda x: SweepConfig(spacing=x)),
     ("SweepConfig", "levels", FINITE, lambda x: SweepConfig(levels=(0.1, x))),
     ("SweepConfig", "samples", COUNT, lambda n: SweepConfig(samples=n)),
@@ -221,6 +231,14 @@ def test_bad_generator_vector_is_rejected_by_name(name, kind, params):
             id="affine_regress_centers",
         ),
         pytest.param(lambda: run_suite("fats", out=None), "suite", id="run_suite"),
+        # cells must be an (n, dim) array of integral values
+        pytest.param(lambda: from_cells([[1, 2]], 1, H), "cells", id="from_cells-width"),
+        pytest.param(lambda: from_cells([1, 2], 1, H), "cells", id="from_cells-flat"),
+        pytest.param(lambda: from_cells([[0.5, 0]], 2, H), "cells", id="from_cells-fraction"),
+        pytest.param(lambda: from_cells([[NAN, 0]], 2, H), "cells", id="from_cells-nan"),
+        pytest.param(lambda: from_cells([[1e300, 0]], 2, H), "cells", id="from_cells-huge"),
+        pytest.param(lambda: from_cells([[0, 0], [1]], 2, H), "cells", id="from_cells-ragged"),
+        pytest.param(lambda: from_cells([[True, False]], 2, H), "cells", id="from_cells-bool"),
     ],
 )
 def test_wrong_length_or_range_is_rejected_by_name(call, name):
@@ -235,6 +253,10 @@ def test_integral_floats_still_count():
     assert strong_triangle_rho(0.5, 0.25, 1, samples=50.0) == strong_triangle_rho(
         0.5, 0.25, 1, samples=50
     )
+    cells = from_cells(np.array([[1, -2], [0, 3]], np.int32), 2, H)
+    assert from_cells([[1.0, -2.0], [0.0, 3.0]], 2.0, H) == cells
+    assert from_cells([], 2, H).is_empty
+    assert generate("blob", {"spacing": H}, seed=3.0) == generate("blob", {"spacing": H}, seed=3)
 
 
 def test_special_dilation_takes_a_list_of_three_sets():
