@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import check_integer, check_triple, float_or_nan
+from .grid import SetTriple, check_integer, check_triple, float_or_nan
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,7 @@ def measure_margin(gamma, dim):
 
 def set_triple_margin(t):
     """Admissibility of a SetTriple via the dim-th roots of the measures."""
+    t = SetTriple(t)
     return measure_margin(t.measures, t.dim)
 
 

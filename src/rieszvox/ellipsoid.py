@@ -162,7 +162,8 @@ def fit_interval_1d(fiber):
 
 
 def slice_center_field(e, axis=None):
-    """Interval fit of every nonempty fiber along `axis` (default: last).
+    """Interval fit of every nonempty fiber along `axis` (default: last), an
+    integer in [-dim, dim).
 
     Returns a dict keyed by the physical center coordinates of the column
     (a (dim-1)-tuple) with IntervalFit values; empty columns are absent.
@@ -171,6 +172,9 @@ def slice_center_field(e, axis=None):
         raise ValueError("slice fields need dim >= 2")
     if axis is None:
         axis = e.dim - 1
+    axis = check_integer(axis, "axis", low=-e.dim)
+    if axis >= e.dim:
+        raise ValueError(f"axis must be < {e.dim}, got {axis}")
     lead, *stats = _columns(e, axis)
     keys = map(tuple, (lead + 0.5) * e.spacing)
     return {k: IntervalFit(*map(float, row)) for k, row in zip(keys, zip(*stats))}
@@ -226,7 +230,8 @@ def center_compatibility(t, samples=400, seed=0):
     sum_j r_j x'_j = 0 and the score is |sum_j r_j c_j(x'_j)|; substituting
     y_j = r_j x'_j shows the radii cancel, so the score is computed in
     physical coordinates and takes no radii.
-    samples draws, an integer >= 1, pick columns g_1 and g_2 of the first
+    The three sets must be nonempty.  samples draws, an integer >= 1,
+    seeded by an integer seed >= 0, pick columns g_1 and g_2 of the first
     two sets uniformly; column g centers at (g + 1/2) h, so the exact
     zero-sum point sits half a cell off the center lattice, between the
     integer columns -(g_1 + g_2) - 2 and -(g_1 + g_2) - 1.  The third
@@ -239,6 +244,9 @@ def center_compatibility(t, samples=400, seed=0):
     if t.dim < 2:
         raise ValueError("center compatibility needs dim >= 2")
     samples = check_integer(samples, "samples", low=1)
+    seed = check_integer(seed, "seed", low=0)
+    if any(e.is_empty for e in t):
+        raise ValueError("center compatibility needs three sets of positive measure")
     (lead1, c1, l1, _), (lead2, c2, l2, _), (_, c3, l3, _) = (
         _columns(e, e.dim - 1) for e in t
     )

@@ -13,7 +13,9 @@ vanishes otherwise.  Hence
 which is symmetric under permutations, invariant under reflection about the
 origin (s maps to -s-3, a bijection of the corner set), and exactly
 covariant under integer grid refinement, because it IS the continuum T of
-the voxelized sets.
+the voxelized sets.  Each function here that takes three sets passes them
+through SetTriple, so a list of three aligned VoxelSets works as well, and
+an empty member makes T zero.
 
 Both evaluation paths read N_s from conv = 1_E1 * 1_E2 at the cells of E3.
 Per axis, with o1, o2, o3 the low-corner indices and n3 the length of E3's
@@ -48,8 +50,6 @@ from .admissibility import measure_margin, radius_margin, set_triple_margin
 from .ellipsoid import fit_homothetic_triple
 from .grid import (
     SetTriple,
-    VoxelSet,
-    _check_aligned,
     check_integer,
     check_positive,
     check_triple,
@@ -96,22 +96,6 @@ class DeficitReport:
 # -- the trilinear form -----------------------------------------------------
 
 
-def _coerce_triple(t):
-    """Accept a SetTriple or any 3-sequence of aligned VoxelSets.
-
-    The plain-sequence form may contain empty sets (T is then zero), which
-    SetTriple itself rejects.
-    """
-    if isinstance(t, SetTriple):
-        return t.sets
-    sets = tuple(t)
-    if len(sets) != 3 or not all(isinstance(e, VoxelSet) for e in sets):
-        raise ValueError("expected a SetTriple or three VoxelSets")
-    for e in sets[1:]:
-        _check_aligned(sets[0], e)
-    return sets
-
-
 def fftconvolve(a, b, shape):
     """The circular convolution of two real arrays at shape, at least each
     input's per axis, by one FFT product."""
@@ -125,7 +109,7 @@ def trilinear_corner_counts(t, method="fft"):
     nearest integer (the true values are integers); 'direct' histograms
     the integer pair sums of occupied cells.  Both produce identical counts.
     """
-    sets = _coerce_triple(t)
+    sets = SetTriple(t).sets
     if method == "direct":
         # N_s is symmetric, so histogram the pair sums of the two smallest
         # sets and read the counts at the cells of the largest
@@ -199,10 +183,9 @@ def _conv_direct(e1, e2, window):
 
 
 def _form(t, method):
-    sets = _coerce_triple(t)
-    h, d = sets[0].spacing, sets[0].dim
-    counts = trilinear_corner_counts(sets, method)
-    return h ** (2 * d) * 2.0 ** (-d) * sum(counts.values())
+    t = SetTriple(t)
+    counts = trilinear_corner_counts(t, method)
+    return t.spacing ** (2 * t.dim) * 2.0 ** (-t.dim) * sum(counts.values())
 
 
 def trilinear_form(t):
@@ -353,14 +336,15 @@ def strong_triangle_rho(tau, eta, dim, samples, seed=0):
     max_j beta_j at least eta * min_i gamma_i, returns the minimum of
     gap / Lambda(gamma).  The sample stream depends only on
     (tau, dim, samples, seed), never on eta, so shrinking eta can only
-    enlarge the qualifying set and lower the minimum.  samples must be an
-    integer >= 0.
+    enlarge the qualifying set and lower the minimum.  samples and seed
+    must be integers >= 0, dim an integer >= 1.
     """
     tau, eta = float_or_nan(tau), float_or_nan(eta)
     if not (0 < tau < 1) or not (0 < eta < 1):
         raise ValueError("tau and eta must lie in (0, 1)")
     samples = check_integer(samples, "samples", low=0)
-    rng = np.random.default_rng(seed)
+    dim = check_integer(dim, "dim", low=1)
+    rng = np.random.default_rng(check_integer(seed, "seed", low=0))
     w = unit_ball_volume(dim)
     best = None
     found = 0

@@ -235,6 +235,7 @@ class VoxelSet:
     @classmethod
     def empty(cls, dim, spacing):
         """The canonical empty set: a single unoccupied cell at the origin."""
+        dim = check_integer(dim, "dim", low=1)
         return cls.from_index(np.zeros((1,) * dim, dtype=bool), (0,) * dim, spacing)
 
     # -- basic geometry -------------------------------------------------
@@ -339,19 +340,23 @@ class VoxelSet:
 class SetTriple:
     """Three VoxelSets with shared dimension and spacing, the argument of T.
 
-    All three measures must be strictly positive.
+    The one check of a set triple: every function that takes three sets
+    passes its argument through SetTriple, so a list of three VoxelSets
+    works wherever a SetTriple does.  A member may be empty, which makes T
+    zero; the functions that need a positive measure check it themselves.
     """
 
     __slots__ = ("_sets",)
 
     def __init__(self, sets):
-        sets = tuple(sets)
-        if len(sets) != 3:
-            raise ValueError("a SetTriple holds exactly three sets")
-        for e in sets:
+        try:
+            sets = tuple(sets)
+        except TypeError:
+            sets = ()
+        if len(sets) != 3 or not all(isinstance(e, VoxelSet) for e in sets):
+            raise ValueError("a SetTriple holds exactly three VoxelSets")
+        for e in sets[1:]:
             _check_aligned(sets[0], e)
-            if e.is_empty:
-                raise ValueError("triple members must have positive measure")
         self._sets = sets
 
     @property
@@ -405,6 +410,7 @@ class AffineMapTriple:
 
     def apply(self, triple):
         """Rasterize (A E_j + v_j) for each member of the triple, at its spacing."""
+        triple = SetTriple(triple)
         out = [
             rasterize_affine_image(e, self.linear, v, triple.spacing)
             for e, v in zip(triple, self.translations)

@@ -14,7 +14,6 @@ Families (level p):
 """
 
 import csv
-import io
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -55,8 +54,8 @@ _CHECKS = {int: check_integer, float: check_positive, tuple: _levels, str: lambd
 class SweepConfig:
     """Each field is checked and cast by its type: integers (3.0 is 3, 2.5
     an error), a finite positive spacing, one or more finite ascending
-    levels (a comma string is split).  A bad value raises a ValueError
-    naming the field."""
+    levels (a comma string is split), within [0, 1] for noise and
+    relocate.  A bad value raises a ValueError naming the field."""
 
     dim: int = 2
     spacing: float = 1.0 / 64
@@ -78,6 +77,10 @@ class SweepConfig:
             raise ValueError(f"unknown family {self.family!r}")
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2, or 3, got {self.dim}")
+        if self.family in ("noise", "relocate") and not 0 <= self.levels[0] <= self.levels[-1] <= 1:
+            raise ValueError(
+                f"levels must lie in [0, 1] for family {self.family!r}, got {self.levels}"
+            )
         if self.dim == 1 and self.family in ("shear", "skew"):
             raise ValueError(f"family {self.family!r} needs dim >= 2")
 
@@ -227,6 +230,7 @@ def base_triple(dim, spacing, rng):
 
 def apply_family(t, family, level, rng):
     """Perturb a SetTriple by one family at the given level."""
+    t = SetTriple(t)
     if family == "noise":
         return SetTriple([perturb_noise(e, level, rng) for e in t])
     if family == "relocate":
@@ -368,64 +372,53 @@ def render_svg(csv_path, svg_path):
     def py(y):
         return H - mb - (y - ylo) / (yhi - ylo) * (H - mt - mb)
 
-    out = io.StringIO()
-    out.write(
+    def line(x1, y1, x2, y2):
+        return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="black"/>'
+
+    def text(x, y, size, body, attrs=""):
+        return (
+            f'<text x="{x}" y="{y}" font-family="sans-serif" font-size="{size}"{attrs}>'
+            f"{body}</text>"
+        )
+
+    mid = f"{(mt + H - mb) / 2:.0f}"
+    parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
-        f'viewBox="0 0 {W} {H}">\n'
-    )
-    out.write(f'<rect width="{W}" height="{H}" fill="white"/>\n')
-    fam = rows[0]["family"]
-    out.write(
-        f'<text x="{ml}" y="18" font-family="sans-serif" font-size="13">'
-        f"family {fam}: deficit vs fit error</text>\n"
-    )
-    # axes
-    out.write(
-        f'<line x1="{ml}" y1="{H-mb}" x2="{W-mr}" y2="{H-mb}" stroke="black"/>\n'
-    )
-    out.write(f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{H-mb}" stroke="black"/>\n')
+        f'viewBox="0 0 {W} {H}">',
+        f'<rect width="{W}" height="{H}" fill="white"/>',
+        text(ml, 18, 13, f"family {rows[0]['family']}: deficit vs fit error"),
+        line(ml, H - mb, W - mr, H - mb),  # the axes
+        line(ml, mt, ml, H - mb),
+    ]
     for tx in _ticks(xlo, xhi):
-        out.write(
-            f'<line x1="{px(tx):.1f}" y1="{H-mb}" x2="{px(tx):.1f}" y2="{H-mb+4}" '
-            'stroke="black"/>\n'
-        )
-        out.write(
-            f'<text x="{px(tx):.1f}" y="{H-mb+16}" font-family="sans-serif" '
-            f'font-size="10" text-anchor="middle">{tx:.3g}</text>\n'
-        )
+        x = f"{px(tx):.1f}"
+        parts += [
+            line(x, H - mb, x, H - mb + 4),
+            text(x, H - mb + 16, 10, f"{tx:.3g}", ' text-anchor="middle"'),
+        ]
     for ty in _ticks(ylo, yhi):
-        out.write(
-            f'<line x1="{ml-4}" y1="{py(ty):.1f}" x2="{ml}" y2="{py(ty):.1f}" '
-            'stroke="black"/>\n'
-        )
-        out.write(
-            f'<text x="{ml-7}" y="{py(ty)+3:.1f}" font-family="sans-serif" '
-            f'font-size="10" text-anchor="end">{ty:.3g}</text>\n'
-        )
-    out.write(
-        f'<text x="{(ml+W-mr)/2:.0f}" y="{H-12}" font-family="sans-serif" '
-        'font-size="12" text-anchor="middle">deficit delta</text>\n'
+        y = f"{py(ty):.1f}"
+        parts += [
+            line(ml - 4, y, ml, y),
+            text(ml - 7, f"{py(ty) + 3:.1f}", 10, f"{ty:.3g}", ' text-anchor="end"'),
+        ]
+    parts += [
+        text(f"{(ml + W - mr) / 2:.0f}", H - 12, 12, "deficit delta", ' text-anchor="middle"'),
+        text(
+            16, mid, 12, "epsilon_max", f' text-anchor="middle" transform="rotate(-90 16 {mid})"'
+        ),
+    ]
+    parts += (
+        f'<circle cx="{px(r["delta"]):.2f}" cy="{py(r["epsilon_max"]):.2f}" '
+        f'r="3" fill="{color[r["level"]]}" fill-opacity="0.75"/>'
+        for r in rows
     )
-    out.write(
-        f'<text x="16" y="{(mt+H-mb)/2:.0f}" font-family="sans-serif" '
-        'font-size="12" text-anchor="middle" '
-        f'transform="rotate(-90 16 {(mt+H-mb)/2:.0f})">epsilon_max</text>\n'
-    )
-    for r in rows:
-        out.write(
-            f'<circle cx="{px(r["delta"]):.2f}" cy="{py(r["epsilon_max"]):.2f}" '
-            f'r="3" fill="{color[r["level"]]}" fill-opacity="0.75"/>\n'
-        )
-    # legend
-    for i, lv in enumerate(levels):
+    for i, lv in enumerate(levels):  # the legend
         yy = mt + 14 + 16 * i
-        out.write(
-            f'<circle cx="{W-mr+16}" cy="{yy}" r="4" fill="{color[lv]}"/>\n'
-        )
-        out.write(
-            f'<text x="{W-mr+26}" y="{yy+4}" font-family="sans-serif" '
-            f'font-size="11">level {lv:g}</text>\n'
-        )
-    out.write("</svg>\n")
+        parts += [
+            f'<circle cx="{W - mr + 16}" cy="{yy}" r="4" fill="{color[lv]}"/>',
+            text(W - mr + 26, yy + 4, 11, f"level {lv:g}"),
+        ]
+    parts.append("</svg>")
     with open(svg_path, "w") as fh:
-        fh.write(out.getvalue())
+        fh.write("\n".join(parts) + "\n")

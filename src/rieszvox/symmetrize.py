@@ -168,6 +168,8 @@ def normalize_special_dilation(t, c_band):
     d = t.dim
     if d < 2:
         raise ValueError("special dilations need dim >= 2")
+    if any(e.is_empty for e in t):
+        raise ValueError("special dilations need three sets of positive measure")
     h = t.spacing
     best = None
     # quarter-octave exponents 0, 1, -1, 2, -2, ..., so that ties resolve

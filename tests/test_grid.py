@@ -365,11 +365,6 @@ class TestTripleClasses:
         with pytest.raises(ValueError):
             SetTriple([e, e])
 
-    def test_set_triple_rejects_empty(self):
-        e = generate("ball", {"dim": 2, "spacing": H, "radius": 0.5})
-        with pytest.raises(ValueError):
-            SetTriple([e, e, VoxelSet.empty(2, H)])
-
     def test_set_triple_rejects_mixed_spacing(self):
         a = generate("ball", {"dim": 2, "spacing": H, "radius": 0.5})
         b = generate("ball", {"dim": 2, "spacing": H / 2, "radius": 0.5})

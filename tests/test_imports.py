@@ -73,7 +73,7 @@ def test_private_grid_names_stay_in_grid():
         for source, name in package_imports(PACKAGE / module)
         if source == "grid" and name.startswith("_")
     }
-    assert private == {("functional.py", "_check_aligned")}
+    assert private == set()
 
 
 def test_one_ellipsoid_and_one_ball_volume():

@@ -2,9 +2,11 @@
 takes a measure triple, a radius triple, a count or a linear map raises a
 ValueError that names the argument on NaN, inf, a negative value, the wrong
 length or a fractional count, and a generator's number also on a list or a
-word.  Valid input gives the same bits as before the checks moved to
-grid.py."""
+word.  Every entry point that takes three sets checks them with SetTriple.
+Valid input gives the same bits as before the checks moved to grid.py."""
 
+import dataclasses
+import inspect
 import math
 import re
 from functools import partial
@@ -12,6 +14,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+import rieszvox
 from rieszvox import (
     AffineMapTriple,
     RadiusTriple,
@@ -21,7 +24,9 @@ from rieszvox import (
     affine_regress_centers,
     apply_family,
     center_compatibility,
+    deficit,
     dyadic_layers,
+    fit_homothetic_triple,
     from_cells,
     generate,
     lambda_1,
@@ -31,13 +36,19 @@ from rieszvox import (
     radius_margin,
     rasterize_affine_image,
     run_sweep,
+    set_triple_margin,
+    slice_center_field,
     slice_margin_profile,
     strong_triangle_rho,
     superadditivity_gap,
     theta,
     theta_bound_check,
+    translate_cells,
+    trilinear_corner_counts,
+    trilinear_form,
+    trilinear_form_direct,
 )
-from rieszvox.sweep import perturb_noise, perturb_relocate, skew_columns
+from rieszvox.sweep import FAMILIES, perturb_noise, perturb_relocate, skew_columns
 from rieszvox.verify import run_suite
 
 NAN, INF = math.nan, math.inf
@@ -98,9 +109,18 @@ SCALAR_ENTRIES = [
     ("strong_triangle_rho", "eta", NUMBER, lambda x: strong_triangle_rho(0.5, x, 1, 10)),
     ("strong_triangle_rho", "samples", COUNT, lambda n: strong_triangle_rho(0.5, 0.25, 1, n)),
     (
+        "strong_triangle_rho", "dim", AT_LEAST_1 + " text",
+        lambda n: strong_triangle_rho(0.5, 0.25, n, 10),
+    ),
+    ("strong_triangle_rho", "seed", COUNT, lambda n: strong_triangle_rho(0.5, 0.25, 1, 10, seed=n)),
+    (
         "center_compatibility", "samples", AT_LEAST_1,
         lambda n: center_compatibility(TRIPLE, samples=n),
     ),
+    ("center_compatibility", "seed", COUNT, lambda n: center_compatibility(TRIPLE, seed=n)),
+    # a negative axis counts from the last
+    ("slice_center_field", "axis", "nan inf fraction list text", partial(slice_center_field, BALL)),
+    ("VoxelSet.empty", "dim", AT_LEAST_1, lambda n: VoxelSet.empty(n, H)),
     ("generate", "step", NUMBER, lambda x: generate("blob", {"spacing": H, "step": x})),
     ("generate", "span", NUMBER, lambda x: generate("union_of_balls", {"spacing": H, "span": x})),
     ("generate", "radius", NUMBER, lambda x: generate("ball", {"spacing": H, "radius": x})),
@@ -217,6 +237,18 @@ def test_bad_generator_vector_is_rejected_by_name(name, kind, params):
         pytest.param(lambda: theta_bound_check(TRIPLE, (K0,) * 4), "k", id="theta_bound_check"),
         pytest.param(lambda: skew_columns(BALL, [0.1, 0.1]), "slope", id="skew_columns"),
         pytest.param(lambda: SweepConfig(levels=()), "levels", id="SweepConfig-levels-empty"),
+        # noise and relocate levels lie in [0, 1]; the config rejects them
+        # before run_sweep computes any record
+        pytest.param(
+            lambda: SweepConfig(family="noise", levels=(0.1, 0.2, 2.0)), "levels",
+            id="SweepConfig-noise-levels-above-1",
+        ),
+        pytest.param(
+            lambda: SweepConfig(family="relocate", levels="-0.1,0.2"), "levels",
+            id="SweepConfig-relocate-levels-below-0",
+        ),
+        pytest.param(lambda: slice_center_field(BALL, 2), "axis", id="slice_center_field-axis-2"),
+        pytest.param(lambda: slice_center_field(BALL, -3), "axis", id="slice_center_field-axis--3"),
         pytest.param(
             lambda: VoxelSet.from_index(np.ones((2, 2), bool), [0.5, -0.7], H), "origin_index",
             id="VoxelSet.from_index",
@@ -257,6 +289,46 @@ def test_integral_floats_still_count():
     assert from_cells([[1.0, -2.0], [0.0, 3.0]], 2.0, H) == cells
     assert from_cells([], 2, H).is_empty
     assert generate("blob", {"spacing": H}, seed=3.0) == generate("blob", {"spacing": H}, seed=3)
+    assert center_compatibility(TRIPLE, seed=3.0) == center_compatibility(TRIPLE, seed=3)
+    assert slice_center_field(BALL, -2) == slice_center_field(BALL, 0.0)
+    assert slice_center_field(BALL, -1) == slice_center_field(BALL)
+    assert VoxelSet.empty(2.0, H) == VoxelSet.empty(2, H)
+
+
+def test_levels_outside_the_unit_interval_name_the_family():
+    with pytest.raises(ValueError, match=r"levels must lie in \[0, 1\] for family 'relocate'"):
+        SweepConfig(family="relocate", levels=(0.5, 1.5))
+    # shear and skew levels are a shear coefficient and a slope
+    assert SweepConfig(family="shear", levels=(-2.0, 2.0)).levels == (-2.0, 2.0)
+    assert SweepConfig(family="skew", levels=(-2.0, 2.0)).levels == (-2.0, 2.0)
+
+
+def _seed_and_axis_parameters():
+    # (entry, parameter) for each parameter named seed or axis of a function
+    # rieszvox exports or of a public method of a class it exports; a
+    # constructor is left out, since a record such as LayerDecomposition
+    # holds an axis it was given and acts on none
+    out = set()
+    for name, obj in vars(rieszvox).items():
+        if inspect.isfunction(obj):
+            members = [(name, obj)]
+        elif inspect.isclass(obj):
+            members = [
+                (f"{name}.{m}", getattr(obj, m))
+                for m, attr in vars(obj).items()
+                if not m.startswith("_")
+                and (inspect.isfunction(attr) or isinstance(attr, (classmethod, staticmethod)))
+            ]
+        else:
+            continue
+        for entry, fn in members:
+            out |= {(entry, p) for p in inspect.signature(fn).parameters if p in ("seed", "axis")}
+    return out
+
+
+def test_every_seed_and_axis_has_a_row():
+    rows = {(entry, name) for entry, name, _, _ in SCALAR_ENTRIES}
+    assert sorted(_seed_and_axis_parameters() - rows) == []
 
 
 def test_special_dilation_takes_a_list_of_three_sets():
@@ -264,6 +336,82 @@ def test_special_dilation_takes_a_list_of_three_sets():
     got, r_list, rho_list = normalize_special_dilation([BALL, BALL, BALL], 0.0)
     assert (r_list, rho_list) == (r, rho)
     assert list(got) == list(want)
+
+
+# -- set triples -------------------------------------------------------------
+# Every public function that takes three sets reads them through SetTriple.
+
+SETS = [BALL, translate_cells(BALL, (1, 0)), translate_cells(BALL, (0, -2))]
+
+
+def _perturbed(family, t):
+    return apply_family(t, family, 0.1, RNG(0))
+
+
+def _counted(counts):
+    return sum(counts.values())
+
+
+# (entry point, call taking a triple, and with one member empty: the message
+# of the ValueError it raises, or the map from its result to T, which is 0)
+TRIPLE_TAKERS = [
+    ("trilinear_corner_counts-fft", partial(trilinear_corner_counts, method="fft"), _counted),
+    ("trilinear_corner_counts-direct", partial(trilinear_corner_counts, method="direct"), _counted),
+    ("trilinear_form", trilinear_form, float),
+    ("trilinear_form_direct", trilinear_form_direct, float),
+    ("deficit", deficit, "degenerate triple: zero ball functional"),
+    ("fit_homothetic_triple", fit_homothetic_triple, "cannot fit an empty set"),
+    ("center_compatibility", center_compatibility, "center compatibility needs three sets of"),
+    ("theta_bound_check", lambda t: theta_bound_check(t, (K0,) * 3), f"empty layer k={K0}"),
+    (
+        "normalize_special_dilation", lambda t: normalize_special_dilation(t, 0),
+        "special dilations need three sets of",
+    ),
+    ("set_triple_margin", set_triple_margin, "gamma must be three finite positive numbers"),
+    ("AffineMapTriple.apply", AffineMapTriple(EYE, SHIFTS).apply, trilinear_form),
+] + [(f"apply_family-{f}", partial(_perturbed, f), trilinear_form) for f in FAMILIES]
+
+
+def _exact(x):
+    # x with each array as its dtype, shape and bytes, so == compares bits
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if dataclasses.is_dataclass(x):
+        return tuple(_exact(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, (tuple, list, SetTriple)):
+        return tuple(map(_exact, x))
+    return x
+
+
+@pytest.mark.parametrize("call", [pytest.param(c, id=i) for i, c, _ in TRIPLE_TAKERS])
+def test_a_list_of_three_sets_is_a_triple(call):
+    assert _exact(call(SETS)) == _exact(call(SetTriple(SETS)))
+
+
+NOT_A_TRIPLE = {
+    "array-member": [BALL, BALL, BALL.occupancy], "two-sets": [BALL, BALL], "none": None,
+}
+
+
+@pytest.mark.parametrize("bad", [pytest.param(v, id=k) for k, v in NOT_A_TRIPLE.items()])
+@pytest.mark.parametrize("call", [pytest.param(c, id=i) for i, c, _ in TRIPLE_TAKERS])
+def test_anything_but_three_voxel_sets_is_rejected(call, bad):
+    with pytest.raises(ValueError, match=r"\bthree VoxelSets\b"):
+        call(bad)
+
+
+@pytest.mark.parametrize("position", range(3))
+@pytest.mark.parametrize(
+    "call,outcome", [pytest.param(c, o, id=i) for i, c, o in TRIPLE_TAKERS]
+)
+def test_an_empty_member_gives_zero_t_or_a_named_error(call, outcome, position):
+    sets = list(SETS)
+    sets[position] = VoxelSet.empty(2, H)
+    if callable(outcome):
+        assert outcome(call(sets)) == 0
+    else:
+        with pytest.raises(ValueError, match=re.escape(outcome)):
+            call(sets)
 
 
 def test_zero_measures_keep_lambda_zero():

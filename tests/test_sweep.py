@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -241,6 +242,21 @@ class TestRendering:
         assert text.startswith("<svg")
         assert text.count("<circle") == len(recs) + 2  # points plus legend dots
         assert svg1.read_bytes() == svg2.read_bytes()
+
+    def test_svg_bytes_pinned(self, tmp_path):
+        # a 12-row noise sweep; the digest catches any change to the SVG's
+        # layout, element order or number formats
+        cfg = SweepConfig(
+            dim=2, spacing=1 / 32, seed=0, family="noise", levels=(0.0, 0.1, 0.2), samples=4
+        )
+        csv_path, svg_path = tmp_path / "s.csv", tmp_path / "s.svg"
+        write_csv(run_sweep(cfg), str(csv_path))
+        render_svg(str(csv_path), str(svg_path))
+        data = svg_path.read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (
+            3446,
+            "45d9e9b0b1632288c1a65703f10e090717484f812b312b37353d648389ca85db",
+        )
 
     def test_empty_csv_rejected(self, tmp_path):
         p = tmp_path / "e.csv"
