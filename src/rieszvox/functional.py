@@ -26,10 +26,21 @@ once; an empty set or window makes every count zero with no transform and
 no histogram.  Each backend returns conv on the window as exact int64:
 'fft' by one real Fourier product at a fast length L per axis (rfftn,
 irfftn), rounded once every window value is certified within 1/4 of its
-integer; 'direct' by an int64 histogram of the pair sums a + b of the two
+integer; 'direct' by an int64 histogram of pair sums over the two
 smallest members.  Zero-padded to n3 + 1 cells per axis and reversed, the
 window holds what cell k reads for corner s at k - 1 - s, so N_s sums one
 slice over the occupied cells of E3.
+
+The direct histogram works on last-axis runs.  Along the last axis the
+first difference of a convolution is the convolution with one input
+differenced, Δ(a * b) = (Δa) * b, and Δ of a set's indicator is +1 at
+each run start and -1 one past each run end.  So each of the two sets
+enters with its cells, each +1, or with its run ends when those are
+fewer, and the signed histogram of the pair sums, like-signed pairs minus
+unlike-signed ones, becomes conv after one cumulative sum along the last
+axis per differenced set.  The pairs formed, p1 * p2, never exceed
+n1 * n2, and DIRECT_PAIR_GUARD bounds them.  A layer of whole last-axis
+columns is a few runs, so its p is far below its cell count.
 
 The FFT product at length L is the circular convolution, the full one
 folded modulo L; it equals the full one on [lo, hi] when nothing folds
@@ -58,7 +69,7 @@ from .grid import (
 )
 from .symmetrize import dyadic_layers
 
-DIRECT_PAIR_GUARD = 10**8  # max product of the two smallest cell counts
+DIRECT_PAIR_GUARD = 10**8  # max pairs the direct histogram forms
 _PAIR_BLOCK = 2 * 10**6  # pair sums held at once by the direct path
 
 
@@ -107,24 +118,28 @@ def trilinear_corner_counts(t, method="fft"):
 
     method 'fft' uses a Fourier convolution with entries rounded to the
     nearest integer (the true values are integers); 'direct' histograms
-    the integer pair sums of occupied cells.  Both produce identical counts.
+    the integer pair sums of occupied cells or of last-axis run ends.  Both
+    produce identical counts.
     """
     sets = SetTriple(t).sets
+    if method not in ("fft", "direct"):
+        raise ValueError(f"unknown method {method!r}")
+    zeros = dict.fromkeys(product((-1, -2), repeat=sets[0].dim), 0)
+    if any(e.is_empty for e in sets):
+        return zeros
     if method == "direct":
         # N_s is symmetric, so histogram the pair sums of the two smallest
         # sets and read the counts at the cells of the largest
         sets = sorted(sets, key=lambda e: e.count)
-        n1, n2 = sets[0].count, sets[1].count
-        if n1 * n2 > DIRECT_PAIR_GUARD:
+        shape = [a + b - 1 for a, b in zip(sets[0].shape, sets[1].shape)]
+        shape[-1] += 2
+        entries = [_direct_entries(e, shape) for e in sets[:2]]
+        p1, p2 = (idx.size for idx, _ in entries)
+        if p1 * p2 > DIRECT_PAIR_GUARD:
             raise ValueError(
-                f"direct path guard exceeded: {n1} * {n2} > {DIRECT_PAIR_GUARD}"
+                f"direct path guard exceeded: {p1} * {p2} > {DIRECT_PAIR_GUARD}"
             )
-    elif method != "fft":
-        raise ValueError(f"unknown method {method!r}")
     e1, e2, e3 = sets
-    zeros = dict.fromkeys(product((-1, -2), repeat=e1.dim), 0)
-    if any(e.is_empty for e in sets):
-        return zeros
     # the window in plain ints, since layer triples call this many times on
     # small sets: per axis the n3 + 1 conv indices from start, of which
     # [lo, hi] lie inside the full linear conv
@@ -137,7 +152,10 @@ def trilinear_corner_counts(t, method="fft"):
             return zeros
         window.append(slice(lo, hi + 1))
         pad.append(slice(lo - start, hi - start + 1))
-    conv = (_conv_fft if method == "fft" else _conv_direct)(e1, e2, window)
+    if method == "fft":
+        conv = _conv_fft(e1, e2, window)
+    else:
+        conv = _conv_direct(entries, shape, window)
     # reversed, the padded window holds conv[s - g - k] for cell k of E3's
     # box at k - 1 - s, so each corner reads one slice
     read = np.zeros([n + 1 for n in e3.shape], dtype=np.int64)
@@ -169,17 +187,43 @@ def _conv_fft(e1, e2, window):
     return rounded.astype(np.int64)
 
 
-def _conv_direct(e1, e2, window):
-    # the int64 histogram of the pair sums a + b, in blocks of pairs
-    shape = tuple(int(a + b - 1) for a, b in zip(e1.shape, e2.shape))
-    l1 = np.ravel_multi_index(e1.local_indices().T, shape)
-    l2 = np.ravel_multi_index(e2.local_indices().T, shape)
-    conv = np.zeros(math.prod(shape), dtype=np.int64)
+def _direct_entries(e, shape):
+    # the entries e enters the direct histogram with, as flat indices into
+    # shape, and whether they are run ends rather than cells (module
+    # docstring).  The last axis of shape is wider than e's, so a run is a
+    # stretch of consecutive flat indices.  A -1 entry is offset by
+    # prod(shape): a pair sum with j of them lands in copy j of the
+    # histogram, which counts (-1)^j.
+    cells = np.ravel_multi_index(np.nonzero(e.occupancy), shape)
+    edge = np.empty(cells.size + 1, dtype=bool)  # a run starts or ends here
+    edge[0] = edge[-1] = True
+    np.not_equal(cells[1:], cells[:-1] + 1, out=edge[1:-1])
+    if 2 * np.count_nonzero(edge) - 2 >= cells.size:
+        return cells, False
+    return np.concatenate([cells[edge[:-1]], cells[edge[1:]] + (math.prod(shape) + 1)]), True
+
+
+def _conv_direct(entries, shape, window):
+    # the signed int64 histogram of the pair sums, in blocks of pairs,
+    # summed back along the last axis once per differenced set; shape is
+    # the full conv's with the last axis two cells wider, which holds the
+    # pair sums of two sets of run ends
+    (l1, diff1), (l2, diff2) = entries
+    copies = 1 + diff1 + diff2
+    hist = np.zeros(copies * math.prod(shape), dtype=np.int64)
     block = max(1, _PAIR_BLOCK // l2.size)
     for i0 in range(0, l1.size, block):
-        hist = np.bincount((l1[i0 : i0 + block, None] + l2[None, :]).ravel())
-        conv[: hist.size] += hist
-    return conv.reshape(shape)[tuple(window)]
+        part = np.bincount((l1[i0 : i0 + block, None] + l2[None, :]).ravel())
+        hist[: part.size] += part
+    # only the rows the window reads, up to its last cell on the last axis
+    *rows, last = window
+    hist = hist.reshape(copies, *shape)[(slice(None), *rows, slice(last.stop))]
+    conv = hist[0]
+    for sign, copy in zip((-1, 1), hist[1:]):
+        conv = conv + sign * copy
+    for _ in range(copies - 1):
+        conv = np.cumsum(conv, axis=-1)
+    return conv[..., last]
 
 
 def _form(t, method):
@@ -336,13 +380,13 @@ def strong_triangle_rho(tau, eta, dim, samples, seed=0):
     max_j beta_j at least eta * min_i gamma_i, returns the minimum of
     gap / Lambda(gamma).  The sample stream depends only on
     (tau, dim, samples, seed), never on eta, so shrinking eta can only
-    enlarge the qualifying set and lower the minimum.  samples and seed
-    must be integers >= 0, dim an integer >= 1.
+    enlarge the qualifying set and lower the minimum.  samples and dim
+    must be integers >= 1, seed an integer >= 0.
     """
     tau, eta = float_or_nan(tau), float_or_nan(eta)
     if not (0 < tau < 1) or not (0 < eta < 1):
         raise ValueError("tau and eta must lie in (0, 1)")
-    samples = check_integer(samples, "samples", low=0)
+    samples = check_integer(samples, "samples", low=1)
     dim = check_integer(dim, "dim", low=1)
     rng = np.random.default_rng(check_integer(seed, "seed", low=0))
     w = unit_ball_volume(dim)

@@ -570,7 +570,7 @@ def rasterize_ellipsoid(e, spacing, supersample=3):
     if not isinstance(e, Ellipsoid):
         e = Ellipsoid(e.center, e.shape)
     counts, lo = _ellipsoid_sample_counts(e, h, s)
-    return VoxelSet.from_index(2 * counts >= s**e.dim, lo, h).tighten()
+    return VoxelSet.from_index(counts >= (s**e.dim + 1) // 2, lo, h).tighten()
 
 
 def _ellipsoid_sample_counts(e, h, s):
@@ -594,7 +594,8 @@ def _ellipsoid_sample_counts(e, h, s):
     enclose those at 1 - rho.
 
     Each line's in-samples are added to its cells by one difference array
-    along the last axis.
+    along the last axis, summed in the narrowest signed integer type that
+    holds s^dim.
     """
     v, Q, dim = e.center, e.shape, e.dim
     # axis-aligned bounding half-widths: sqrt(diag(Q^-1))
@@ -656,7 +657,9 @@ def _ellipsoid_sample_counts(e, h, s):
     at = np.concatenate([q1, q1 + 1, q0, q0 + 1]) + np.tile(row * width, 4)
     jump = np.concatenate([r1 - s, -r1, s - r0, r0])
     diff = np.bincount(at, jump, minlength=math.prod(box[:-1]) * width)
-    counts = np.cumsum(diff.reshape(box[:-1] + (width,)), axis=-1, dtype=np.int64)
+    total = s**dim  # every partial sum is a count in [0, total]
+    acc = next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= total)
+    counts = np.cumsum(diff.reshape(box[:-1] + (width,)), axis=-1, dtype=acc)
     return counts[..., : box[-1]], lo
 
 

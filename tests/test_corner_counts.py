@@ -192,22 +192,93 @@ def test_direct_blocks_sum_to_one_histogram(monkeypatch, block):
     assert trilinear_corner_counts(sets, "direct") == want
 
 
+def _direct_factor(e):
+    # the entries a set enters the direct histogram with: its cells, or two
+    # run ends per last-axis run when those are fewer
+    occ = e.occupancy
+    before = np.concatenate([np.zeros_like(occ[..., :1]), occ[..., :-1]], axis=-1)
+    return min(e.count, 2 * int((occ & ~before).sum()))
+
+
 def test_pair_guard_message(monkeypatch):
+    # the guard bounds the pairs the histogram forms: the product of the
+    # entries each of the two smallest sets enters with
     rng = np.random.default_rng(2)
-    sets = [
-        VoxelSet.from_index(rng.random((6, 6)) < 0.5, (0, 0), 1.0 / 8) for _ in range(3)
-    ]
-    n1, n2 = sorted(e.count for e in sets)[:2]
+    occs = [rng.random((6, 6)) < 0.5, np.ones((6, 6), bool), np.ones((6, 6), bool)]
+    occs[1][2] = False
+    sets = [VoxelSet.from_index(o, (0, 0), 1.0 / 8) for o in occs]
+    small = sorted(sets, key=lambda e: e.count)[:2]
+    n1, n2 = (e.count for e in small)
+    p1, p2 = (_direct_factor(e) for e in small)
+    assert p1 * p2 < n1 * n2
     # every origin is 0, so the corner window is empty: the guard fires first
-    monkeypatch.setattr(functional, "DIRECT_PAIR_GUARD", n1 * n2 - 1)
+    monkeypatch.setattr(functional, "DIRECT_PAIR_GUARD", p1 * p2 - 1)
     with pytest.raises(ValueError) as exc:
         trilinear_corner_counts(sets, method="direct")
     assert str(exc.value) == (
-        f"direct path guard exceeded: {n1} * {n2} > {n1 * n2 - 1}"
+        f"direct path guard exceeded: {p1} * {p2} > {p1 * p2 - 1}"
     )
-    # the guard is on the pair count itself: n1 * n2 pairs are allowed
-    monkeypatch.setattr(functional, "DIRECT_PAIR_GUARD", n1 * n2)
+    # the guard is on the pair count itself: p1 * p2 pairs are allowed
+    monkeypatch.setattr(functional, "DIRECT_PAIR_GUARD", p1 * p2)
     assert trilinear_corner_counts(sets, "direct") == trilinear_corner_counts(sets, "fft")
+
+
+def _patterned(kind, shape, origin):
+    # checker: every last-axis run is one cell, so run ends outnumber cells;
+    # solid: two of every three last-axis lines are full, two ends per line
+    idx = np.indices(shape)
+    if kind == "checker":
+        occ = idx.sum(axis=0) % 2 == 0
+    else:
+        lines = np.arange(math.prod(shape[:-1])).reshape(shape[:-1]) % 3 != 1
+        occ = np.broadcast_to(lines[..., None], shape).copy()
+    return VoxelSet.from_index(occ, origin, 1.0 / 8)
+
+
+@pytest.fixture
+def direct_entries(monkeypatch):
+    """Records (cells, entries, differenced) of each set the direct path
+    histograms, and the pair sums each bincount forms."""
+    seen = {"sets": [], "pairs": 0}
+    entries, bincount = functional._direct_entries, np.bincount
+
+    def spy_entries(e, shape):
+        idx, differenced = entries(e, shape)
+        seen["sets"].append((e.count, idx.size, differenced))
+        return idx, differenced
+
+    def spy_bincount(x, *args, **kwargs):
+        seen["pairs"] += x.size
+        return bincount(x, *args, **kwargs)
+
+    monkeypatch.setattr(functional, "_direct_entries", spy_entries)
+    monkeypatch.setattr(functional.np, "bincount", spy_bincount)
+    return seen
+
+
+@pytest.mark.parametrize("dim,shape", [(1, (6,)), (2, (4, 6)), (3, (3, 4, 6))])
+@pytest.mark.parametrize(
+    "kinds,differenced",
+    [
+        (("checker",) * 3, {False}),
+        (("solid",) * 3, {True}),
+        (("checker", "solid", "solid"), {False, True}),
+    ],
+)
+def test_direct_entries_cells_or_run_ends(direct_entries, dim, shape, kinds, differenced):
+    # far-apart origins whose sum lands the corners mid-box
+    rng = np.random.default_rng(dim)
+    o1, o2 = rng.integers(-(10**6), 10**6, size=(2, dim))
+    o3 = -(o1 + o2) - 3 * np.asarray(shape) // 2
+    sets = [_patterned(k, shape, o) for k, o in zip(kinds, (o1, o2, o3))]
+    want = oracle_counts(sets)
+    assert sum(want.values()) > 0
+    got = trilinear_corner_counts(sets, "direct")
+    assert got == want
+    (n1, p1, d1), (n2, p2, d2) = direct_entries["sets"]
+    assert {d1, d2} == differenced
+    assert direct_entries["pairs"] == p1 * p2 <= n1 * n2
+    assert trilinear_corner_counts(sets, "fft") == want
 
 
 @pytest.mark.parametrize(

@@ -311,7 +311,13 @@ class TestStrongTriangle:
             strong_triangle_rho(0.5, 1.0, 1, samples=10)
 
     def test_no_qualifying_sample_raises(self):
-        with pytest.raises(ValueError):
+        # the one split of seed 0 qualifies at eta 0.99 but not at 0.999
+        assert strong_triangle_rho(0.5, 0.99, 1, samples=1, seed=0) > 0
+        with pytest.raises(ValueError, match="no qualifying splits sampled; eta too demanding"):
+            strong_triangle_rho(0.5, 0.999, 1, samples=1, seed=0)
+
+    def test_zero_samples_named(self):
+        with pytest.raises(ValueError, match=r"^samples must be >= 1, got 0$"):
             strong_triangle_rho(0.5, 0.25, 1, samples=0, seed=0)
 
 

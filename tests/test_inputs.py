@@ -107,7 +107,7 @@ SCALAR_ENTRIES = [
     ("theta_bound_check", "k", "nan inf fraction", lambda n: theta_bound_check(TRIPLE, (n, 0, 0))),
     ("strong_triangle_rho", "tau", NUMBER, lambda x: strong_triangle_rho(x, 0.25, 1, 10)),
     ("strong_triangle_rho", "eta", NUMBER, lambda x: strong_triangle_rho(0.5, x, 1, 10)),
-    ("strong_triangle_rho", "samples", COUNT, lambda n: strong_triangle_rho(0.5, 0.25, 1, n)),
+    ("strong_triangle_rho", "samples", AT_LEAST_1, lambda n: strong_triangle_rho(0.5, 0.25, 1, n)),
     (
         "strong_triangle_rho", "dim", AT_LEAST_1 + " text",
         lambda n: strong_triangle_rho(0.5, 0.25, n, 10),

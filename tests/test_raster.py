@@ -427,6 +427,27 @@ def test_roots_decide_nearly_every_ellipsoid_sample(exact_samples):
     assert n <= 1e-4 * counts.size * 27
 
 
+@pytest.mark.parametrize(
+    "dim,s,acc",
+    [(1, 127, np.int8), (1, 128, np.int16), (3, 6, np.int16)],
+)
+def test_sample_count_accumulator_at_its_bounds(dim, s, acc):
+    # the counts are summed in the narrowest signed type that holds s^dim:
+    # 127 is int8's largest value, 128 and 216 need int16.  Interior cells
+    # reach s^dim, and the vote counts >= (s^dim + 1) // 2 is 2 counts >= s^dim.
+    total = s**dim
+    e = Ellipsoid(np.full(dim, 0.03), np.eye(dim) / 0.3**2)
+    got, lo = grid._ellipsoid_sample_counts(e, 1.0 / 8, s)
+    want, want_lo, _ = ellipsoid_sample_counts(e, 1.0 / 8, s)
+    assert got.dtype == acc
+    assert np.array_equal(lo, want_lo)
+    assert np.array_equal(got, want)
+    assert got.max() == total
+    wide = got.astype(np.int64)
+    assert np.array_equal(got >= (total + 1) // 2, 2 * wide >= total)
+    assert_identical(rasterize_ellipsoid(e, 1.0 / 8, s), reference_ellipsoid(e, 1.0 / 8, s))
+
+
 @pytest.mark.parametrize("dim", [0, 4])
 def test_unsupported_dim_rejected_before_the_box(kernels, dim):
     # a 4-d center used to build and vote the whole box before VoxelSet
