@@ -1,4 +1,7 @@
-"""Command line entry points: gen, symmetrize, deficit, fit, sweep, verify."""
+"""Command line entry points: gen, symmetrize, deficit, fit, sweep, verify.
+
+Flag and --param values reach the library as text (a --param comma list as
+numbers), where its checks convert them; the choice lists are the library's."""
 
 import argparse
 import dataclasses
@@ -10,29 +13,14 @@ import numpy as np
 from . import __version__, ellipsoid, functional, grid, sweep, symmetrize, verify
 
 
-def _parse_value(text):
-    if "," in text:
-        return [float(x) for x in text.split(",")]
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            pass
-    return text
-
-
 def _params(pairs):
     out = {}
     for item in pairs or ():
         if "=" not in item:
-            raise SystemExit(f"bad --param {item!r}, expected key=value")
+            raise ValueError(f"bad --param {item!r}, expected key=value")
         key, val = item.split("=", 1)
-        out[key] = _parse_value(val)
+        out[key] = [grid.float_or_nan(x) for x in val.split(",")] if "," in val else val
     return out
-
-
-def _load_triple(paths):
-    return grid.SetTriple([grid.load(p) for p in paths])
 
 
 def _given(args, names):
@@ -62,8 +50,7 @@ def cmd_symmetrize(args):
 
 
 def cmd_deficit(args):
-    t = _load_triple(args.inputs)
-    rep = functional.deficit(t)
+    rep = functional.deficit([grid.load(p) for p in args.inputs])
     print(f"T          {rep.t_value:.10g}")
     print(f"Lambda     {rep.lambda_value:.10g}")
     print(f"delta      {rep.delta:.10g}")
@@ -72,8 +59,7 @@ def cmd_deficit(args):
 
 
 def cmd_fit(args):
-    t = _load_triple(args.inputs)
-    fit = ellipsoid.fit_homothetic_triple(t)
+    fit = ellipsoid.fit_homothetic_triple([grid.load(p) for p in args.inputs])
     with np.printoptions(precision=6, suppress=True):
         print(f"shape matrix\n{fit.shape.shape}")
         print(f"centers\n{fit.centers}")
@@ -109,10 +95,10 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="rasterize a generator family")
-    g.add_argument("kind", choices=("ball", "ellipsoid", "blob", "union_of_balls"))
-    g.add_argument("--dim", type=int)
-    g.add_argument("--spacing", type=float)
-    g.add_argument("--seed", type=int)
+    g.add_argument("kind", choices=grid.KINDS)
+    g.add_argument("--dim")
+    g.add_argument("--spacing")
+    g.add_argument("--seed")
     g.add_argument("--param", action="append", metavar="KEY=VALUE")
     g.add_argument("--out", required=True)
     g.set_defaults(fn=cmd_gen)
@@ -134,17 +120,17 @@ def build_parser():
     w = sub.add_parser("sweep", help="perturbation sweep to CSV and SVG")
     w.add_argument("--family", choices=sweep.FAMILIES)
     w.add_argument("--levels", help="comma separated, ascending")
-    w.add_argument("--samples", type=int)
-    w.add_argument("--dim", type=int)
-    w.add_argument("--spacing", type=float)
-    w.add_argument("--seed", type=int)
+    w.add_argument("--samples")
+    w.add_argument("--dim")
+    w.add_argument("--spacing")
+    w.add_argument("--seed")
     w.add_argument("--out-dir", default=".")
     w.add_argument("--config", help="key=value config file")
     w.set_defaults(fn=cmd_sweep)
 
     v = sub.add_parser("verify", help="run the invariant check suite")
-    v.add_argument("--suite", choices=("fast", "all"))
-    v.add_argument("--seed", type=int)
+    v.add_argument("--suite", choices=verify.SUITES)
+    v.add_argument("--seed")
     v.set_defaults(fn=cmd_verify)
     return p
 

@@ -198,10 +198,10 @@ def affine_regress_centers(field, weights=None):
     y = np.array([f.center if isinstance(f, IntervalFit) else f for f in fits], dtype=float)
     if weights is None:
         w = np.array([f.length if isinstance(f, IntervalFit) else 1.0 for f in fits])
-    else:
-        w = np.array([weights[k] for k in keys], dtype=float)
+    else:  # a missing key reads as NaN
+        w = np.array([weights.get(k, math.nan) for k in keys], dtype=float)
     if not (np.all(np.isfinite(w) & (w >= 0)) and w.sum() > 0):
-        raise ValueError("weights must be finite and nonnegative with positive total")
+        raise ValueError("weights must be finite and >= 0 for each field key, with positive total")
     design = np.hstack([x, np.ones((x.shape[0], 1))])
     sw = np.sqrt(w)
     dw = design * sw[:, None]

@@ -30,6 +30,7 @@ every cell of the bounding box.
 
 import math
 import numbers
+import re
 import struct
 from dataclasses import dataclass
 
@@ -67,8 +68,10 @@ def check_positive(value, name):
 
 
 def check_integer(value, name, low=None):
-    """int(value), once it is integral (3 and 3.0 pass, 2.5 and NaN raise)
-    and, when low is given, at least low."""
+    """int(value), once it is integral (3, 3.0 and the text "3" pass, 2.5
+    and NaN raise) and, when low is given, at least low."""
+    if isinstance(value, str) and re.fullmatch(r"\s*[+-]?\d+\s*", value):
+        value = int(value)  # integer text exactly, not rounded through a float
     if isinstance(value, numbers.Integral):
         n = int(value)
     else:
@@ -656,10 +659,12 @@ def _ellipsoid_sample_counts(e, h, s):
     q1, r1 = np.divmod(stop, s)
     at = np.concatenate([q1, q1 + 1, q0, q0 + 1]) + np.tile(row * width, 4)
     jump = np.concatenate([r1 - s, -r1, s - r0, r0])
-    diff = np.bincount(at, jump, minlength=math.prod(box[:-1]) * width)
     total = s**dim  # every partial sum is a count in [0, total]
     acc = next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= total)
-    counts = np.cumsum(diff.reshape(box[:-1] + (width,)), axis=-1, dtype=acc)
+    # an entry ends as a difference of two counts in [0, total]: its wrapping sum is exact
+    diff = np.zeros(box[:-1] + (width,), dtype=acc)
+    np.add.at(diff.reshape(-1), at, jump.astype(acc))
+    counts = np.cumsum(diff, axis=-1, dtype=acc)
     return counts[..., : box[-1]], lo
 
 
@@ -776,13 +781,14 @@ def _uniform_windows(occ, w, first):
 
 # -- generators -----------------------------------------------------------
 
+KINDS = ("ball", "ellipsoid", "blob", "union_of_balls")
+
 
 def generate(kind, params=None, seed=0):
     """Deterministic set generators for tests and sweeps.
 
-    kind is one of 'ball', 'ellipsoid', 'blob', 'union_of_balls'.  params is
-    a dict; common keys: dim (default 2), spacing (default 1/64),
-    supersample (default 3).  Per kind:
+    kind is one of KINDS.  params is a dict; common keys: dim (default 2),
+    spacing (default 1/64), supersample (default 3).  Per kind:
 
     ball:           radius (1.0), center (0)
     ellipsoid:      shape (Q, or its dim^2 entries row by row) or axes
@@ -801,6 +807,8 @@ def generate(kind, params=None, seed=0):
     at least 0), if jitter lies outside [0, 1), or if the generated set is
     empty.
     """
+    if kind not in KINDS:
+        raise ValueError(f"unknown generator kind {kind!r}")
     p = dict(params or {})
     dim = check_integer(p.pop("dim", 2), "dim", low=1)
     h = check_positive(p.pop("spacing", 1.0 / 64), "spacing")
@@ -843,7 +851,7 @@ def generate(kind, params=None, seed=0):
             d /= max(np.linalg.norm(d), 1e-12)
             # keep the next ball overlapping the current one
             pos = pos + d * min(step, 1.6 * r) * rng.random()
-    elif kind == "union_of_balls":
+    else:  # union_of_balls
         n = check_integer(p.pop("n", 3), "n", low=1)
         span = check_positive(p.pop("span", 1.5), "span")
         rmin = check_positive(p.pop("rmin", 0.2), "rmin")
@@ -853,8 +861,6 @@ def generate(kind, params=None, seed=0):
             c = (rng.random(dim) - 0.5) * span
             rr = rmin + (rmax - rmin) * rng.random()
             bodies.append((c, np.eye(dim) / rr**2))
-    else:
-        raise ValueError(f"unknown generator kind {kind!r}")
     if p:
         raise ValueError(f"unknown params for {kind!r}: {sorted(p)}")
 

@@ -37,6 +37,14 @@ from .symmetrize import _greedy_ball_order
 FAMILIES = ("noise", "relocate", "shear", "skew")
 
 
+def _check_family(family, dim):
+    """A known family at a dim it is defined at (shear and skew need two axes)."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    if dim == 1 and family in ("shear", "skew"):
+        raise ValueError(f"family {family!r} needs dim >= 2")
+
+
 def _levels(value, name):
     """One or more finite levels, ascending, from a sequence or a comma string."""
     parts = value.split(",") if isinstance(value, str) else value
@@ -73,16 +81,13 @@ class SweepConfig:
                 setattr(self, f.name, _CHECKS[f.type](value, f.name, **f.metadata))
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{f.name}: invalid value {value!r} ({exc})") from exc
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
+        _check_family(self.family, self.dim)
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2, or 3, got {self.dim}")
         if self.family in ("noise", "relocate") and not 0 <= self.levels[0] <= self.levels[-1] <= 1:
             raise ValueError(
                 f"levels must lie in [0, 1] for family {self.family!r}, got {self.levels}"
             )
-        if self.dim == 1 and self.family in ("shear", "skew"):
-            raise ValueError(f"family {self.family!r} needs dim >= 2")
 
 
 @dataclass
@@ -231,6 +236,7 @@ def base_triple(dim, spacing, rng):
 def apply_family(t, family, level, rng):
     """Perturb a SetTriple by one family at the given level."""
     t = SetTriple(t)
+    _check_family(family, t.dim)
     if family == "noise":
         return SetTriple([perturb_noise(e, level, rng) for e in t])
     if family == "relocate":
@@ -246,7 +252,6 @@ def apply_family(t, family, level, rng):
         slope = np.zeros(t.dim - 1)
         slope[0] = level
         return SetTriple([t[0], t[1], skew_columns(t[2], slope)])
-    raise ValueError(f"unknown family {family!r}")
 
 
 # -- the runner -------------------------------------------------------------

@@ -323,11 +323,12 @@ ALL_CHECKS = FAST_CHECKS + (
     ("fit epsilon on balls", check_fit_epsilon_on_balls),
     ("deficit nonnegative", check_deficit_nonnegative),
 )
+SUITES = ("fast", "all")
 
 
 def run_suite(suite="fast", seed=0, out=print):
-    if suite not in ("fast", "all"):
-        raise ValueError(f"suite must be 'fast' or 'all', got {suite!r}")
+    if suite not in SUITES:
+        raise ValueError(f"suite must be one of {SUITES}, got {suite!r}")
     checks = FAST_CHECKS if suite == "fast" else ALL_CHECKS
     rng = np.random.default_rng(check_integer(seed, "seed", low=0))
     failures = 0

@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from rieszvox import load, symmetrize
+from rieszvox import grid, load, sweep, symmetrize, verify
 from rieszvox.cli import build_parser, main
 
 
@@ -60,9 +60,28 @@ class TestGen:
         assert main(["gen", "ellipsoid", "--param", "shape=4,0,4", "--out", str(paths[0])]) == 2
         assert "shape needs 4 numbers" in capsys.readouterr().err
 
-    def test_bad_param_exits(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["gen", "ball", "--param", "radius", "--out", str(tmp_path / "x.vxg")])
+    def test_bad_param_exits(self, tmp_path, capsys):
+        # a pair without "=" used to raise a bare SystemExit with exit code 1
+        assert main(["gen", "ball", "--param", "radius", "--out", str(tmp_path / "x.vxg")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("rieszvox: error: bad --param 'radius', expected key=value")
+        assert not (tmp_path / "x.vxg").exists()
+
+    def test_integral_float_flag_is_an_integer(self, tmp_path):
+        # argparse used to reject --dim 2.0, while --param dim=2.0 ran
+        paths = [tmp_path / "a.vxg", tmp_path / "b.vxg", tmp_path / "c.vxg"]
+        for path, dim in zip(paths, ("2.0", "2", None)):
+            flags = ["--out", str(path)] + (["--dim", dim] if dim else ["--param", "dim=2.0"])
+            assert main(["gen", "ball", "--param", "radius=0.4"] + flags) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+
+    def test_integer_seed_text_is_read_exactly(self, tmp_path):
+        # 2**53 + 1 would round to 2**53 on its way through a float
+        seeds = ("9007199254740993", "9007199254740992", "9007199254740993.0")
+        paths = [tmp_path / f"{i}.vxg" for i in range(3)]
+        for path, seed in zip(paths, seeds):
+            assert main(["gen", "blob", "--seed", seed, "--out", str(path)]) == 0
+        assert paths[0].read_bytes() != paths[1].read_bytes() == paths[2].read_bytes()
 
 
 class TestSymmetrize:
@@ -162,6 +181,8 @@ class TestErrors:
         "param,message",
         [
             ("center=nan,0", "center must be finite"),
+            # numpy used to reject the word without naming center
+            ("center=0.1,a", "center must be finite"),
             ("radius=nan", "radius must be finite and positive"),
             ("radius=-1", "radius must be finite and positive"),
             # a list and a word used to escape as a TypeError traceback and
@@ -233,6 +254,27 @@ class TestErrors:
         assert main(argv + extra) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            # the library's check names the flag, where argparse used to
+            # print "invalid int value"
+            (["gen", "ball", "--dim", "x"], "dim must be an integer, got x"),
+            (["gen", "ball", "--seed", "x"], "seed must be an integer, got x"),
+            (["gen", "ball", "--spacing", "x"], "spacing must be finite and positive, got x"),
+            (["sweep", "--seed", "x"], "seed: invalid value 'x' (seed must be an integer, got x)"),
+            (["sweep", "--samples", "2.5"], "samples must be an integer, got 2.5"),
+            (["sweep", "--dim", "x"], "dim must be an integer, got x"),
+            (["verify", "--seed", "x"], "seed must be an integer, got x"),
+        ],
+    )
+    def test_bad_flag_value_names_the_flag(self, tmp_path, capsys, argv, message):
+        extra = {"gen": ["--out", str(tmp_path / "x.vxg")], "sweep": ["--out-dir", str(tmp_path)]}
+        assert main(argv + extra.get(argv[0], [])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("rieszvox: error: ") and message in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSweep:
@@ -312,6 +354,22 @@ class TestSweep:
         assert capsys.readouterr().err.startswith("rieszvox: error: levels: ")
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_integral_float_samples(self, tmp_path):
+        # argparse used to reject --samples 2.0, while samples = 2.0 in a
+        # config file ran
+        i = self.ARGS.index("--samples") + 1
+        assert self.ARGS[i] == "2"
+        for samples in ("2", "2.0"):
+            argv = self.ARGS[:i] + [samples] + self.ARGS[i + 1 :]
+            assert main(argv + ["--out-dir", str(tmp_path / samples)]) == 0
+
+        def stripped(samples):  # the records without runtime_ms
+            lines = (tmp_path / samples / "sweep.csv").read_text().splitlines()
+            return [line.rsplit(",", 1)[0] for line in lines]
+
+        assert len(stripped("2")) == 1 + 2 * 2
+        assert stripped("2.0") == stripped("2")
+
     def test_bad_config_value_names_the_field(self, tmp_path, capsys):
         cfg = tmp_path / "s.cfg"
         cfg.write_text("family = skew\nsamples = two\n")
@@ -390,16 +448,27 @@ class TestFlagPlacement:
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
-def test_readme_commands_parse():
+# the README's commands that run here too; sweep and verify only parse
+RUN = ("gen", "symmetrize", "deficit", "fit")
+
+
+def test_readme_commands_parse(tmp_path, monkeypatch):
+    """Every README command parses, and the quick ones run in order in an
+    empty directory with exit code 0, since argparse no longer checks
+    values."""
+    monkeypatch.chdir(tmp_path)
     blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
     lines = [line for block in blocks for line in block.splitlines()]
     commands = [shlex.split(line)[1:] for line in lines if line.startswith("rieszvox ")]
     assert len(commands) >= 10
+    assert sum(argv[0] in RUN for argv in commands) == 7
     for argv in commands:
         try:
             build_parser().parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: rieszvox {shlex.join(argv)}")
+        if argv[0] in RUN and main(argv) != 0:
+            pytest.fail(f"README command fails: rieszvox {shlex.join(argv)}")
 
 
 class TestVerify:
@@ -407,3 +476,27 @@ class TestVerify:
         assert main(["verify", "--suite", "fast"]) == 0
         text = capsys.readouterr().out
         assert "ok" in text
+
+    def test_integral_float_seed(self, capsys):
+        # argparse used to reject --seed 1.0
+        lines = {}
+        for seed in ("1", "1.0"):
+            assert main(["verify", "--seed", seed]) == 0
+            lines[seed] = capsys.readouterr().out.splitlines()
+        assert len(lines["1"]) > 1
+        assert lines["1.0"] == lines["1"]
+
+
+@pytest.mark.parametrize(
+    "command,dest,table",
+    [
+        # symmetrize --op: TestSymmetrize.test_op_choices_are_the_library_table
+        ("gen", "kind", grid.KINDS),
+        ("sweep", "family", sweep.FAMILIES),
+        ("verify", "suite", verify.SUITES),
+    ],
+)
+def test_choices_are_the_library_tables(command, dest, table):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    action = next(a for a in sub.choices[command]._actions if a.dest == dest)
+    assert tuple(action.choices) == table

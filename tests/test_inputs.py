@@ -48,6 +48,7 @@ from rieszvox import (
     trilinear_form,
     trilinear_form_direct,
 )
+from rieszvox.grid import check_integer
 from rieszvox.sweep import FAMILIES, perturb_noise, perturb_relocate, skew_columns
 from rieszvox.verify import run_suite
 
@@ -262,6 +263,12 @@ def test_bad_generator_vector_is_rejected_by_name(name, kind, params):
             "weights",
             id="affine_regress_centers",
         ),
+        # a weights mapping without a key of field used to escape as a KeyError
+        pytest.param(
+            lambda: affine_regress_centers({(0.0,): 0.0, (1.0,): 1.0}, {(0.0,): 1.0}),
+            "weights",
+            id="affine_regress_centers-missing-key",
+        ),
         pytest.param(lambda: run_suite("fats", out=None), "suite", id="run_suite"),
         # cells must be an (n, dim) array of integral values
         pytest.param(lambda: from_cells([[1, 2]], 1, H), "cells", id="from_cells-width"),
@@ -293,6 +300,18 @@ def test_integral_floats_still_count():
     assert slice_center_field(BALL, -2) == slice_center_field(BALL, 0.0)
     assert slice_center_field(BALL, -1) == slice_center_field(BALL)
     assert VoxelSet.empty(2.0, H) == VoxelSet.empty(2, H)
+
+
+def test_integer_text_is_read_exactly():
+    # 2**53 + 1 is not a float; text that is not an integer goes through one
+    big = 2**53 + 1
+    assert check_integer(str(big), "seed") == big
+    assert [check_integer(t, "n") for t in (" -3 ", "+3", "3.0", "1e3")] == [-3, 3, 3, 1000]
+    with pytest.raises(ValueError, match=re.escape("n must be an integer, got -+3")):
+        check_integer("-+3", "n")
+    assert generate("blob", {"spacing": H}, seed=str(big)) == generate(
+        "blob", {"spacing": H}, seed=big
+    )
 
 
 def test_levels_outside_the_unit_interval_name_the_family():

@@ -89,6 +89,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="needs dim >= 2"):
             SweepConfig(family=family, dim=1)
 
+    @pytest.mark.parametrize("family", ["shear", "skew"])
+    def test_apply_family_column_families_need_two_dims(self, family):
+        # at dim 1 shear used to scale each set by the level, and skew
+        # raised an IndexError
+        ball = generate("ball", {"dim": 1, "spacing": 1 / 16, "radius": 1.0})
+        with pytest.raises(ValueError, match=f"family '{family}' needs dim >= 2"):
+            apply_family([ball, ball, ball], family, 0.1, np.random.default_rng(0))
+
+    def test_apply_family_unknown_family(self):
+        ball = generate("ball", {"dim": 2, "spacing": 1 / 16, "radius": 0.5})
+        with pytest.raises(ValueError, match="unknown family 'twist'"):
+            apply_family([ball, ball, ball], "twist", 0.1, np.random.default_rng(0))
+
     @pytest.mark.parametrize("family", ["noise", "relocate"])
     def test_one_dim_families_run(self, family):
         cfg = SweepConfig(family=family, dim=1, spacing=1 / 16, levels=(0.1,), samples=1)
