@@ -4,7 +4,6 @@ Flag and --param values reach the library as text (a --param comma list as
 numbers), where its checks convert them; the choice lists are the library's."""
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -34,8 +33,10 @@ def _out_path(args, name):
 
 
 def cmd_gen(args):
-    params = {**_given(args, ("dim", "spacing")), **_params(args.param)}
-    e = grid.generate(args.kind, params, **_given(args, ("seed",)))
+    flags, params = _given(args, ("dim", "spacing")), _params(args.param)
+    if both := sorted(flags.keys() & params.keys()):
+        raise ValueError(f"{', '.join(both)} given both as a flag and as --param")
+    e = grid.generate(args.kind, {**flags, **params}, **_given(args, ("seed",)))
     grid.save(e, args.out)
     print(f"{args.kind}: {e.count} cells, measure {e.measure:.6g} -> {args.out}")
     return 0
@@ -70,9 +71,9 @@ def cmd_fit(args):
 
 def cmd_sweep(args):
     # given flags beat the config file, which beats SweepConfig's defaults
-    mapping = sweep.parse_config(args.config) if args.config else {}
-    mapping.update(_given(args, [f.name for f in dataclasses.fields(sweep.SweepConfig)]))
-    config = sweep.config_from_mapping(mapping)
+    file = sweep.parse_config(args.config) if args.config else {}
+    given = _given(args, ("dim", "spacing", "seed", "family", "levels", "samples"))
+    config = sweep.SweepConfig(**{**file, **given})
     records = sweep.run_sweep(config)
     csv_path = _out_path(args, config.out_csv)
     svg_path = _out_path(args, config.out_svg)

@@ -45,45 +45,48 @@ def _check_family(family, dim):
         raise ValueError(f"family {family!r} needs dim >= 2")
 
 
-def _levels(value, name):
-    """One or more finite levels, ascending, from a sequence or a comma string."""
+def _levels(value):
+    """One or more finite levels, ascending, from a sequence or a comma string
+    (a word in it reads as NaN)."""
     parts = value.split(",") if isinstance(value, str) else value
-    levels = tuple(float(x) for x in parts)
+    try:
+        levels = tuple(float_or_nan(x) for x in parts)
+    except TypeError:  # not a sequence
+        levels = ()
     if not levels or not np.all(np.isfinite(levels)) or list(levels) != sorted(levels):
-        raise ValueError(f"{name} must be nonempty, finite and ascending, got {levels}")
+        raise ValueError(f"levels must be nonempty, finite and ascending, got {value}")
     return levels
-
-
-# a SweepConfig field's check by its type; metadata holds an int's lower bound
-_CHECKS = {int: check_integer, float: check_positive, tuple: _levels, str: lambda v, _: str(v)}
 
 
 @dataclass
 class SweepConfig:
-    """Each field is checked and cast by its type: integers (3.0 is 3, 2.5
-    an error), a finite positive spacing, one or more finite ascending
-    levels (a comma string is split), within [0, 1] for noise and
-    relocate.  A bad value raises a ValueError naming the field."""
+    """Each field is checked and cast once, in field order, and a bad value
+    raises its check's ValueError naming the field: integers (3.0 is 3,
+    2.5 an error), dim 1, 2 or 3, seed >= 0, samples >= 1, a finite
+    positive spacing, a known family, one or more finite ascending levels
+    (a comma string is split) within [0, 1] for noise and relocate.  Text
+    works wherever a number does, as a config file gives it."""
 
     dim: int = 2
     spacing: float = 1.0 / 64
-    seed: int = field(default=0, metadata={"low": 0})
+    seed: int = 0
     family: str = "noise"
     levels: tuple = (0.02, 0.05, 0.1, 0.2)
-    samples: int = field(default=25, metadata={"low": 1})
+    samples: int = 25
     out_csv: str = "sweep.csv"
     out_svg: str = "sweep.svg"
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            try:
-                setattr(self, f.name, _CHECKS[f.type](value, f.name, **f.metadata))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{f.name}: invalid value {value!r} ({exc})") from exc
-        _check_family(self.family, self.dim)
+        self.dim = check_integer(self.dim, "dim")
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2, or 3, got {self.dim}")
+        self.spacing = check_positive(self.spacing, "spacing")
+        self.seed = check_integer(self.seed, "seed", low=0)
+        _check_family(self.family, self.dim)
+        self.family = str(self.family)
+        self.levels = _levels(self.levels)
+        self.samples = check_integer(self.samples, "samples", low=1)
+        self.out_csv, self.out_svg = str(self.out_csv), str(self.out_svg)
         if self.family in ("noise", "relocate") and not 0 <= self.levels[0] <= self.levels[-1] <= 1:
             raise ValueError(
                 f"levels must lie in [0, 1] for family {self.family!r}, got {self.levels}"
@@ -107,7 +110,10 @@ CSV_COLUMNS = ",".join(f.name for f in fields(SweepRecord))
 
 
 def parse_config(path):
-    """Flat key=value text config; '#' starts a comment."""
+    """A flat key=value text config as a dict of strings, for
+    SweepConfig(**...); '#' starts a comment.  A line without '=' or a key
+    that is not a SweepConfig field raises a ValueError naming it."""
+    names = {f.name for f in fields(SweepConfig)}
     out = {}
     with open(path) as fh:
         for raw in fh:
@@ -117,15 +123,10 @@ def parse_config(path):
             if "=" not in line:
                 raise ValueError(f"bad config line: {raw.rstrip()}")
             key, val = (s.strip() for s in line.split("=", 1))
+            if key not in names:
+                raise ValueError(f"unknown config key {key!r}, expected one of {sorted(names)}")
             out[key] = val
     return out
-
-
-def config_from_mapping(m):
-    unknown = set(m) - {f.name for f in fields(SweepConfig)}
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return SweepConfig(**m)
 
 
 # -- perturbations ----------------------------------------------------------
@@ -332,14 +333,6 @@ def spearman_delta_epsilon(rows):
             return float("nan")
         ranks.append((np.cumsum(n) - (n - 1) / 2)[inv])  # 1-based, ties averaged
     return float(np.corrcoef(*ranks)[0, 1])
-
-
-def level_medians(rows, column):
-    """Per-level medians of a CSV column, keyed by level, sorted."""
-    groups = {}
-    for r in rows:
-        groups.setdefault(r["level"], []).append(r[column])
-    return {lv: float(np.median(v)) for lv, v in sorted(groups.items())}
 
 
 # -- SVG rendering -----------------------------------------------------------

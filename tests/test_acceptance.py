@@ -37,7 +37,6 @@ from rieszvox.sweep import (
     SweepConfig,
     apply_family,
     base_triple,
-    level_medians,
     run_sweep,
     skew_columns,
     spearman_delta_epsilon,
@@ -292,6 +291,12 @@ def test_criterion_09_fit_recovery():
     )
 
 
+def _level_medians(rows, column):
+    """Per-level medians of a column, in ascending level order."""
+    levels = sorted({r["level"] for r in rows})
+    return [float(np.median([r[column] for r in rows if r["level"] == lv])) for lv in levels]
+
+
 def test_criterion_10_noise_trend():
     start = time.perf_counter()
     config = SweepConfig(
@@ -308,8 +313,8 @@ def test_criterion_10_noise_trend():
         for r in records
     ]
     rho = spearman_delta_epsilon(rows)
-    med_delta = list(level_medians(rows, "delta").values())
-    med_eps = list(level_medians(rows, "epsilon_max").values())
+    med_delta = _level_medians(rows, "delta")
+    med_eps = _level_medians(rows, "epsilon_max")
     increasing = all(b > a for a, b in zip(med_delta, med_delta[1:])) and all(
         b > a for a, b in zip(med_eps, med_eps[1:])
     )

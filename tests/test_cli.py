@@ -67,6 +67,16 @@ class TestGen:
         assert err.startswith("rieszvox: error: bad --param 'radius', expected key=value")
         assert not (tmp_path / "x.vxg").exists()
 
+    @pytest.mark.parametrize("flag,param", [("--spacing=0.5", "spacing=0.25"), ("--dim=2", "dim=3")])
+    def test_key_as_flag_and_param_exits(self, tmp_path, capsys, flag, param):
+        # --param spacing=0.25 used to silently beat --spacing 0.5
+        out = tmp_path / "x.vxg"
+        assert main(["gen", "ball", flag, "--param", param, "--out", str(out)]) == 2
+        key = param.split("=")[0]
+        err = capsys.readouterr().err
+        assert err.startswith(f"rieszvox: error: {key} given both as a flag and as --param")
+        assert not out.exists()
+
     def test_integral_float_flag_is_an_integer(self, tmp_path):
         # argparse used to reject --dim 2.0, while --param dim=2.0 ran
         paths = [tmp_path / "a.vxg", tmp_path / "b.vxg", tmp_path / "c.vxg"]
@@ -263,7 +273,7 @@ class TestErrors:
             (["gen", "ball", "--dim", "x"], "dim must be an integer, got x"),
             (["gen", "ball", "--seed", "x"], "seed must be an integer, got x"),
             (["gen", "ball", "--spacing", "x"], "spacing must be finite and positive, got x"),
-            (["sweep", "--seed", "x"], "seed: invalid value 'x' (seed must be an integer, got x)"),
+            (["sweep", "--seed", "x"], "seed must be an integer, got x"),
             (["sweep", "--samples", "2.5"], "samples must be an integer, got 2.5"),
             (["sweep", "--dim", "x"], "dim must be an integer, got x"),
             (["verify", "--seed", "x"], "seed must be an integer, got x"),
@@ -343,15 +353,14 @@ class TestSweep:
         rc = main(["sweep", "--levels", "0.2,x", "--out-dir", str(tmp_path)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("rieszvox: error: levels: ")
-        assert "'0.2,x'" in err
+        assert err == "rieszvox: error: levels must be nonempty, finite and ascending, got 0.2,x\n"
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_nan_level_is_an_error(self, tmp_path, capsys):
         # a NaN level used to write an unperturbed record with level=nan
         rc = main(["sweep", "--levels", "nan", "--samples", "1", "--out-dir", str(tmp_path)])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("rieszvox: error: levels: ")
+        assert capsys.readouterr().err.startswith("rieszvox: error: levels must be ")
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_integral_float_samples(self, tmp_path):
@@ -375,7 +384,16 @@ class TestSweep:
         cfg.write_text("family = skew\nsamples = two\n")
         rc = main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)])
         assert rc == 2
-        assert "samples: invalid value 'two'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == "rieszvox: error: samples must be an integer, got two\n"
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_unknown_config_key_exits(self, tmp_path, capsys):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("family = skew\nsample = 2\n")
+        rc = main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("rieszvox: error: unknown config key 'sample'")
         assert not (tmp_path / "sweep.csv").exists()
 
 

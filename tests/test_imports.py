@@ -115,15 +115,41 @@ def unread_parameters(path):
     return out
 
 
-# parameters a protocol fixes: every verify check takes the suite's rng,
-# and every SweepConfig field check takes a name
+# parameters a protocol fixes: every verify check takes the suite's rng
 PROTOCOL_PARAMETERS = {
     "verify.check_lambda_anchors:rng",
     "verify.check_fit_epsilon_on_balls:rng",
-    "sweep.<lambda>:_",
 }
 
 
 def test_every_parameter_is_read():
     unread = {u for p in sorted(PACKAGE.glob("*.py")) for u in unread_parameters(p)}
     assert sorted(unread - PROTOCOL_PARAMETERS) == []
+
+
+def unreferenced_top_level_names():
+    """module.name for each top-level function or class of a package module
+    that no package file reads and __init__.py does not export."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    used = {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for tree in trees.values()
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    } | {
+        alias.name
+        for node in trees["__init__"].body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    return sorted(
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in used
+    )
+
+
+def test_every_top_level_name_is_used():
+    assert unreferenced_top_level_names() == []

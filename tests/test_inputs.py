@@ -238,6 +238,7 @@ def test_bad_generator_vector_is_rejected_by_name(name, kind, params):
         pytest.param(lambda: theta_bound_check(TRIPLE, (K0,) * 4), "k", id="theta_bound_check"),
         pytest.param(lambda: skew_columns(BALL, [0.1, 0.1]), "slope", id="skew_columns"),
         pytest.param(lambda: SweepConfig(levels=()), "levels", id="SweepConfig-levels-empty"),
+        pytest.param(lambda: SweepConfig(levels=0.1), "levels", id="SweepConfig-levels-scalar"),
         # noise and relocate levels lie in [0, 1]; the config rejects them
         # before run_sweep computes any record
         pytest.param(

@@ -6,13 +6,12 @@ import pytest
 from scipy.stats import spearmanr
 
 from rieszvox import SetTriple, generate, symmetric_difference_measure
+from rieszvox.grid import check_integer
 from rieszvox.sweep import (
     CSV_COLUMNS,
     SweepConfig,
     apply_family,
     base_triple,
-    config_from_mapping,
-    level_medians,
     parse_config,
     perturb_noise,
     perturb_relocate,
@@ -50,8 +49,7 @@ class TestConfig:
     def test_parse_config(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("# comment\nfamily = skew\nlevels = 0.0,0.1 # inline\n\nsamples=2\n")
-        m = parse_config(str(p))
-        cfg = config_from_mapping(m)
+        cfg = SweepConfig(**parse_config(str(p)))
         assert cfg.family == "skew"
         assert cfg.levels == (0.0, 0.1)
         assert cfg.samples == 2
@@ -62,22 +60,36 @@ class TestConfig:
         with pytest.raises(ValueError):
             parse_config(str(p))
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError):
-            config_from_mapping({"samples": "2", "wobble": "1"})
+    def test_unknown_key_rejected(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("samples = 2\nwobble = 1\n")
+        with pytest.raises(ValueError, match="unknown config key 'wobble'"):
+            parse_config(str(p))
 
-    def test_every_field_from_strings(self):
-        m = {
-            "dim": "3", "spacing": "0.125", "seed": "4", "family": "skew",
-            "levels": "0.1, 0.3", "samples": "2", "out_csv": "a.csv", "out_svg": "b.svg",
-        }
-        cfg = config_from_mapping(m)
+    def test_every_field_from_strings(self, tmp_path):
+        text = (
+            "dim = 3\nspacing = 0.125\nseed = 4\nfamily = skew\nlevels = 0.1, 0.3\n"
+            "samples = 2\nout_csv = a.csv\nout_svg = b.svg\n"
+        )
+        p = tmp_path / "c.cfg"
+        p.write_text(text)
+        m = parse_config(str(p))
+        cfg = SweepConfig(**m)
         assert cfg == SweepConfig(3, 0.125, 4, "skew", (0.1, 0.3), 2, "a.csv", "b.svg")
         assert [type(getattr(cfg, k)) for k in m] == [
             int, float, int, str, tuple, int, str, str,
         ]
+        p.write_text(text + "wobble = 1\n")
         with pytest.raises(ValueError, match="wobble"):
-            config_from_mapping({**m, "wobble": "1"})
+            parse_config(str(p))
+
+    def test_bad_value_raises_its_checks_message(self):
+        # one message, the check's own, not wrapped in a second naming
+        with pytest.raises(ValueError) as want:
+            check_integer("x", "seed", low=0)
+        with pytest.raises(ValueError) as got:
+            SweepConfig(seed="x")
+        assert str(got.value) == str(want.value) == "seed must be an integer, got x"
 
     @pytest.mark.parametrize("dim", [0, 4])
     def test_unsupported_dim_rejected(self, dim):
@@ -310,9 +322,3 @@ class TestStatistics:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert np.isnan(spearman_delta_epsilon(rows))
-
-    def test_level_medians(self):
-        med = level_medians(self._rows(), "delta")
-        assert list(med) == [0.1, 0.2]
-        assert med[0.1] == pytest.approx(0.03)
-        assert med[0.2] == pytest.approx(0.08)
