@@ -18,6 +18,8 @@ def _params(pairs):
         if "=" not in item:
             raise ValueError(f"bad --param {item!r}, expected key=value")
         key, val = item.split("=", 1)
+        if key in out:
+            raise ValueError(f"--param {key} given twice")
         out[key] = [grid.float_or_nan(x) for x in val.split(",")] if "," in val else val
     return out
 

@@ -20,12 +20,13 @@ of its samples are in (2 * in >= s^dim).  Neither kernel runs the
 per-sample test on the whole box.  For an ellipsoid, q is a quadratic
 along each line of samples on the last axis: its roots at the levels
 1 -+ rho, rho far above rounding error, decide every sample outside a thin
-shell, and only the shell's samples are tested.  For an affine image, the
-preimages of a cell's samples fall in a fixed-width window of E's cells,
-with a margin far above rounding error; window sums of E decide the cells
-whose window is all occupied or all empty, and only the remaining band
-runs the per-sample test.  Either way the counts are those of sampling
-every cell of the bounding box.
+shell, and only the shell's samples are tested, on the lines that have
+any.  For an affine image, a cell's samples lie within (h/2)(1 - 1/s) of
+its center per axis, so their preimages fall in a fixed-width window of
+E's cells, with a margin far above rounding error; window sums of E
+decide the cells whose window is all occupied or all empty, and only the
+remaining band runs the per-sample test.  Either way the counts are those
+of sampling every cell of the bounding box.
 """
 
 import math
@@ -585,7 +586,7 @@ def _ellipsoid_sample_counts(e, h, s):
     the last coordinate t.  Samples between its roots at the level 1 - rho
     are in, samples outside its roots at 1 + rho are out, and only those
     left between run the per-sample expression (_quadratic_form), in the
-    order of the full-box loop.
+    order of the full-box loop; a line with none left skips it.
 
     The margin: rho = BAND_RTOL * ext|Q|ext, where ext bounds |c_i| over
     the box, so ext|Q|ext bounds the summed terms and is at least 1 (the
@@ -639,31 +640,41 @@ def _ellipsoid_sample_counts(e, h, s):
     out_first, out_stop = roots(1.0 + rho)
     in_first, in_stop = roots(1.0 - rho)
 
-    # the undecided samples [out_first, in_first) and [in_stop, out_stop)
-    starts = np.concatenate([out_first, in_stop])
-    size = np.concatenate([in_first, out_stop]) - starts
-    line = np.repeat(np.tile(np.arange(lb.size), 2), size)
-    k = np.repeat(starts - np.cumsum(size) + size, size) + np.arange(size.sum())
-    coords = [np.broadcast_to(x, lines).ravel()[line] for x in mesh] + [t[k]]
-    inq = _quadratic_form(Q, coords) <= 1.0
-
-    # each in-run [first, stop) of a line adds min(max(stop - m s, 0), s)
-    # minus the same of first to cell m: a step pattern with four jumps
-    row = np.ravel_multi_index(np.ix_(*[np.arange(n) // s for n in lines]), box[:-1])
-    row = np.broadcast_to(row, lines).ravel()
-    row = np.concatenate([row, row[line[inq]]])
-    first = np.concatenate([in_first, k[inq]])
-    stop = np.concatenate([in_stop, k[inq] + 1])
+    # each line's offset into the difference array below: the row of cells
+    # it crosses, by broadcasting the per-axis offsets
     width = box[-1] + 2
-    q0, r0 = np.divmod(first, s)
-    q1, r1 = np.divmod(stop, s)
-    at = np.concatenate([q1, q1 + 1, q0, q0 + 1]) + np.tile(row * width, 4)
-    jump = np.concatenate([r1 - s, -r1, s - r0, r0])
+    row = np.zeros(lines, dtype=np.int64)
+    for i, off in enumerate(np.ix_(*[np.arange(n) // s for n in lines])):
+        row = row + off * (width * math.prod(box[i + 1 : last]))
+    row = row.ravel()
+    first, stop = in_first, in_stop
+
+    # the undecided samples [out_first, in_first) and [in_stop, out_stop),
+    # on the few lines that have any; an in-sample k adds the run [k, k + 1)
+    und = np.flatnonzero((in_first - out_first) + (out_stop - in_stop))
+    if und.size:
+        starts = np.concatenate([out_first[und], in_stop[und]])
+        size = np.concatenate([in_first[und], out_stop[und]]) - starts
+        line = np.repeat(np.tile(und, 2), size)
+        k = np.repeat(starts - np.cumsum(size) + size, size) + np.arange(size.sum())
+        at = np.unravel_index(line, lines) if last else ()
+        inq = _quadratic_form(Q, [x[j] for x, j in zip(fixed, at)] + [t[k]]) <= 1.0
+        row = np.concatenate([row, row[line[inq]]])
+        first = np.concatenate([first, k[inq]])
+        stop = np.concatenate([stop, k[inq] + 1])
+
     total = s**dim  # every partial sum is a count in [0, total]
     acc = next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= total)
-    # an entry ends as a difference of two counts in [0, total]: its wrapping sum is exact
+    # each run [first, stop) adds min(max(stop - m s, 0), s) minus the same
+    # of first to cell m: a step pattern with four jumps.  An entry ends as
+    # a difference of two counts in [0, total], so its wrapping sum is exact.
     diff = np.zeros(box[:-1] + (width,), dtype=acc)
-    np.add.at(diff.reshape(-1), at, jump.astype(acc))
+    flat = diff.reshape(-1)
+    for end, sign in ((stop, 1), (first, -1)):
+        q, r = np.divmod(end, s)
+        q += row
+        np.add.at(flat, q, (sign * (r - s)).astype(acc))
+        np.add.at(flat, q + 1, (-sign * r).astype(acc))
     counts = np.cumsum(diff, axis=-1, dtype=acc)
     return counts[..., : box[-1]], lo
 
@@ -696,13 +707,14 @@ def _affine_sample_counts(e, A, v, h, s):
     """Samples in A(E) + v per cell of its bounding box, and the box's low
     corner index.
 
-    Phase 1: every sample lies within h/2 of its cell center per axis, so
-    its preimage lies within reach_j of the center's along E's axis j, a
-    bound that carries a BAND_RTOL margin.  Those preimages therefore fall
-    in the window of w_j = floor(2 reach_j / h_E) + 2 E-cells that starts
-    at the cell of (center's preimage - reach_j), and a cell whose window
-    is all occupied has all of its samples in, one whose window is empty
-    has none (_uniform_windows).  Phase 2 runs the per-sample expression of
+    Phase 1: a sample sits (k + 1/2) h / s from its cell's low corner, so
+    within (h/2)(1 - 1/s) of the center per axis, and its preimage lies
+    within reach_j of the center's along E's axis j, a bound that carries
+    a BAND_RTOL margin.  Those preimages therefore fall in the window of
+    w_j = floor(2 reach_j / h_E) + 2 E-cells that starts at the cell of
+    (center's preimage - reach_j), and a cell whose window is all occupied
+    has all of its samples in, one whose window is empty has none
+    (_uniform_windows).  Phase 2 runs the per-sample expression of
     the full-box loop on the remaining band cells, one sample slot at a
     time.
     """
@@ -717,7 +729,8 @@ def _affine_sample_counts(e, A, v, h, s):
     box = tuple(int(x) for x in (hi - lo))
 
     ext = np.maximum(np.abs(lo), np.abs(hi)) * h + np.abs(v) + h
-    reach = (np.abs(Ainv).sum(axis=1) * (h / 2) + BAND_RTOL * (np.abs(Ainv) @ ext)) / he
+    half = h / 2 * (1 - 1 / s)
+    reach = (np.abs(Ainv).sum(axis=1) * half + BAND_RTOL * (np.abs(Ainv) @ ext)) / he
     w = np.floor(2 * reach).astype(np.int64) + 2
     # phase 1: the first cell of each cell's window, counted from E's box
     y = np.ix_(*[(lo[i] + np.arange(box[i]) + 0.5) * h - v[i] for i in range(dim)])

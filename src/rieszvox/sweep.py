@@ -111,8 +111,9 @@ CSV_COLUMNS = ",".join(f.name for f in fields(SweepRecord))
 
 def parse_config(path):
     """A flat key=value text config as a dict of strings, for
-    SweepConfig(**...); '#' starts a comment.  A line without '=' or a key
-    that is not a SweepConfig field raises a ValueError naming it."""
+    SweepConfig(**...); '#' starts a comment.  A line without '=', a key
+    that is not a SweepConfig field or a key given twice raises a
+    ValueError naming it."""
     names = {f.name for f in fields(SweepConfig)}
     out = {}
     with open(path) as fh:
@@ -125,6 +126,8 @@ def parse_config(path):
             key, val = (s.strip() for s in line.split("=", 1))
             if key not in names:
                 raise ValueError(f"unknown config key {key!r}, expected one of {sorted(names)}")
+            if key in out:
+                raise ValueError(f"config key {key!r} given twice")
             out[key] = val
     return out
 

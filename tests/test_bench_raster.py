@@ -1,0 +1,72 @@
+"""Smoke test of benchmarks/bench_raster.py: small cases of both kernels, so
+the script keeps running, its rows keep their keys, and its work counts
+keep matching what the kernels leave undecided."""
+
+import importlib.util
+import os
+
+import numpy as np
+import pytest
+
+from rieszvox import Ellipsoid, rasterize_ellipsoid
+from reference_raster import affine_sample_counts
+
+SCRIPT = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "bench_raster.py")
+KEYS = {"kernel", "dim", "h", "radius", "ms", "band_cells", "undecided_samples"}
+
+
+@pytest.fixture(scope="module")
+def bench_module():
+    spec = importlib.util.spec_from_file_location("bench_raster", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_ellipsoid_row(bench_module, dim):
+    # no sample of a radius-1/2 ball at h = 1/8, s = 3 lies near the sphere:
+    # its squared radius differs from 1/4 by a multiple of 1/2304
+    row = bench_module.bench_ellipsoid(dim, 0.5, spacing=1.0 / 8, repeats=1)
+    assert set(row) == KEYS
+    assert (row["kernel"], row["dim"], row["h"], row["radius"]) == (
+        "rasterize_ellipsoid", dim, 1.0 / 8, 0.5
+    )
+    assert row["ms"] > 0
+    assert (row["band_cells"], row["undecided_samples"]) == (0, 0)
+
+
+def test_ellipsoid_ties_are_counted(bench_module):
+    # the interval [-1/2, 1/2] at h = 1, s = 1: both cell centers lie on
+    # its ends, so the roots decide neither
+    row = bench_module.bench_ellipsoid(1, 0.5, spacing=1.0, s=1, repeats=1)
+    assert (row["band_cells"], row["undecided_samples"]) == (2, 2)
+
+
+def test_shear_row(monkeypatch, bench_module):
+    calls = []
+    real = bench_module.grid._affine_sample_counts
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bench_module.grid, "_affine_sample_counts", spy)
+    row = bench_module.bench_shear(3, 0.5, 0.25, spacing=1.0 / 8, repeats=1)
+    assert set(row) == KEYS
+    assert (row["kernel"], row["dim"], row["radius"]) == ("rasterize_affine_image", 3, 0.5)
+    assert row["ms"] > 0
+    assert row["undecided_samples"] == 27 * row["band_cells"]
+    # every cell with some but not all samples in is a band cell
+    e, a, v, h, s = calls[0]
+    assert a[0, 2] == bench_module.SHEAR and v[0] == 0.25
+    assert e == rasterize_ellipsoid(Ellipsoid(np.zeros(3), np.eye(3) * 4), 1.0 / 8)
+    counts = affine_sample_counts(e, a, v, h, s)[0]
+    mixed = np.count_nonzero((counts > 0) & (counts < 27))
+    assert 0 < mixed <= row["band_cells"] < counts.size
+
+
+def test_environment_names_the_versions(bench_module):
+    env = bench_module.environment()
+    assert set(env) == {"python", "numpy", "scipy", "machine", "cpus"}
+    assert env["numpy"] == np.__version__

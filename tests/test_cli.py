@@ -77,6 +77,14 @@ class TestGen:
         assert err.startswith(f"rieszvox: error: {key} given both as a flag and as --param")
         assert not out.exists()
 
+    def test_repeated_param_exits(self, tmp_path, capsys):
+        # --param radius=2 used to silently beat --param radius=1
+        out = tmp_path / "x.vxg"
+        argv = ["gen", "ball", "--param", "radius=1", "--param", "radius=2", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("rieszvox: error: --param radius given twice")
+        assert not out.exists()
+
     def test_integral_float_flag_is_an_integer(self, tmp_path):
         # argparse used to reject --dim 2.0, while --param dim=2.0 ran
         paths = [tmp_path / "a.vxg", tmp_path / "b.vxg", tmp_path / "c.vxg"]
@@ -394,6 +402,14 @@ class TestSweep:
         rc = main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("rieszvox: error: unknown config key 'sample'")
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_repeated_config_key_exits(self, tmp_path, capsys):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("family = skew\nseed = 1\nseed = 2\n")
+        rc = main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == "rieszvox: error: config key 'seed' given twice\n"
         assert not (tmp_path / "sweep.csv").exists()
 
 

@@ -6,6 +6,7 @@ cell) as sampling all s^d points of every cell in the bounding box.
 
 import tracemalloc
 import warnings
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,7 +21,7 @@ from rieszvox import (
     rasterize_affine_image,
     rasterize_ellipsoid,
 )
-from rieszvox import grid
+from rieszvox import grid, sweep
 from conftest import random_voxel_set
 from reference_raster import (
     affine_sample_counts,
@@ -160,6 +161,27 @@ def single_band_cell_case():
     return (2, 1, e, np.asarray(a), np.asarray(v), 0.25)
 
 
+def gemv_band_cases():
+    """d=3 maps whose one band cell's sample preimage lies within an ulp of
+    the low x-face of E's one occupied cell.  Under OpenBLAS 0.3.31's
+    Haswell kernels a one-row product (gemv) rounds it to the other side of
+    the face than the full box's gemm does."""
+    occ = np.zeros((3, 3, 3), dtype=bool)
+    occ[1, 1, 1] = True
+    e = VoxelSet.from_index(occ, [-1, -1, -1], 1.0 / 8)
+    maps = [
+        ([[0.968976255009003, 0.024492102509259914, 0.01784435040800304],
+          [0.005270712449894928, 0.9534765977645898, -0.0014625911231636746],
+          [0.03476515972291439, -0.0672107273642541, 0.9771192119479891]],
+         [0.12235397169267107, 0.06549912458491086, 0.06813071971351656]),
+        ([[0.9730653552076681, -0.0024250472700535993, 0.005665449300165378],
+          [-0.07650678827526969, 0.9761123361983035, -0.04892595390283198],
+          [-0.04044186197127997, 0.053044931169303935, 0.9596232662334052]],
+         [0.12479747487311801, 0.06705085110653303, 0.061708237662330676]),
+    ]
+    return [(3, 1, e, np.asarray(a), np.asarray(v), 0.25) for a, v in maps]
+
+
 def uncovered_affine_corpus():
     """Cases the blob corpus lacks: maps that reverse orientation or permute
     the axes (so that A^-1[-1, -1] == 0), random sets with holes, shifts of
@@ -195,7 +217,10 @@ def uncovered_affine_corpus():
 
 
 UNCOVERED = uncovered_affine_corpus()
-AFFINE_CORPUS = affine_corpus() + near_singular_corpus() + [single_band_cell_case()] + UNCOVERED
+GEMV_BANDS = gemv_band_cases()
+AFFINE_CORPUS = (
+    affine_corpus() + near_singular_corpus() + [single_band_cell_case()] + UNCOVERED + GEMV_BANDS
+)
 
 
 @pytest.mark.parametrize("dim,s,e,a,v,h", AFFINE_CORPUS)
@@ -399,6 +424,102 @@ def test_band_is_a_small_part_of_the_box(phase1):
         assert 0 < band.sum() < band.size / 5
 
 
+@pytest.mark.parametrize("dim,s,e,a,v,h", [single_band_cell_case()] + GEMV_BANDS)
+def test_one_cell_band_takes_the_gemm_rounding(phase1, dim, s, e, a, v, h):
+    # phase 2 runs one row; numpy would send it to gemv, whose rounding can
+    # differ from the gemm of the full box, so the kernel pads it to two rows
+    got, _ = grid._affine_sample_counts(e, a, v, h, s)
+    ((full, band),) = phase1
+    assert band.sum() == 1 and got.size > 1
+    assert np.array_equal(got, affine_sample_counts(e, a, v, h, s)[0])
+
+
+FACE_SPACING = 3.0 / 32  # h / (2 s) is a dyadic fraction for s = 1..4
+PAST_FACE = 1e-8  # of a cell: far above rounding, far below a sample step
+
+
+def face_maps(dim):
+    """Unimodular integer maps: the identity, and a flip (d=1) or an upper
+    shear (d > 1)."""
+    other = -np.eye(1) if dim == 1 else np.eye(dim) + np.triu(np.ones((dim, dim)), 1)
+    return [np.eye(dim), other]
+
+
+def face_case(dim, s, a, side, past):
+    """A blob at spacing h under the integer map a, shifted so that along
+    each axis j the preimage of a cell's farthest sample on the given side,
+    (h/2)(1 - 1/s) sum_i |A^-1_ji| from the center's preimage, lies on a
+    face of E's cells (of the same spacing), or past it by `past` cells."""
+    h = FACE_SPACING
+    ainv = np.rint(np.linalg.inv(a))
+    half = h / 2 * (1 - 1 / s)
+    w = h / 2 * ainv.sum(axis=1) + side * (half * np.abs(ainv).sum(axis=1) - past * h)
+    e = generate("blob", {"dim": dim, "spacing": h, "radius": 0.3, "steps": 3}, seed=s)
+    return e, a, a @ w, h
+
+
+FACE_CASES = [
+    (dim, s, side, past, *face_case(dim, s, a, side, past))
+    for dim in (1, 2, 3)
+    for s in (1, 2, 3, 4)
+    for a in face_maps(dim)
+    for side in (1, -1)
+    for past in (0, PAST_FACE)
+]
+
+
+@pytest.mark.parametrize("dim,s,side,past,e,a,v,h", FACE_CASES)
+def test_farthest_sample_preimages_on_a_face(dim, s, side, past, e, a, v, h):
+    # the case is what it claims, in exact arithmetic on the float inputs:
+    # per axis j, the preimage of the center of a cell, moved by (h/2)(1 -
+    # 1/s) sum_i |A^-1_ji| to the given side, is on a face of E, or past
+    # one by about `past` cells (the samples then reach one more E-cell)
+    ainv = [[Fraction(round(x)) for x in row] for row in np.linalg.inv(a)]
+    hf = Fraction(h)
+    half = hf / 2 * (1 - Fraction(1, s))
+    center = [(g + Fraction(1, 2)) * hf - Fraction(vi) for g, vi in zip((5, -3, 2), v)]
+    for row in ainv:
+        c = sum(r * y for r, y in zip(row, center))
+        edge = (c + side * half * sum(abs(r) for r in row)) / Fraction(e.spacing)
+        beyond = side * (edge - round(edge))
+        assert beyond == 0 if past == 0 else past / 2 < beyond < 2 * past
+    got, lo = grid._affine_sample_counts(e, a, v, h, s)
+    want, want_lo, _ = affine_sample_counts(e, a, v, h, s)
+    assert np.array_equal(lo, want_lo)
+    assert np.array_equal(got, want)
+
+
+def test_phase1_window_is_two_cells_for_the_sweep_shear(monkeypatch):
+    # the sweep's shear 0.2 at d=3, h=1/32, s=3: samples lie within h/3 of
+    # their cell's center per axis, so the preimages of a cell's samples span
+    # at most 0.8 of an E-cell along the sheared axis and 2/3 along the
+    # others, and every window is 2 cells wide (3 under the old h/2 bound)
+    calls, widths = [], []
+    real_counts, real_windows = grid._affine_sample_counts, grid._uniform_windows
+
+    def counts_spy(*args):
+        calls.append(args)
+        return real_counts(*args)
+
+    def windows_spy(occ, w, first):
+        widths.append(w.tolist())
+        return real_windows(occ, w, first)
+
+    monkeypatch.setattr(grid, "_affine_sample_counts", counts_spy)
+    monkeypatch.setattr(grid, "_uniform_windows", windows_spy)
+    rng = np.random.default_rng(0)
+    base = sweep.base_triple(3, 1.0 / 32, rng)
+    sweep.apply_family(base, "shear", 0.2, rng)
+    assert widths == [[2, 2, 2]] * 3
+    assert all(s == 3 and a[0, 2] == 0.2 for _, a, _, _, s in calls)
+    # the full-box reference of the smallest ball's image, to keep it quick
+    e, a, v, h, s = calls[-1]
+    got, lo = real_counts(e, a, v, h, s)
+    want, want_lo, _ = affine_sample_counts(e, a, v, h, s)
+    assert np.array_equal(lo, want_lo)
+    assert np.array_equal(got, want)
+
+
 def test_strong_contraction_keeps_phase1_near_the_size_of_e():
     # under A = 1e-3 I every cell's window is about 1000 E-cells wide, and
     # E padded by such windows would hold about 2069^3 cells (35 GB as
@@ -421,10 +542,10 @@ def test_strong_contraction_keeps_phase1_near_the_size_of_e():
 
 def test_roots_decide_nearly_every_ellipsoid_sample(exact_samples):
     # the unit ball's box holds 48^3 * 27 samples at h = 1/24; the roots
-    # decided all of them when this test was written
+    # decided all of them when this test was written; the per-sample
+    # expression runs only on lines with undecided samples, if any
     counts, _ = grid._ellipsoid_sample_counts(Ellipsoid(np.zeros(3), np.eye(3)), 1.0 / 24, 3)
-    (n,) = exact_samples
-    assert n <= 1e-4 * counts.size * 27
+    assert sum(exact_samples) <= 1e-4 * counts.size * 27
 
 
 @pytest.mark.parametrize(

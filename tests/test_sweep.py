@@ -66,6 +66,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config key 'wobble'"):
             parse_config(str(p))
 
+    def test_repeated_key_rejected(self, tmp_path):
+        # the last value used to win without a word
+        p = tmp_path / "c.cfg"
+        p.write_text("seed = 1\nsamples = 2\nseed = 2\n")
+        with pytest.raises(ValueError, match="config key 'seed' given twice"):
+            parse_config(str(p))
+
     def test_every_field_from_strings(self, tmp_path):
         text = (
             "dim = 3\nspacing = 0.125\nseed = 4\nfamily = skew\nlevels = 0.1, 0.3\n"
