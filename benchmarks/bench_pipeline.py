@@ -1,0 +1,252 @@
+"""Timing of the pipeline's stages: one row per case, the best of three
+calls in ms, and the work the stage did.
+
+rasterize: balls through rasterize_ellipsoid, and the sweep's shear
+(A[0, d-1] = 0.2, translations +-0.25 along the first axis and 0) of the
+d=3 base radii 1, 0.92 and 0.85 through rasterize_affine_image, with the
+work left to the per-sample expression:
+
+- band_cells: for an affine image, the cells phase 1 leaves to phase 2;
+  for an ellipsoid, the cells with a sample its roots leave undecided
+  (those whose count changes when every undecided sample is forced out,
+  then in).
+- undecided_samples: the samples the per-sample expression runs on.
+
+corner_counts: the backends 'fft' (float Fourier convolution over the
+window the corner counts read, rounded) and 'direct' (int64 histogram of
+the pair sums of the two smallest sets) on blob triples, checked equal.
+Direct forms p1 * p2 pairs, each of the two sets entering with its cells
+or, when fewer, its last-axis run ends (+1 at each run start, -1 one past
+each run end), so p <= cells; above DIRECT_PAIR_GUARD a case is guarded.
+A "relocated" case moves a tenth of the first blob's cells into a ball
+past its box, as the sweep's relocate family does.
+
+The tables go to standard output and the rows, with the environment, to
+BENCH_pipeline.json at the root of the checkout, one key per stage.
+
+Run: python3 benchmarks/bench_pipeline.py
+"""
+
+import json
+import os
+import platform
+import time
+from contextlib import contextmanager
+
+import numpy as np
+import scipy
+
+from rieszvox import (
+    Ellipsoid,
+    SetTriple,
+    generate,
+    grid,
+    rasterize_affine_image,
+    rasterize_ellipsoid,
+    sweep,
+    trilinear_corner_counts,
+)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+OUT = os.path.join(ROOT, "BENCH_pipeline.json")
+SPACING = 1.0 / 32
+SHEAR = 0.2
+# (dim, radius) of each ball
+ELLIPSOID_CASES = ((1, 0.5), (2, 0.5), (3, 0.5), (3, 1.0))
+# (radius, shift) of each sheared ball at d=3: the sweep shifts the first
+# set by +1/4, the second by -1/4 (whole cells)
+SHEAR_CASES = ((1.0, 0.25), (0.92, -0.25), (0.85, 0.0))
+# (dim, h, blob radius, relocated) of each corner-count triple
+CORNER_CASES = (
+    (1, 1.0 / 256, 0.9, False),
+    (1, 1.0 / 1024, 0.9, False),
+    (2, 1.0 / 32, 0.5, False),
+    (2, 1.0 / 64, 0.5, False),
+    (2, 1.0 / 128, 0.5, False),
+    (3, 1.0 / 16, 0.5, False),
+    (3, 1.0 / 32, 0.5, False),
+    (3, 1.0 / 16, 0.5, True),
+    (3, 1.0 / 32, 0.5, True),
+)
+
+
+def environment():
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+    }
+
+
+def best_ms(call, repeats):
+    """The best time of repeats calls in ms, and the last call's result."""
+    best = np.inf
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        out = call()
+        best = min(best, time.perf_counter() - t0)
+    return best * 1e3, out
+
+
+# -- rasterize ---------------------------------------------------------------
+
+
+@contextmanager
+def replaced(name, make):
+    """grid.<name> replaced by make(the real one) inside the block."""
+    real = getattr(grid, name)
+    setattr(grid, name, make(real))
+    try:
+        yield
+    finally:
+        setattr(grid, name, real)
+
+
+def ellipsoid_work(e, h, s):
+    """(band cells, undecided samples) of one ellipsoid kernel call."""
+    sizes, bounds = [], []
+
+    def counting(real):
+        def call(Q, coords):
+            sizes.append(coords[0].size)
+            return real(Q, coords)
+
+        return call
+
+    def forcing(value):
+        # every undecided sample out (inf) or in (-inf)
+        return lambda real: lambda Q, coords: np.full(coords[0].shape, value)
+
+    with replaced("_quadratic_form", counting):
+        grid._ellipsoid_sample_counts(e, h, s)
+    for value in (np.inf, -np.inf):
+        with replaced("_quadratic_form", forcing(value)):
+            bounds.append(grid._ellipsoid_sample_counts(e, h, s)[0])
+    return int(np.count_nonzero(bounds[0] != bounds[1])), sum(sizes)
+
+
+def affine_work(e, a, v, h, s):
+    """(band cells, undecided samples) of one affine kernel call."""
+    bands = []
+
+    def spy(real):
+        def call(occ, w, first):
+            full, band = real(occ, w, first)
+            bands.append(int(band.sum()))
+            return full, band
+
+        return call
+
+    with replaced("_uniform_windows", spy):
+        grid._affine_sample_counts(e, a, v, h, s)
+    return bands[0], bands[0] * s**e.dim
+
+
+def raster_row(kernel, dim, spacing, radius, ms, work):
+    band, undecided = work
+    return {
+        "kernel": kernel,
+        "dim": dim,
+        "h": spacing,
+        "radius": radius,
+        "ms": ms,
+        "band_cells": band,
+        "undecided_samples": undecided,
+    }
+
+
+def bench_ellipsoid(dim, radius, spacing=SPACING, s=3, repeats=3):
+    e = Ellipsoid(np.zeros(dim), np.eye(dim) / radius**2)
+    ms = best_ms(lambda: rasterize_ellipsoid(e, spacing, s), repeats)[0]
+    work = ellipsoid_work(e, spacing, s)
+    return raster_row("rasterize_ellipsoid", dim, spacing, radius, ms, work)
+
+
+def bench_shear(dim, radius, shift, spacing=SPACING, s=3, repeats=3):
+    ball = rasterize_ellipsoid(Ellipsoid(np.zeros(dim), np.eye(dim) / radius**2), spacing)
+    a = np.eye(dim)
+    a[0, -1] = SHEAR
+    v = np.zeros(dim)
+    v[0] = shift
+    ms = best_ms(lambda: rasterize_affine_image(ball, a, v, spacing, s), repeats)[0]
+    work = affine_work(ball, a, v, spacing, s)
+    return raster_row("rasterize_affine_image", dim, spacing, radius, ms, work)
+
+
+# -- corner counts -----------------------------------------------------------
+
+
+def direct_pairs(t):
+    """The pairs the direct path forms for the triple t."""
+    entries = []
+    for e in sorted(t, key=lambda e: e.count)[:2]:
+        occ = e.occupancy
+        before = np.concatenate([np.zeros_like(occ[..., :1]), occ[..., :-1]], axis=-1)
+        entries.append(min(e.count, 2 * int((occ & ~before).sum())))
+    return entries[0] * entries[1]
+
+
+def bench_corner_counts(dim, spacing, radius, relocated=False, repeats=3):
+    """One row: the cells of the triple, the pairs direct forms, and the best
+    time of each backend in ms (None for direct when guarded)."""
+    params = {"dim": dim, "spacing": spacing, "radius": radius, "steps": 5}
+    sets = [generate("blob", params, seed=s) for s in (1, 2, 3)]
+    if relocated:
+        sets[0] = sweep.perturb_relocate(sets[0], 0.1)
+    t = SetTriple(sets)
+    row = {
+        "dim": dim,
+        "h": spacing,
+        "relocated": relocated,
+        "cells": [e.count for e in t],
+        "pairs": direct_pairs(t),
+    }
+    counts = {}
+    for method in ("fft", "direct"):
+        try:
+            row[f"{method}_ms"], counts[method] = best_ms(
+                lambda: trilinear_corner_counts(t, method=method), repeats
+            )
+        except ValueError:  # p1 * p2 above DIRECT_PAIR_GUARD
+            row[f"{method}_ms"] = None
+    if row["direct_ms"] is not None and counts["fft"] != counts["direct"]:
+        raise ValueError(f"paths disagree at dim={dim}, h={spacing}")
+    return row
+
+
+def main():
+    print(f"{'kernel':>22} {'dim':>3} {'radius':>6} {'ms':>8} {'band cells':>10} {'undecided':>10}")
+    raster = [bench_ellipsoid(dim, r) for dim, r in ELLIPSOID_CASES]
+    raster += [bench_shear(3, r, v) for r, v in SHEAR_CASES]
+    for row in raster:
+        print(
+            f"{row['kernel']:>22} {row['dim']:>3} {row['radius']:>6.2f} {row['ms']:>8.2f} "
+            f"{row['band_cells']:>10} {row['undecided_samples']:>10}"
+        )
+
+    print(
+        f"\n{'dim':>3} {'h':>8} {'cells':>22} {'pairs':>12} {'fft ms':>9} "
+        f"{'direct ms':>10} {'direct/fft':>10}"
+    )
+    corner = []
+    for dim, h, r, relocated in CORNER_CASES:
+        row = bench_corner_counts(dim, h, r, relocated)
+        corner.append(row)
+        tf, td = row["fft_ms"], row["direct_ms"]
+        tag = " relocated" if relocated else ""
+        head = f"{dim:>3} {h:>8.5f} {str(row['cells']):>22} {row['pairs']:>12} {tf:>9.2f}"
+        if td is None:
+            print(f"{head} {'guarded':>10}{tag}")
+        else:
+            print(f"{head} {td:>10.2f} {td / tf:>9.2f}x{tag}")
+
+    with open(OUT, "w") as fh:
+        out = {"environment": environment(), "rasterize": raster, "corner_counts": corner}
+        json.dump(out, fh, indent=1)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()

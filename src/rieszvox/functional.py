@@ -61,6 +61,7 @@ from .admissibility import measure_margin, radius_margin, set_triple_margin
 from .ellipsoid import fit_homothetic_triple
 from .grid import (
     SetTriple,
+    check_dim,
     check_integer,
     check_positive,
     check_triple,
@@ -304,13 +305,12 @@ def lambda_d(gamma, dim):
 
         Lambda = dim * omega * integral_0^r3 s^(dim-1) lens(r1, r2, s) ds
 
-    with a quadrature break at the containment radius |r1 - r2|.  gamma is
-    checked as in lambda_1.
+    with a quadrature break at the containment radius |r1 - r2|.  dim must
+    pass check_dim, and gamma is checked as in lambda_1.
     """
+    dim = check_dim(dim)
     if dim == 1:
         return lambda_1(gamma)
-    if dim not in (2, 3):
-        raise ValueError("dim must be 1, 2, or 3")
     g = check_triple(gamma, "gamma", zero_ok=True)
     if min(g) == 0.0:
         return 0.0

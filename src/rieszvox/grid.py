@@ -15,9 +15,9 @@ Rasterization (rasterize_ellipsoid, rasterize_affine_image) supersamples
 each cell at s^dim points, s per axis at offsets (k + 1/2) h / s, and a
 sample exactly on the boundary counts as in.  Each rasterizer is a kernel
 that returns the exact number of samples in the body per cell of the
-bounding box, followed by one vote: a cell is occupied when at least half
-of its samples are in (2 * in >= s^dim).  Neither kernel runs the
-per-sample test on the whole box.  For an ellipsoid, q is a quadratic
+bounding box, followed by one vote (_vote): a cell is occupied when at
+least half of its samples are in.  Neither kernel runs the per-sample
+test on the whole box.  For an ellipsoid, q is a quadratic
 along each line of samples on the last axis: its roots at the levels
 1 -+ rho, rho far above rounding error, decide every sample outside a thin
 shell, and only the shell's samples are tested, on the lines that have
@@ -40,8 +40,18 @@ import numpy as np
 VXG_MAGIC = b"VXG1"
 VXG_VERSION = 1
 
+# the dimensions of every set, body and functional (check_dim)
+DIMS = (1, 2, 3)
+
+# samples per cell axis of both rasterizers and of generate
+SUPERSAMPLE = 3
+
 # relative slack used when checking that physical data sits on the lattice
 ALIGN_RTOL = 1e-9
+
+# every cell index of a set, and its box's end, lies strictly within
+# (-CELL_BOUND, CELL_BOUND), far inside int64
+CELL_BOUND = 2**62
 
 # largest |Q - Q^T| an ellipsoid's shape matrix may have, relative to
 # max(1, max |Q|)
@@ -85,6 +95,14 @@ def check_integer(value, name, low=None):
     return n
 
 
+def check_dim(value):
+    """int(value), once it is an integer in DIMS."""
+    dim = check_integer(value, "dim")
+    if dim not in DIMS:
+        raise ValueError(f"dim must be 1, 2, or 3, got {value}")
+    return dim
+
+
 def check_triple(values, name, zero_ok=False):
     """Three floats, once each is finite and positive (nonnegative with
     zero_ok): a measure triple, a radius triple."""
@@ -123,10 +141,10 @@ class Ellipsoid:
     """Center v and symmetric positive definite shape matrix Q, with the
     convention {x : (x-v)^T Q (x-v) <= 1}.
 
-    The one check of ellipsoid data: v must be finite of length 1, 2 or 3,
-    Q finite, square of the same size, symmetric to SYMMETRY_RTOL and
-    positive definite.  Q is stored as (Q + Q^T) / 2, which keeps an
-    exactly symmetric matrix bit for bit.
+    The one check of ellipsoid data: v must be finite, its length pass
+    check_dim, and Q be finite, square of the same size, symmetric to
+    SYMMETRY_RTOL and positive definite.  Q is stored as (Q + Q^T) / 2,
+    which keeps an exactly symmetric matrix bit for bit.
     """
 
     center: np.ndarray
@@ -137,8 +155,7 @@ class Ellipsoid:
         Q = np.asarray(self.shape, dtype=float)
         if not np.all(np.isfinite(v)):
             raise ValueError(f"ellipsoid center must be finite, got {v}")
-        if v.size not in (1, 2, 3):
-            raise ValueError(f"dim must be 1, 2, or 3, got a center of length {v.size}")
+        check_dim(v.size)
         if Q.shape != (v.size, v.size):
             raise ValueError("shape matrix does not match the center length")
         if not np.all(np.isfinite(Q)):
@@ -171,24 +188,47 @@ class Ellipsoid:
         return unit_ball_volume(self.dim) / math.sqrt(np.linalg.det(self.shape))
 
 
-def _validated(occupancy, origin, spacing):
+def _validated(occupancy, origin, spacing, physical):
     """The one validation path of VoxelSet's constructors.
 
-    Returns the occupancy as a contiguous bool array, the origin (physical
-    or index) as a flat array and the spacing as a float.
+    The occupancy's dim must pass check_dim and the spacing check_positive.
+    The origin is physical (a multiple of the spacing, snapped to its
+    index) or the low corner's index itself (integers or integral floats),
+    and must be finite and keep the box within CELL_BOUND: |origin| and
+    |origin + shape| below 2**62 per axis, so that no index wraps in int64.
+    Returns the occupancy as a contiguous bool array, the origin's index as
+    a new int64 array and the spacing as a float.
     """
-    occ = np.ascontiguousarray(occupancy, dtype=bool)
-    if occ.ndim not in (1, 2, 3):
-        raise ValueError(f"dim must be 1, 2, or 3, got {occ.ndim}")
+    occ = np.asarray(occupancy, dtype=bool, order="C")  # keeps a 0-d array 0-d
+    check_dim(occ.ndim)
     if min(occ.shape) < 1:
         raise ValueError("shape entries must be >= 1")
     h = check_positive(spacing, "spacing")
     origin = np.asarray(origin).reshape(-1)
+    if origin.dtype == object:  # Python ints past int64, out of bounds anyway
+        origin = origin.astype(float)
     if origin.size != occ.ndim:
         raise ValueError("origin length must equal dim")
-    if not np.all(np.isfinite(origin)):
-        raise ValueError(f"origin must be finite, got {origin}")
-    return occ, origin, h
+    idx = origin
+    if physical or idx.dtype.kind not in "iu":  # an integer index needs no scan
+        if not np.all(np.isfinite(origin)):
+            raise ValueError(f"origin must be finite, got {origin}")
+        if physical:
+            idx = np.rint(origin / h)
+            if np.any(np.abs(idx * h - origin) > ALIGN_RTOL * h):
+                raise ValueError(
+                    "origin is not aligned to the cell lattice "
+                    f"(must be an integer multiple of spacing={spacing})"
+                )
+        elif np.any(idx != np.floor(idx)):
+            raise ValueError(f"origin_index must be integers, got {idx.tolist()}")
+    lo = [int(x) for x in idx.tolist()]
+    if not all(-CELL_BOUND < x and x + n < CELL_BOUND for x, n in zip(lo, occ.shape)):
+        raise ValueError(
+            f"origin must keep the box within 2**62 cells of 0, got index {lo} "
+            f"and shape {occ.shape}"
+        )
+    return occ, np.array(lo, dtype=np.int64), h
 
 
 class VoxelSet:
@@ -210,36 +250,26 @@ class VoxelSet:
     __slots__ = ("_occ", "_origin_index", "_spacing")
 
     def __init__(self, occupancy, origin, spacing):
-        occ, origin, h = _validated(occupancy, origin, spacing)
-        idx = np.rint(origin / h)
-        if np.any(np.abs(idx * h - origin) > ALIGN_RTOL * h):
-            raise ValueError(
-                "origin is not aligned to the cell lattice "
-                f"(must be an integer multiple of spacing={spacing})"
-            )
-        self._set(occ, idx, h)
+        self._set(*_validated(occupancy, origin, spacing, physical=True))
 
     @classmethod
     def from_index(cls, occupancy, origin_index, spacing):
         """Construct from an integer low-corner index, bypassing the float snap."""
-        occ, idx, h = _validated(occupancy, origin_index, spacing)
-        if idx.dtype.kind not in "iu" and np.any(idx != np.floor(idx)):
-            raise ValueError(f"origin_index must be integers, got {idx.tolist()}")
         self = object.__new__(cls)
-        self._set(occ, idx, h)
+        self._set(*_validated(occupancy, origin_index, spacing, physical=False))
         return self
 
     def _set(self, occ, origin_index, spacing):
         self._occ = occ
         self._occ.setflags(write=False)
-        self._origin_index = origin_index.astype(np.int64)
+        self._origin_index = origin_index
         self._origin_index.setflags(write=False)
         self._spacing = spacing
 
     @classmethod
     def empty(cls, dim, spacing):
         """The canonical empty set: a single unoccupied cell at the origin."""
-        dim = check_integer(dim, "dim", low=1)
+        dim = check_dim(dim)
         return cls.from_index(np.zeros((1,) * dim, dtype=bool), (0,) * dim, spacing)
 
     # -- basic geometry -------------------------------------------------
@@ -489,10 +519,12 @@ def reflect(e):
 
 def translate_cells(e, offset):
     """Shift by an integer number of cells per axis (origin moves by offset*h)."""
-    off = np.array([check_integer(x, "offset") for x in np.ravel(offset)], dtype=np.int64)
-    if off.size != e.dim:
+    off = [check_integer(x, "offset") for x in np.ravel(offset)]
+    if len(off) != e.dim:
         raise ValueError("offset length must equal dim")
-    return VoxelSet.from_index(e.occupancy, e.origin_index + off, e.spacing)
+    # in Python ints, so that an origin past the bound is rejected, not wrapped
+    origin = [o + d for o, d in zip(e.origin_index.tolist(), off)]
+    return VoxelSet.from_index(e.occupancy, origin, e.spacing)
 
 
 def permute_axes(e, perm):
@@ -518,13 +550,14 @@ def upscale_integer(e, m):
     occ = e.occupancy
     for ax in range(e.dim):
         occ = np.repeat(occ, m, axis=ax)
-    return VoxelSet.from_index(occ, e.origin_index * m, e.spacing / m)
+    origin = [o * m for o in e.origin_index.tolist()]  # Python ints, as in translate_cells
+    return VoxelSet.from_index(occ, origin, e.spacing / m)
 
 
 def from_cells(cells, dim, spacing):
     """Build a VoxelSet from an (n, dim) array of occupied global cell
     indices, integers or integral floats; an empty sequence is the empty set."""
-    dim = check_integer(dim, "dim", low=1)
+    dim = check_dim(dim)
     try:
         raw = np.asarray(cells)
     except ValueError:  # ragged rows
@@ -534,7 +567,7 @@ def from_cells(cells, dim, spacing):
     # an integer dtype needs no scan of the values; floats must be integral
     # and within int64, which NaN and inf are not
     integral = raw.dtype.kind in "iu" or (
-        raw.dtype.kind == "f" and bool(np.all((raw == np.rint(raw)) & (np.abs(raw) < 2.0**62)))
+        raw.dtype.kind == "f" and bool(np.all((raw == np.rint(raw)) & (np.abs(raw) < CELL_BOUND)))
     )
     if raw.ndim != 2 or raw.shape[1] != dim or not integral:
         raise ValueError(f"cells must be an (n, {dim}) array of integer cell indices, got {cells}")
@@ -557,7 +590,7 @@ def from_cells(cells, dim, spacing):
 BAND_RTOL = 1e-9
 
 
-def rasterize_ellipsoid(e, spacing, supersample=3):
+def rasterize_ellipsoid(e, spacing, supersample=SUPERSAMPLE):
     """Rasterize the ellipsoid {x : (x-v)^T Q (x-v) <= 1}.
 
     A cell is occupied when at least half of its supersample^dim sample
@@ -573,8 +606,7 @@ def rasterize_ellipsoid(e, spacing, supersample=3):
     s = check_integer(supersample, "supersample", low=1)
     if not isinstance(e, Ellipsoid):
         e = Ellipsoid(e.center, e.shape)
-    counts, lo = _ellipsoid_sample_counts(e, h, s)
-    return VoxelSet.from_index(counts >= (s**e.dim + 1) // 2, lo, h).tighten()
+    return _vote(*_ellipsoid_sample_counts(e, h, s), h, s)
 
 
 def _ellipsoid_sample_counts(e, h, s):
@@ -688,7 +720,7 @@ def _quadratic_form(Q, coords):
     return qf
 
 
-def rasterize_affine_image(e, a, v, spacing, supersample=3):
+def rasterize_affine_image(e, a, v, spacing, supersample=SUPERSAMPLE):
     """Rasterize A(E) + v at the given spacing.
 
     Samples membership of A^-1 (y - v) in E on a supersample grid per
@@ -699,8 +731,14 @@ def rasterize_affine_image(e, a, v, spacing, supersample=3):
     h = check_positive(spacing, "spacing")
     s = check_integer(supersample, "supersample", low=1)
     A, v = check_affine(a, np.ravel(v), e.dim)
-    counts, lo = _affine_sample_counts(e, A, v, h, s)
-    return VoxelSet.from_index(2 * counts >= s**e.dim, lo, h).tighten()
+    return _vote(*_affine_sample_counts(e, A, v, h, s), h, s)
+
+
+def _vote(counts, lo, h, s):
+    """The majority vote that ends both rasterizers: the cells of the box at
+    lo where at least half of the s^dim samples are in.  counts may be as
+    narrow as int8, so the threshold is halved rather than counts doubled."""
+    return VoxelSet.from_index(counts >= (s**counts.ndim + 1) // 2, lo, h).tighten()
 
 
 def _affine_sample_counts(e, A, v, h, s):
@@ -801,7 +839,7 @@ def generate(kind, params=None, seed=0):
     """Deterministic set generators for tests and sweeps.
 
     kind is one of KINDS.  params is a dict; common keys: dim (default 2),
-    spacing (default 1/64), supersample (default 3).  Per kind:
+    spacing (default 1/64), supersample (default SUPERSAMPLE).  Per kind:
 
     ball:           radius (1.0), center (0)
     ellipsoid:      shape (Q, or its dim^2 entries row by row) or axes
@@ -815,17 +853,17 @@ def generate(kind, params=None, seed=0):
     their rasterizations.  The same (kind, params, seed) always produces
     the identical set.  Raises, naming the parameter, if center or axes is
     not dim numbers or shape not dim^2, if spacing or a radius, axis, step,
-    span, rmin or rmax is not finite and positive, if dim, supersample,
-    steps, n or seed is not an integer (dim, steps and n at least 1, seed
-    at least 0), if jitter lies outside [0, 1), or if the generated set is
-    empty.
+    span, rmin or rmax is not finite and positive, if dim fails check_dim,
+    if supersample, steps, n or seed is not an integer (steps and n at
+    least 1, seed at least 0), if jitter lies outside [0, 1), or if the
+    generated set is empty.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown generator kind {kind!r}")
     p = dict(params or {})
-    dim = check_integer(p.pop("dim", 2), "dim", low=1)
+    dim = check_dim(p.pop("dim", 2))
     h = check_positive(p.pop("spacing", 1.0 / 64), "spacing")
-    ss = check_integer(p.pop("supersample", 3), "supersample")
+    ss = check_integer(p.pop("supersample", SUPERSAMPLE), "supersample")
     rng = np.random.default_rng(check_integer(seed, "seed", low=0))
 
     def numbers(name, size, default=0.0):
@@ -901,9 +939,10 @@ def save(e, path):
 def load(path):
     """Read a VXG1 file.
 
-    Raises ValueError on bad magic, an unsupported version or dimension, a
-    truncated file, an occupancy payload whose size does not match the
-    shape (trailing bytes included), or invalid spacing or origin.
+    Raises ValueError on bad magic, an unsupported version, a dim that
+    fails check_dim, a truncated file, an occupancy payload whose size
+    does not match the shape (trailing bytes included), or invalid spacing
+    or origin.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -914,8 +953,7 @@ def load(path):
     version, dim = data[4], data[5]
     if version != VXG_VERSION:
         raise ValueError(f"unsupported VXG version {version}")
-    if dim not in (1, 2, 3):
-        raise ValueError(f"unsupported dimension {dim}")
+    check_dim(dim)
     fmt = f"<{dim}Id{dim}d"  # shape, spacing, origin
     off = 6 + struct.calcsize(fmt)
     if len(data) < off:

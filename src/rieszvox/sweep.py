@@ -26,6 +26,7 @@ from .grid import (
     AffineMapTriple,
     SetTriple,
     VoxelSet,
+    check_dim,
     check_integer,
     check_positive,
     float_or_nan,
@@ -77,9 +78,7 @@ class SweepConfig:
     out_svg: str = "sweep.svg"
 
     def __post_init__(self):
-        self.dim = check_integer(self.dim, "dim")
-        if self.dim not in (1, 2, 3):
-            raise ValueError(f"dim must be 1, 2, or 3, got {self.dim}")
+        self.dim = check_dim(self.dim)
         self.spacing = check_positive(self.spacing, "spacing")
         self.seed = check_integer(self.seed, "seed", low=0)
         _check_family(self.family, self.dim)

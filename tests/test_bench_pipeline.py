@@ -1,0 +1,123 @@
+"""Smoke test of benchmarks/bench_pipeline.py: small cases of every stage,
+so the script keeps running, its rows keep their keys, and its work counts
+keep matching what the kernels leave undecided and the pairs the direct
+histogram forms."""
+
+import importlib.util
+import json
+import os
+
+import numpy as np
+import pytest
+
+from rieszvox import Ellipsoid, functional, rasterize_ellipsoid
+from reference_raster import affine_sample_counts
+
+SCRIPT = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "bench_pipeline.py")
+RASTER_KEYS = {"kernel", "dim", "h", "radius", "ms", "band_cells", "undecided_samples"}
+
+
+@pytest.fixture(scope="module")
+def bench_module():
+    spec = importlib.util.spec_from_file_location("bench_pipeline", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_ellipsoid_row(bench_module, dim):
+    # no sample of a radius-1/2 ball at h = 1/8, s = 3 lies near the sphere:
+    # its squared radius differs from 1/4 by a multiple of 1/2304
+    row = bench_module.bench_ellipsoid(dim, 0.5, spacing=1.0 / 8, repeats=1)
+    assert set(row) == RASTER_KEYS
+    assert (row["kernel"], row["dim"], row["h"], row["radius"]) == (
+        "rasterize_ellipsoid", dim, 1.0 / 8, 0.5
+    )
+    assert row["ms"] > 0
+    assert (row["band_cells"], row["undecided_samples"]) == (0, 0)
+
+
+def test_ellipsoid_ties_are_counted(bench_module):
+    # the interval [-1/2, 1/2] at h = 1, s = 1: both cell centers lie on
+    # its ends, so the roots decide neither
+    row = bench_module.bench_ellipsoid(1, 0.5, spacing=1.0, s=1, repeats=1)
+    assert (row["band_cells"], row["undecided_samples"]) == (2, 2)
+
+
+def test_shear_row(monkeypatch, bench_module):
+    calls = []
+    real = bench_module.grid._affine_sample_counts
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bench_module.grid, "_affine_sample_counts", spy)
+    row = bench_module.bench_shear(3, 0.5, 0.25, spacing=1.0 / 8, repeats=1)
+    assert set(row) == RASTER_KEYS
+    assert (row["kernel"], row["dim"], row["radius"]) == ("rasterize_affine_image", 3, 0.5)
+    assert row["ms"] > 0
+    assert row["undecided_samples"] == 27 * row["band_cells"]
+    # every cell with some but not all samples in is a band cell
+    e, a, v, h, s = calls[0]
+    assert a[0, 2] == bench_module.SHEAR and v[0] == 0.25
+    assert e == rasterize_ellipsoid(Ellipsoid(np.zeros(3), np.eye(3) * 4), 1.0 / 8)
+    counts = affine_sample_counts(e, a, v, h, s)[0]
+    mixed = np.count_nonzero((counts > 0) & (counts < 27))
+    assert 0 < mixed <= row["band_cells"] < counts.size
+
+
+@pytest.mark.parametrize(
+    "dim,h,relocated", [(1, 1.0 / 32, False), (2, 1.0 / 16, False), (3, 1.0 / 8, True)]
+)
+def test_corner_counts_row(monkeypatch, bench_module, dim, h, relocated):
+    counts, pairs = {}, []
+    real = bench_module.trilinear_corner_counts
+
+    bincount = np.bincount
+
+    def count_pairs(x, *args, **kwargs):
+        pairs.append(x.size)
+        return bincount(x, *args, **kwargs)
+
+    def spy(t, method):
+        # the pair sums each bincount of one direct call histograms
+        if method == "direct":
+            monkeypatch.setattr(functional.np, "bincount", count_pairs)
+        counts.setdefault(method, []).append(real(t, method=method))
+        monkeypatch.setattr(functional.np, "bincount", bincount)
+        return counts[method][-1]
+
+    monkeypatch.setattr(bench_module, "trilinear_corner_counts", spy)
+    row = bench_module.bench_corner_counts(dim, h, 0.5, relocated, repeats=1)
+    assert set(row) == {"dim", "h", "relocated", "cells", "pairs", "fft_ms", "direct_ms"}
+    assert (row["dim"], row["h"], row["relocated"]) == (dim, h, relocated)
+    assert len(row["cells"]) == 3 and min(row["cells"]) > 0
+    assert row["fft_ms"] > 0 and row["direct_ms"] > 0
+    assert counts["fft"] == counts["direct"]
+    assert row["pairs"] == sum(pairs)
+    n1, n2 = sorted(row["cells"])[:2]
+    assert row["pairs"] <= n1 * n2
+
+
+def test_environment_names_the_versions(bench_module):
+    env = bench_module.environment()
+    assert set(env) == {"python", "numpy", "scipy", "machine", "cpus"}
+    assert env["numpy"] == np.__version__
+
+
+def test_main_writes_every_stage(monkeypatch, tmp_path, bench_module):
+    out = tmp_path / "BENCH_pipeline.json"
+    monkeypatch.setattr(bench_module, "OUT", str(out))
+    monkeypatch.setattr(bench_module, "ELLIPSOID_CASES", ((2, 0.5),))
+    monkeypatch.setattr(bench_module, "SHEAR_CASES", ((0.5, 0.25),))
+    monkeypatch.setattr(bench_module, "CORNER_CASES", ((1, 1.0 / 32, 0.5, False),))
+    bench_module.main()
+    written = json.loads(out.read_text())
+    assert list(written) == ["environment", "rasterize", "corner_counts"]
+    assert written["environment"] == bench_module.environment()
+    assert [r["kernel"] for r in written["rasterize"]] == [
+        "rasterize_ellipsoid", "rasterize_affine_image"
+    ]
+    assert [(r["dim"], r["h"]) for r in written["corner_counts"]] == [(1, 1.0 / 32)]

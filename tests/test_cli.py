@@ -261,7 +261,7 @@ class TestErrors:
         "argv,message",
         [
             # numpy used to reject these without naming dim or seed
-            (["gen", "ball", "--dim", "-1"], "dim must be >= 1, got -1"),
+            (["gen", "ball", "--dim", "-1"], "dim must be 1, 2, or 3, got -1"),
             (["gen", "ball", "--seed", "-1"], "seed must be >= 0, got -1"),
             (["verify", "--seed", "-1"], "seed must be >= 0, got -1"),
         ],

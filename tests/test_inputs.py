@@ -9,6 +9,7 @@ import dataclasses
 import inspect
 import math
 import re
+import struct
 from functools import partial
 
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 import rieszvox
 from rieszvox import (
     AffineMapTriple,
+    Ellipsoid,
     RadiusTriple,
     SetTriple,
     SweepConfig,
@@ -31,10 +33,12 @@ from rieszvox import (
     generate,
     lambda_1,
     lambda_d,
+    load,
     measure_margin,
     normalize_special_dilation,
     radius_margin,
     rasterize_affine_image,
+    reflect,
     run_sweep,
     set_triple_margin,
     slice_center_field,
@@ -47,7 +51,10 @@ from rieszvox import (
     trilinear_corner_counts,
     trilinear_form,
     trilinear_form_direct,
+    upscale_integer,
 )
+from rieszvox import grid
+from rieszvox.cli import main
 from rieszvox.grid import check_integer
 from rieszvox.sweep import FAMILIES, perturb_noise, perturb_relocate, skew_columns
 from rieszvox.verify import run_suite
@@ -525,3 +532,90 @@ def test_superadditivity_and_slice_bits():
     )
     margin = slice_margin_profile((1.0, 0.9, 0.8), (0.6, -0.3, 0.1)).margin
     assert margin == float.fromhex("0x1.b7c7dde5c37b7p-1")
+
+
+@pytest.mark.parametrize("key,bits", LAMBDA_D_BITS.items())
+def test_lambda_d_reads_dim_text(key, bits):
+    gamma, dim = key
+    assert lambda_d(gamma, str(dim)) == float.fromhex(bits)
+
+
+def _load_header_of_dim(dim, tmp_path):
+    # a VXG1 file of one occupied cell whose header claims dim axes
+    path = tmp_path / "x.vxg"
+    header = struct.pack(f"<BB{dim}Id{dim}d", 1, dim, *[1] * dim, H, *[0.0] * dim)
+    path.write_bytes(grid.VXG_MAGIC + header + b"\x01")
+    return load(path)
+
+
+def _gen_of_dim(dim, tmp_path):
+    # the CLI prints the library's message and exits 2, writing nothing
+    out = tmp_path / "x.vxg"
+    assert main(["gen", "ball", "--dim", str(dim), "--spacing", "0.5", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+DIM_ENTRIES = {
+    "Ellipsoid": lambda d, _: Ellipsoid(np.zeros(d), np.eye(d)),
+    "VoxelSet.from_index": lambda d, _: VoxelSet.from_index(np.ones((1,) * d, bool), (0,) * d, H),
+    "VoxelSet.empty": lambda d, _: VoxelSet.empty(d, H),
+    "from_cells": lambda d, _: from_cells(np.zeros((1, d), dtype=int), d, H),
+    "load": _load_header_of_dim,
+    "generate": lambda d, _: generate("ball", {"dim": d, "spacing": 0.5}),
+    "SweepConfig": lambda d, _: SweepConfig(dim=d, spacing=0.5),
+    "lambda_d": lambda d, _: lambda_d(HALF, d),
+    "rieszvox gen": _gen_of_dim,
+}
+
+
+@pytest.mark.parametrize("dim", [0, 4])
+@pytest.mark.parametrize("entry", DIM_ENTRIES)
+def test_one_dimension_rule(monkeypatch, tmp_path, capsys, entry, dim):
+    # every entry point that takes a dimension raises check_dim's message,
+    # and none reaches a rasterization kernel first
+    built = []
+    for name in ("_ellipsoid_sample_counts", "_affine_sample_counts"):
+        monkeypatch.setattr(grid, name, lambda *args, name=name: built.append(name))
+    message = f"dim must be 1, 2, or 3, got {dim}"
+    if entry == "rieszvox gen":
+        DIM_ENTRIES[entry](dim, tmp_path)
+        assert capsys.readouterr().err == f"rieszvox: error: {message}\n"
+    else:
+        with pytest.raises(ValueError) as err:
+            DIM_ENTRIES[entry](dim, tmp_path)
+        assert str(err.value) == message
+    assert built == []
+
+
+# Each path that makes an origin: given physically or as an index, or
+# computed by an upscale or a translation.  Each used to store a wrapped
+# int64 (-2**63, or 0), with at most a numpy RuntimeWarning.
+ONE_CELL_2D = np.ones((1, 1), dtype=bool)
+ORIGIN_PAST_THE_BOUND = {
+    "VoxelSet": lambda: VoxelSet(ONE_CELL_2D, [1e20, 0.0], 1.0),
+    "from_index": lambda: VoxelSet.from_index(ONE_CELL_2D, [1e20, 0], 1.0),
+    "upscale_integer": lambda: upscale_integer(
+        VoxelSet.from_index(ONE_CELL_2D, [2**61, 0], 1.0), 8
+    ),
+    "translate_cells": lambda: translate_cells(
+        VoxelSet.from_index(ONE_CELL_2D, [2**62 - 2, 0], 1.0), [2**62 + 2, 0]
+    ),
+}
+
+
+@pytest.mark.parametrize("call", ORIGIN_PAST_THE_BOUND.values(), ids=ORIGIN_PAST_THE_BOUND)
+def test_origin_past_the_bound_is_rejected(call):
+    with pytest.raises(ValueError, match="origin must keep the box within 2\\*\\*62 cells"):
+        call()
+
+
+def test_origin_bound_holds_the_box_and_its_reflection():
+    # |origin| and |origin + shape| below 2**62: the box [2**62 - 3, 2**62 - 1)
+    # fits, its reflection [-2**62 + 1, -2**62 + 3) too, one cell more does not
+    occ = np.ones((2, 1), dtype=bool)
+    top = VoxelSet.from_index(occ, [2**62 - 3, 0], 1.0)
+    assert reflect(top).origin_index.tolist() == [-(2**62) + 1, -1]
+    assert reflect(reflect(top)) == top
+    for origin in ([2**62 - 2, 0], [-(2**62), 0]):
+        with pytest.raises(ValueError, match="origin must keep"):
+            VoxelSet.from_index(occ, origin, 1.0)

@@ -573,7 +573,7 @@ def test_sample_count_accumulator_at_its_bounds(dim, s, acc):
 def test_unsupported_dim_rejected_before_the_box(kernels, dim):
     # a 4-d center used to build and vote the whole box before VoxelSet
     # rejected the dimension
-    with pytest.raises(ValueError, match="center of length"):
+    with pytest.raises(ValueError, match=f"dim must be 1, 2, or 3, got {dim}"):
         rasterize_ellipsoid(_ellipsoid(np.zeros(dim), np.eye(dim)), 0.5)
     assert kernels == []
 
