@@ -21,6 +21,10 @@ each run end), so p <= cells; above DIRECT_PAIR_GUARD a case is guarded.
 A "relocated" case moves a tenth of the first blob's cells into a ball
 past its box, as the sweep's relocate family does.
 
+lambda: lambda_d, the certified quadrature of the lens, at d=2 and d=3 on
+balls of the sweep's base radii 1, 0.92 and 0.85 and on three unit
+measures, with the value it returns.
+
 The tables go to standard output and the rows, with the environment, to
 BENCH_pipeline.json at the root of the checkout, one key per stage.
 
@@ -38,9 +42,11 @@ import scipy
 
 from rieszvox import (
     Ellipsoid,
+    RadiusTriple,
     SetTriple,
     generate,
     grid,
+    lambda_d,
     rasterize_affine_image,
     rasterize_ellipsoid,
     sweep,
@@ -67,6 +73,13 @@ CORNER_CASES = (
     (3, 1.0 / 32, 0.5, False),
     (3, 1.0 / 16, 0.5, True),
     (3, 1.0 / 32, 0.5, True),
+)
+# (dim, measures) of each Lambda case: balls of the sweep's base radii, then
+# three unit measures
+LAMBDA_CASES = tuple(
+    (dim, gamma)
+    for dim in (2, 3)
+    for gamma in (RadiusTriple((1.0, 0.92, 0.85)).measures(dim), (1.0, 1.0, 1.0))
 )
 
 
@@ -216,6 +229,14 @@ def bench_corner_counts(dim, spacing, radius, relocated=False, repeats=3):
     return row
 
 
+# -- lambda ------------------------------------------------------------------
+
+
+def bench_lambda(dim, gamma, repeats=3):
+    ms, value = best_ms(lambda: lambda_d(gamma, dim), repeats)
+    return {"dim": dim, "measures": list(gamma), "ms": ms, "value": value}
+
+
 def main():
     print(f"{'kernel':>22} {'dim':>3} {'radius':>6} {'ms':>8} {'band cells':>10} {'undecided':>10}")
     raster = [bench_ellipsoid(dim, r) for dim, r in ELLIPSOID_CASES]
@@ -242,8 +263,19 @@ def main():
         else:
             print(f"{head} {td:>10.2f} {td / tf:>9.2f}x{tag}")
 
+    print(f"\n{'dim':>3} {'measures':>30} {'ms':>8} {'value':>20}")
+    lam = [bench_lambda(dim, gamma) for dim, gamma in LAMBDA_CASES]
+    for row in lam:
+        measures = ", ".join(f"{g:.4f}" for g in row["measures"])
+        print(f"{row['dim']:>3} {measures:>30} {row['ms']:>8.3f} {row['value']:>20.17g}")
+
     with open(OUT, "w") as fh:
-        out = {"environment": environment(), "rasterize": raster, "corner_counts": corner}
+        out = {
+            "environment": environment(),
+            "rasterize": raster,
+            "corner_counts": corner,
+            "lambda": lam,
+        }
         json.dump(out, fh, indent=1)
         fh.write("\n")
 

@@ -56,6 +56,7 @@ from typing import Optional
 import numpy as np
 from scipy.fft import irfftn, next_fast_len, rfftn
 from scipy.integrate import quad
+from scipy.special import betainc
 
 from .admissibility import measure_margin, radius_margin, set_triple_margin
 from .ellipsoid import fit_homothetic_triple
@@ -266,42 +267,32 @@ def lambda_1(gamma):
     ) / 4.0
 
 
-def _lens_area_2d(r1, r2, s):
-    # area of the intersection of two disks with center distance s
+def _lens(r1, r2, s, dim):
+    # measure of the intersection of two dim-balls with center distance s:
+    # the caps cut off by the plane through the intersection sphere.  At
+    # height a from its center, a cap is w r^dim (1 - sign(a) I_y) / 2 with
+    # I_y = betainc(1/2, (dim+1)/2, y), y = a^2/r^2; in y, not 1 - y, it
+    # stays accurate where the plane passes near a center.
     if s >= r1 + r2:
         return 0.0
+    w = unit_ball_volume(dim)
     if s <= abs(r1 - r2):
-        return math.pi * min(r1, r2) ** 2
-    d1 = (s * s + r1 * r1 - r2 * r2) / (2 * s)
-    d2 = s - d1
-    a1 = r1 * r1 * math.acos(max(-1.0, min(1.0, d1 / r1)))
-    a2 = r2 * r2 * math.acos(max(-1.0, min(1.0, d2 / r2)))
-    t1 = d1 * math.sqrt(max(0.0, r1 * r1 - d1 * d1))
-    t2 = d2 * math.sqrt(max(0.0, r2 * r2 - d2 * d2))
-    return a1 + a2 - t1 - t2
-
-
-def _lens_volume_3d(r1, r2, s):
-    # volume of the intersection of two balls with center distance s
-    if s >= r1 + r2:
-        return 0.0
-    if s <= abs(r1 - r2):
-        return 4.0 / 3.0 * math.pi * min(r1, r2) ** 3
-    rrd = r1 + r2 - s
-    return (
-        math.pi
-        * rrd
-        * rrd
-        * (s * s + 2 * s * r2 - 3 * r2 * r2 + 2 * s * r1 + 6 * r1 * r2 - 3 * r1 * r1)
-        / (12 * s)
-    )
+        return w * min(r1, r2) ** dim
+    a1 = (s * s + r1 * r1 - r2 * r2) / (2 * s)
+    a2 = s - a1
+    # one call for both caps costs about what one scalar call does; rounding
+    # near s = |r1 - r2| can give y > 1, where betainc is NaN
+    y = [min(a1 * a1 / (r1 * r1), 1.0), min(a2 * a2 / (r2 * r2), 1.0)]
+    i1, i2 = betainc(0.5, (dim + 1) / 2, y).tolist()
+    return 0.5 * w * (r1**dim * (1 - math.copysign(i1, a1)) + r2**dim * (1 - math.copysign(i2, a2)))
 
 
 def lambda_d(gamma, dim):
     """Lambda_dim: T of centered balls with measures gamma.
 
-    dim=1 delegates to the closed form; dim 2 and 3 integrate the two-ball
-    intersection profile radially over the smallest ball:
+    dim=1 delegates to the closed form; every higher dim integrates the
+    measure of the two-ball intersection (_lens, one cap formula for every
+    dim) radially over the smallest ball:
 
         Lambda = dim * omega * integral_0^r3 s^(dim-1) lens(r1, r2, s) ds
 
@@ -316,11 +307,10 @@ def lambda_d(gamma, dim):
         return 0.0
     w = unit_ball_volume(dim)
     r1, r2, r3 = sorted(((x / w) ** (1.0 / dim) for x in g), reverse=True)
-    lens = _lens_area_2d if dim == 2 else _lens_volume_3d
     kink = abs(r1 - r2)
     pts = [kink] if 0.0 < kink < r3 else None
     val, abserr = quad(
-        lambda s: s ** (dim - 1) * lens(r1, r2, s),
+        lambda s: s ** (dim - 1) * _lens(r1, r2, s, dim),
         0.0,
         r3,
         points=pts,

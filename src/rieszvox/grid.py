@@ -214,19 +214,20 @@ def _validated(occupancy, origin, spacing, physical):
         if not np.all(np.isfinite(origin)):
             raise ValueError(f"origin must be finite, got {origin}")
         if physical:
-            idx = np.rint(origin / h)
-            if np.any(np.abs(idx * h - origin) > ALIGN_RTOL * h):
-                raise ValueError(
-                    "origin is not aligned to the cell lattice "
-                    f"(must be an integer multiple of spacing={spacing})"
-                )
+            with np.errstate(over="ignore"):  # an overflow to inf fails the bound
+                idx = np.rint(origin / h)
         elif np.any(idx != np.floor(idx)):
             raise ValueError(f"origin_index must be integers, got {idx.tolist()}")
-    lo = [int(x) for x in idx.tolist()]
-    if not all(-CELL_BOUND < x and x + n < CELL_BOUND for x, n in zip(lo, occ.shape)):
+    lo = idx.tolist()  # ints or integral floats, each compared exactly
+    if not all(-CELL_BOUND < x < CELL_BOUND - n for x, n in zip(lo, occ.shape)):
         raise ValueError(
             f"origin must keep the box within 2**62 cells of 0, got index {lo} "
             f"and shape {occ.shape}"
+        )
+    if physical and np.any(np.abs(idx * h - origin) > ALIGN_RTOL * h):
+        raise ValueError(
+            "origin is not aligned to the cell lattice "
+            f"(must be an integer multiple of spacing={spacing})"
         )
     return occ, np.array(lo, dtype=np.int64), h
 
@@ -636,10 +637,7 @@ def _ellipsoid_sample_counts(e, h, s):
     v, Q, dim = e.center, e.shape, e.dim
     # axis-aligned bounding half-widths: sqrt(diag(Q^-1))
     b = np.sqrt(np.diag(np.linalg.inv(Q)))
-    lo = np.floor((v - b) / h).astype(np.int64)
-    hi = np.ceil((v + b) / h).astype(np.int64)
-    box = tuple(int(x) for x in (hi - lo))
-    ext = np.maximum(np.abs(lo), np.abs(hi)) * h + np.abs(v) + h
+    lo, box, ext = _sample_box(v - b, v + b, v, h)
     rho = BAND_RTOL * (ext @ np.abs(Q) @ ext)
 
     # sample coordinates relative to v, as the full-box loop computed them;
@@ -711,6 +709,21 @@ def _ellipsoid_sample_counts(e, h, s):
     return counts[..., : box[-1]], lo
 
 
+def _sample_box(low, high, v, h):
+    """The low corner index and shape of the cells covering low..high, bound
+    by CELL_BOUND before the cast to int64, and ext >= |x - v| + h on them."""
+    with np.errstate(over="ignore"):  # an overflow to inf fails the bound
+        low, high = np.floor(low / h), np.ceil(high / h)
+    if not (np.all(-CELL_BOUND < low) and np.all(high < CELL_BOUND)):
+        raise ValueError(
+            f"the rasterized box must lie within 2**62 cells of 0, got cells "
+            f"{low.tolist()} to {high.tolist()} at spacing {h}"
+        )
+    lo, hi = low.astype(np.int64), high.astype(np.int64)
+    ext = np.maximum(np.abs(lo), np.abs(hi)) * h + np.abs(v) + h
+    return lo, tuple(int(x) for x in (hi - lo)), ext
+
+
 def _quadratic_form(Q, coords):
     """The per-sample expression: sum_ij Q_ij c_i c_j, in this order."""
     qf = np.zeros(coords[0].shape)
@@ -762,11 +775,7 @@ def _affine_sample_counts(e, A, v, h, s):
     ends = zip(e.origin_index * he, (e.origin_index + np.asarray(e.shape)) * he)
     corners = np.stack(np.meshgrid(*ends), axis=-1).reshape(-1, dim)
     img = corners @ A.T + v
-    lo = np.floor(img.min(axis=0) / h).astype(np.int64)
-    hi = np.ceil(img.max(axis=0) / h).astype(np.int64)
-    box = tuple(int(x) for x in (hi - lo))
-
-    ext = np.maximum(np.abs(lo), np.abs(hi)) * h + np.abs(v) + h
+    lo, box, ext = _sample_box(img.min(axis=0), img.max(axis=0), v, h)
     half = h / 2 * (1 - 1 / s)
     reach = (np.abs(Ainv).sum(axis=1) * half + BAND_RTOL * (np.abs(Ainv) @ ext)) / he
     w = np.floor(2 * reach).astype(np.int64) + 2

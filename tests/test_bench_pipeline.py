@@ -10,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from rieszvox import Ellipsoid, functional, rasterize_ellipsoid
+from rieszvox import Ellipsoid, RadiusTriple, functional, lambda_d, rasterize_ellipsoid
 from reference_raster import affine_sample_counts
 
 SCRIPT = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "bench_pipeline.py")
@@ -101,6 +101,24 @@ def test_corner_counts_row(monkeypatch, bench_module, dim, h, relocated):
     assert row["pairs"] <= n1 * n2
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_lambda_row(bench_module, dim):
+    gamma = (1.0, 0.8, 0.9)
+    row = bench_module.bench_lambda(dim, gamma, repeats=1)
+    assert set(row) == {"dim", "measures", "ms", "value"}
+    assert (row["dim"], row["measures"]) == (dim, list(gamma))
+    assert row["ms"] > 0
+    assert row["value"] == lambda_d(gamma, dim)
+
+
+def test_lambda_cases_are_the_sweep_base_and_unit_balls(bench_module):
+    cases = bench_module.LAMBDA_CASES
+    assert [dim for dim, _ in cases] == [2, 2, 3, 3]
+    for (dim, base), (_, unit) in zip(cases[::2], cases[1::2]):
+        assert RadiusTriple.from_measures(base, dim).radii == pytest.approx((1.0, 0.92, 0.85))
+        assert unit == (1.0, 1.0, 1.0)
+
+
 def test_environment_names_the_versions(bench_module):
     env = bench_module.environment()
     assert set(env) == {"python", "numpy", "scipy", "machine", "cpus"}
@@ -113,11 +131,13 @@ def test_main_writes_every_stage(monkeypatch, tmp_path, bench_module):
     monkeypatch.setattr(bench_module, "ELLIPSOID_CASES", ((2, 0.5),))
     monkeypatch.setattr(bench_module, "SHEAR_CASES", ((0.5, 0.25),))
     monkeypatch.setattr(bench_module, "CORNER_CASES", ((1, 1.0 / 32, 0.5, False),))
+    monkeypatch.setattr(bench_module, "LAMBDA_CASES", ((2, (1.0, 1.0, 1.0)),))
     bench_module.main()
     written = json.loads(out.read_text())
-    assert list(written) == ["environment", "rasterize", "corner_counts"]
+    assert list(written) == ["environment", "rasterize", "corner_counts", "lambda"]
     assert written["environment"] == bench_module.environment()
     assert [r["kernel"] for r in written["rasterize"]] == [
         "rasterize_ellipsoid", "rasterize_affine_image"
     ]
     assert [(r["dim"], r["h"]) for r in written["corner_counts"]] == [(1, 1.0 / 32)]
+    assert [(r["dim"], r["measures"]) for r in written["lambda"]] == [(2, [1.0, 1.0, 1.0])]

@@ -28,6 +28,7 @@ from rieszvox import (
 )
 
 from conftest import random_voxel_set
+from reference_lens import lens_area_2d, lens_volume_3d, lens_volume_3d_over_pi
 
 # closed-form anchor values, frozen before the implementation was written
 LAMBDA1_TABLE = {
@@ -219,6 +220,71 @@ class TestLambdaClosedForms:
         monkeypatch.setattr(functional, "quad", lambda *a, **k: (2.0, 2.1e-6))
         with pytest.raises(ValueError, match="quadrature did not converge"):
             lambda_d((1.0, 1.0, 1.0), dim)
+
+
+def _lens_radii(n, seed):
+    # r1 >= r2 >= r3 with the kink r1 - r2 below r3: Lambda's lens range
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        r1, r2, r3 = sorted(rng.uniform(0.05, 3.0, 3), reverse=True)
+        if r1 - r2 < r3:
+            out.append((float(r1), float(r2), float(r3)))
+    return out
+
+
+LENS_RADII = _lens_radii(200, 29)
+
+
+class TestLens:
+    """functional._lens, the one lens of every dimension, point by point."""
+
+    @pytest.mark.parametrize("dim,closed_form", [(2, lens_area_2d), (3, lens_volume_3d)])
+    def test_matches_the_closed_forms(self, dim, closed_form):
+        worst = 0.0
+        for r1, r2, r3 in LENS_RADII:
+            scale = unit_ball_volume(dim) * r2**dim
+            for s in np.linspace(r1 - r2, r3, 17).tolist():
+                err = abs(functional._lens(r1, r2, s, dim) - closed_form(r1, r2, s))
+                worst = max(worst, err / scale)
+        assert worst <= 1e-13
+
+    def test_is_the_overlap_length_at_d1(self):
+        for r1, r2, _ in LENS_RADII:
+            for s in np.linspace(r1 - r2, r1 + r2, 17).tolist():
+                got = functional._lens(r1, r2, s, 1)
+                assert got == pytest.approx(r1 + r2 - s, rel=0, abs=1e-15 * (r1 + r2))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_is_the_smaller_ball_at_the_kink(self, dim):
+        # at s = r1 - r2 exactly, and one float past it, where rounding can
+        # put a cap's height past its radius; some cases here do
+        past = 0
+        for r1, r2, _ in LENS_RADII:
+            ball = unit_ball_volume(dim) * r2**dim
+            kink = r1 - r2
+            assert functional._lens(r1, r2, kink, dim) == ball
+            s = math.nextafter(kink, math.inf)
+            a1 = (s * s + r1 * r1 - r2 * r2) / (2 * s)
+            past += abs(a1) > r1 or abs(s - a1) > r2
+            got = functional._lens(r1, r2, s, dim)
+            assert math.isfinite(got)
+            assert got == pytest.approx(ball, rel=1e-13)
+        assert past > 0
+
+    def test_keeps_its_accuracy_where_the_plane_meets_a_center(self):
+        # at s = sqrt(r1^2 - r2^2) the plane of the intersection passes
+        # through the second center, where a cap taken in 1 - a^2/r^2 lost
+        # up to 5e-13
+        worst = 0.0
+        for r1, r2, r3 in LENS_RADII:
+            mid = math.sqrt(r1 * r1 - r2 * r2)
+            for s in np.linspace(mid * (1 - 1e-4), mid * (1 + 1e-4), 9).tolist():
+                if not r1 - r2 < s < r1 + r2:
+                    continue
+                exact = math.pi * float(lens_volume_3d_over_pi(r1, r2, s))
+                worst = max(worst, abs(functional._lens(r1, r2, s, 3) / exact - 1.0))
+        assert worst <= 1e-14
 
 
 class TestRadiusTriple:

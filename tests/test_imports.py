@@ -94,6 +94,44 @@ def test_scipy_signal_and_stats_stay_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def scipy_subpackages(source):
+    """The scipy subpackages a module's source imports, in any import form;
+    a bare `import scipy` counts as "scipy"."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "scipy":
+            modules = [f"scipy.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found |= {m.partition(".")[2] or m for m in modules if m.split(".")[0] == "scipy"}
+    return found
+
+
+@pytest.mark.parametrize(
+    "source,found",
+    [
+        ("from scipy.special import betainc", {"special"}),
+        ("import scipy.linalg as la", {"linalg"}),
+        ("from scipy import optimize, stats", {"optimize", "stats"}),
+        ("import scipy, numpy", {"scipy"}),
+        ("from scipy.sparse.linalg import cg\nfrom .grid import x", {"sparse.linalg"}),
+        ("import scipyx", set()),
+    ],
+)
+def test_scipy_subpackages_reads_every_import_form(source, found):
+    assert scipy_subpackages(source) == found
+
+
+def test_scipy_subpackages_are_the_readme_list():
+    # README names these three as the package's whole use of scipy
+    used = set().union(*(scipy_subpackages(p.read_text()) for p in PACKAGE.glob("*.py")))
+    assert used == {"fft", "integrate", "special"}
+
+
 def unread_parameters(path):
     """module.function:parameter for each parameter its function or lambda
     never reads."""

@@ -51,6 +51,7 @@ from rieszvox import (
     trilinear_corner_counts,
     trilinear_form,
     trilinear_form_direct,
+    unit_ball_volume,
     upscale_integer,
 )
 from rieszvox import grid
@@ -58,6 +59,8 @@ from rieszvox.cli import main
 from rieszvox.grid import check_integer
 from rieszvox.sweep import FAMILIES, perturb_noise, perturb_relocate, skew_columns
 from rieszvox.verify import run_suite
+
+from reference_lens import lambda_3_over_4pi2
 
 NAN, INF = math.nan, math.inf
 H = 1.0 / 16
@@ -448,7 +451,11 @@ def test_zero_measures_keep_lambda_zero():
 
 
 # -- valid input keeps its bits --------------------------------------------
-# These values were computed before the checks moved to grid.py.
+# These values were computed before the checks moved to grid.py.  The d=3
+# LAMBDA_D_BITS, the d=3 rho and the d=2 superadditivity gap were re-pinned,
+# each by at most 4.4e-15 relative, when the lens of Lambda_d became one cap
+# formula for every dimension; test_lambda_3_is_exact_in_the_float_radii
+# checks Lambda_3 against exact arithmetic.
 
 LAMBDA1_BITS = {
     (1.0, 1.0, 1.0): "0x1.8000000000000p-1",
@@ -469,7 +476,7 @@ RHO_BITS = {
     (0.5, 0.25, 1, 4000, 2): "0x1.4863589dbc1f9p-3",
     (0.5, 0.25, 1, 10000, 0): "0x1.ffc92e6cc1988p-4",
     (0.5, 0.25, 2, 300, 0): "0x1.850eff9ebcf68p-3",
-    (0.3, 0.2, 3, 100, 5): "0x1.a518b1c5e2636p-4",
+    (0.3, 0.2, 3, 100, 5): "0x1.a518b1c5e2616p-4",
 }
 
 RADIUS_MARGIN_BITS = {
@@ -491,9 +498,9 @@ MEASURE_MARGIN_BITS = {
 
 LAMBDA_D_BITS = {
     ((3.1, 2.2, 1.7), 2): "0x1.72fc2a47407f9p+1",
-    ((3.1, 2.2, 1.7), 3): "0x1.2bb47a48d124cp+1",
+    ((3.1, 2.2, 1.7), 3): "0x1.2bb47a48d124dp+1",
     ((1.0, 0.2, 0.6), 2): "0x1.d264e7fad63cap-4",
-    ((1.0, 0.2, 0.6), 3): "0x1.8d767b7ab20d9p-4",
+    ((1.0, 0.2, 0.6), 3): "0x1.8d767b7ab20d8p-4",
 }
 
 
@@ -526,12 +533,30 @@ def test_measure_margin_bits(key, bits):
 
 
 def test_superadditivity_and_slice_bits():
-    assert superadditivity_gap(HALF, HALF, 2) == float.fromhex("0x1.2c4a2a0d3c430p-2")
+    assert superadditivity_gap(HALF, HALF, 2) == float.fromhex("0x1.2c4a2a0d3c432p-2")
     assert superadditivity_gap((0.3, 0.1, 0.2), (0.4, 0.5, 0.3), 3) == float.fromhex(
         "0x1.456174f07d810p-4"
     )
     margin = slice_margin_profile((1.0, 0.9, 0.8), (0.6, -0.3, 0.1)).margin
     assert margin == float.fromhex("0x1.b7c7dde5c37b7p-1")
+
+
+def _lambda_3_exact(gamma):
+    # Lambda_3 in exact arithmetic on the float radii lambda_d computes
+    w = unit_ball_volume(3)
+    radii = sorted(((x / w) ** (1.0 / 3) for x in gamma), reverse=True)
+    return 4 * math.pi**2 * float(lambda_3_over_4pi2(*radii))
+
+
+LAMBDA_3_CASES = [key[0] for key in LAMBDA_D_BITS if key[1] == 3] + [
+    tuple(g) for g in np.random.default_rng(23).uniform(0.05, 3.0, (300, 3))
+]
+
+
+def test_lambda_3_is_exact_in_the_float_radii():
+    # random measures put the kink |r1 - r2| on either side of r3
+    worst = max(abs(lambda_d(g, 3) / _lambda_3_exact(g) - 1.0) for g in LAMBDA_3_CASES)
+    assert worst <= 1e-14
 
 
 @pytest.mark.parametrize("key,bits", LAMBDA_D_BITS.items())
@@ -593,6 +618,8 @@ def test_one_dimension_rule(monkeypatch, tmp_path, capsys, entry, dim):
 ONE_CELL_2D = np.ones((1, 1), dtype=bool)
 ORIGIN_PAST_THE_BOUND = {
     "VoxelSet": lambda: VoxelSet(ONE_CELL_2D, [1e20, 0.0], 1.0),
+    # origin / spacing overflows to inf, which used to warn
+    "VoxelSet-overflow": lambda: VoxelSet(ONE_CELL_2D, [1e300, 0.0], 1e-10),
     "from_index": lambda: VoxelSet.from_index(ONE_CELL_2D, [1e20, 0], 1.0),
     "upscale_integer": lambda: upscale_integer(
         VoxelSet.from_index(ONE_CELL_2D, [2**61, 0], 1.0), 8

@@ -617,3 +617,43 @@ def test_rounding_asymmetry_rasterizes_the_same_through_both_entry_points():
     want = rasterize_ellipsoid(Ellipsoid(center, q), 1.0 / 16)
     assert_identical(rasterize_ellipsoid(_ellipsoid(center, q), 1.0 / 16), want)
     assert_identical(reference_ellipsoid(Ellipsoid(center, q), 1.0 / 16), want)
+
+
+# A box whose corners lie past CELL_BOUND, as floats, before their cast to
+# int64: far out (the cast used to warn and wrap), just at 2**62 (the box
+# used to come out empty), and past the float range of the index.
+DISK = Ellipsoid(np.zeros(2), np.eye(2))
+BOX_PAST_THE_BOUND = {
+    "ellipsoid-1e20": lambda: rasterize_ellipsoid(Ellipsoid([1e20, 0.0], np.eye(2)), 1.0),
+    "ellipsoid-2**62": lambda: rasterize_ellipsoid(Ellipsoid([2.0**62, 0.0], np.eye(2)), 1.0),
+    "ellipsoid-overflow": lambda: rasterize_ellipsoid(
+        Ellipsoid([0.0, -1e300], np.eye(2)), 1e-10
+    ),
+    "affine-1e20": lambda: rasterize_affine_image(
+        rasterize_ellipsoid(DISK, 0.25), np.eye(2), [1e20, 0.0], 0.25
+    ),
+    "affine-2**62": lambda: rasterize_affine_image(
+        rasterize_ellipsoid(DISK, 0.25), np.eye(2), [0.0, -(2.0**62)], 1.0
+    ),
+}
+
+
+@pytest.mark.parametrize("call", BOX_PAST_THE_BOUND.values(), ids=BOX_PAST_THE_BOUND)
+def test_box_past_the_bound_is_rejected(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="box must lie within 2\\*\\*62 cells of 0"):
+            call()
+
+
+def test_box_far_inside_the_bound_rasterizes_as_at_zero():
+    # at 2**20 the samples, multiples of h/4 at s = 2, are exact in float64,
+    # so a shift by 2**22 cells moves the set and changes no cell
+    far, shift = 2.0**20, 2**22
+    want = rasterize_ellipsoid(DISK, 1.0 / 4, 2)
+    moved = rasterize_ellipsoid(Ellipsoid([far, 0.0], np.eye(2)), 1.0 / 4, 2)
+    assert (moved.origin_index - want.origin_index).tolist() == [shift, 0]
+    assert np.array_equal(moved.occupancy, want.occupancy)
+    image = rasterize_affine_image(want, np.eye(2), [0.0, -far], 1.0 / 4, 2)
+    assert (image.origin_index - want.origin_index).tolist() == [0, -shift]
+    assert np.array_equal(image.occupancy, want.occupancy)
