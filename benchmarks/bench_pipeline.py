@@ -4,20 +4,22 @@ calls in ms, and the work the stage did.
 rasterize: balls through rasterize_ellipsoid, and the sweep's shear
 (A[0, d-1] = 0.2, translations +-0.25 along the first axis and 0) of the
 d=3 base radii 1, 0.92 and 0.85 through rasterize_affine_image, with the
-work left to the per-sample expression:
+work the kernel reports it left to the per-sample expression:
 
-- band_cells: for an affine image, the cells phase 1 leaves to phase 2;
-  for an ellipsoid, the cells with a sample its roots leave undecided
-  (those whose count changes when every undecided sample is forced out,
-  then in).
+- band_cells: the cells with at least one such sample (for an affine
+  image, the cells phase 1 leaves to phase 2);
 - undecided_samples: the samples the per-sample expression runs on.
+
+Every case lies near 0, far inside the 2**50/s cells of 0 within which
+the rasterizers accept a box (float64 resolves its samples there).
 
 corner_counts: the backends 'fft' (float Fourier convolution over the
 window the corner counts read, rounded) and 'direct' (int64 histogram of
 the pair sums of the two smallest sets) on blob triples, checked equal.
 Direct forms p1 * p2 pairs, each of the two sets entering with its cells
 or, when fewer, its last-axis run ends (+1 at each run start, -1 one past
-each run end), so p <= cells; above DIRECT_PAIR_GUARD a case is guarded.
+each run end), so p <= cells; the pairs are read from the direct path's
+own plan, and above DIRECT_PAIR_GUARD a case is guarded.
 A "relocated" case moves a tenth of the first blob's cells into a ball
 past its box, as the sweep's relocate family does.
 
@@ -32,10 +34,10 @@ Run: python3 benchmarks/bench_pipeline.py
 """
 
 import json
+import math
 import os
 import platform
 import time
-from contextlib import contextmanager
 
 import numpy as np
 import scipy
@@ -44,6 +46,7 @@ from rieszvox import (
     Ellipsoid,
     RadiusTriple,
     SetTriple,
+    functional,
     generate,
     grid,
     lambda_d,
@@ -106,74 +109,14 @@ def best_ms(call, repeats):
 # -- rasterize ---------------------------------------------------------------
 
 
-@contextmanager
-def replaced(name, make):
-    """grid.<name> replaced by make(the real one) inside the block."""
-    real = getattr(grid, name)
-    setattr(grid, name, make(real))
-    try:
-        yield
-    finally:
-        setattr(grid, name, real)
-
-
-def ellipsoid_work(e, h, s):
-    """(band cells, undecided samples) of one ellipsoid kernel call."""
-    sizes, bounds = [], []
-
-    def counting(real):
-        def call(Q, coords):
-            sizes.append(coords[0].size)
-            return real(Q, coords)
-
-        return call
-
-    def forcing(value):
-        # every undecided sample out (inf) or in (-inf)
-        return lambda real: lambda Q, coords: np.full(coords[0].shape, value)
-
-    with replaced("_quadratic_form", counting):
-        grid._ellipsoid_sample_counts(e, h, s)
-    for value in (np.inf, -np.inf):
-        with replaced("_quadratic_form", forcing(value)):
-            bounds.append(grid._ellipsoid_sample_counts(e, h, s)[0])
-    return int(np.count_nonzero(bounds[0] != bounds[1])), sum(sizes)
-
-
-def affine_work(e, a, v, h, s):
-    """(band cells, undecided samples) of one affine kernel call."""
-    bands = []
-
-    def spy(real):
-        def call(occ, w, first):
-            full, band = real(occ, w, first)
-            bands.append(int(band.sum()))
-            return full, band
-
-        return call
-
-    with replaced("_uniform_windows", spy):
-        grid._affine_sample_counts(e, a, v, h, s)
-    return bands[0], bands[0] * s**e.dim
-
-
 def raster_row(kernel, dim, spacing, radius, ms, work):
-    band, undecided = work
-    return {
-        "kernel": kernel,
-        "dim": dim,
-        "h": spacing,
-        "radius": radius,
-        "ms": ms,
-        "band_cells": band,
-        "undecided_samples": undecided,
-    }
+    return {"kernel": kernel, "dim": dim, "h": spacing, "radius": radius, "ms": ms, **work}
 
 
 def bench_ellipsoid(dim, radius, spacing=SPACING, s=3, repeats=3):
     e = Ellipsoid(np.zeros(dim), np.eye(dim) / radius**2)
     ms = best_ms(lambda: rasterize_ellipsoid(e, spacing, s), repeats)[0]
-    work = ellipsoid_work(e, spacing, s)
+    work = grid._ellipsoid_sample_counts(e, spacing, s)[2]
     return raster_row("rasterize_ellipsoid", dim, spacing, radius, ms, work)
 
 
@@ -184,21 +127,11 @@ def bench_shear(dim, radius, shift, spacing=SPACING, s=3, repeats=3):
     v = np.zeros(dim)
     v[0] = shift
     ms = best_ms(lambda: rasterize_affine_image(ball, a, v, spacing, s), repeats)[0]
-    work = affine_work(ball, a, v, spacing, s)
+    work = grid._affine_sample_counts(ball, a, v, spacing, s)[2]
     return raster_row("rasterize_affine_image", dim, spacing, radius, ms, work)
 
 
 # -- corner counts -----------------------------------------------------------
-
-
-def direct_pairs(t):
-    """The pairs the direct path forms for the triple t."""
-    entries = []
-    for e in sorted(t, key=lambda e: e.count)[:2]:
-        occ = e.occupancy
-        before = np.concatenate([np.zeros_like(occ[..., :1]), occ[..., :-1]], axis=-1)
-        entries.append(min(e.count, 2 * int((occ & ~before).sum())))
-    return entries[0] * entries[1]
 
 
 def bench_corner_counts(dim, spacing, radius, relocated=False, repeats=3):
@@ -214,7 +147,7 @@ def bench_corner_counts(dim, spacing, radius, relocated=False, repeats=3):
         "h": spacing,
         "relocated": relocated,
         "cells": [e.count for e in t],
-        "pairs": direct_pairs(t),
+        "pairs": math.prod(idx.size for idx, _ in functional._direct_plan(t.sets)[2]),
     }
     counts = {}
     for method in ("fft", "direct"):

@@ -130,17 +130,7 @@ def trilinear_corner_counts(t, method="fft"):
     if any(e.is_empty for e in sets):
         return zeros
     if method == "direct":
-        # N_s is symmetric, so histogram the pair sums of the two smallest
-        # sets and read the counts at the cells of the largest
-        sets = sorted(sets, key=lambda e: e.count)
-        shape = [a + b - 1 for a, b in zip(sets[0].shape, sets[1].shape)]
-        shape[-1] += 2
-        entries = [_direct_entries(e, shape) for e in sets[:2]]
-        p1, p2 = (idx.size for idx, _ in entries)
-        if p1 * p2 > DIRECT_PAIR_GUARD:
-            raise ValueError(
-                f"direct path guard exceeded: {p1} * {p2} > {DIRECT_PAIR_GUARD}"
-            )
+        sets, shape, entries = _direct_plan(sets)
     e1, e2, e3 = sets
     # the window in plain ints, since layer triples call this many times on
     # small sets: per axis the n3 + 1 conv indices from start, of which
@@ -157,6 +147,11 @@ def trilinear_corner_counts(t, method="fft"):
     if method == "fft":
         conv = _conv_fft(e1, e2, window)
     else:
+        p1, p2 = (idx.size for idx, _ in entries)
+        if p1 * p2 > DIRECT_PAIR_GUARD:
+            raise ValueError(
+                f"direct path guard exceeded: {p1} * {p2} > {DIRECT_PAIR_GUARD}"
+            )
         conv = _conv_direct(entries, shape, window)
     # reversed, the padded window holds conv[s - g - k] for cell k of E3's
     # box at k - 1 - s, so each corner reads one slice
@@ -187,6 +182,17 @@ def _conv_fft(e1, e2, window):
             f"{err:.3g} from its integer; use method='direct'"
         )
     return rounded.astype(np.int64)
+
+
+def _direct_plan(sets):
+    """The direct path's plan: N_s is symmetric, so it histograms the pair
+    sums of the two smallest sets, by cell count, and reads the largest's
+    cells.  Returns the sorted sets, the pair sums' shape (two cells wider
+    on the last axis) and the _direct_entries of the two smallest."""
+    sets = sorted(sets, key=lambda e: e.count)
+    shape = [a + b - 1 for a, b in zip(sets[0].shape, sets[1].shape)]
+    shape[-1] += 2
+    return sets, shape, [_direct_entries(e, shape) for e in sets[:2]]
 
 
 def _direct_entries(e, shape):

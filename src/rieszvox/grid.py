@@ -26,7 +26,9 @@ its center per axis, so their preimages fall in a fixed-width window of
 E's cells, with a margin far above rounding error; window sums of E
 decide the cells whose window is all occupied or all empty, and only the
 remaining band runs the per-sample test.  Either way the counts are those
-of sampling every cell of the bounding box.
+of sampling every cell of the bounding box; the kernel also reports the
+work it left to the per-sample test.  A box, and an affine image's E,
+must lie within 2**50/s cells of 0, where float64 resolves the samples.
 """
 
 import math
@@ -607,12 +609,13 @@ def rasterize_ellipsoid(e, spacing, supersample=SUPERSAMPLE):
     s = check_integer(supersample, "supersample", low=1)
     if not isinstance(e, Ellipsoid):
         e = Ellipsoid(e.center, e.shape)
-    return _vote(*_ellipsoid_sample_counts(e, h, s), h, s)
+    return _vote(*_ellipsoid_sample_counts(e, h, s)[:2], h, s)
 
 
 def _ellipsoid_sample_counts(e, h, s):
-    """Samples in the ellipsoid per cell of its bounding box, and the box's
-    low corner index.
+    """Samples in the ellipsoid per cell of its bounding box, the box's low
+    corner index, and the work left to the per-sample expression
+    ({"band_cells", "undecided_samples"}).
 
     The samples of a cell lie on s^(dim-1) lines along the last axis.  On
     each line q = (x-v)^T Q (x-v) is a convex quadratic a t^2 + b t + c in
@@ -637,7 +640,7 @@ def _ellipsoid_sample_counts(e, h, s):
     v, Q, dim = e.center, e.shape, e.dim
     # axis-aligned bounding half-widths: sqrt(diag(Q^-1))
     b = np.sqrt(np.diag(np.linalg.inv(Q)))
-    lo, box, ext = _sample_box(v - b, v + b, v, h)
+    lo, box, ext = _sample_box(v - b, v + b, v, h, s)
     rho = BAND_RTOL * (ext @ np.abs(Q) @ ext)
 
     # sample coordinates relative to v, as the full-box loop computed them;
@@ -682,11 +685,14 @@ def _ellipsoid_sample_counts(e, h, s):
     # the undecided samples [out_first, in_first) and [in_stop, out_stop),
     # on the few lines that have any; an in-sample k adds the run [k, k + 1)
     und = np.flatnonzero((in_first - out_first) + (out_stop - in_stop))
+    work = {"band_cells": 0, "undecided_samples": 0}
     if und.size:
         starts = np.concatenate([out_first[und], in_stop[und]])
         size = np.concatenate([in_first[und], out_stop[und]]) - starts
         line = np.repeat(np.tile(und, 2), size)
         k = np.repeat(starts - np.cumsum(size) + size, size) + np.arange(size.sum())
+        # the band cells: the distinct cells row + k // s of the undecided samples
+        work = {"band_cells": np.unique(row[line] + k // s).size, "undecided_samples": k.size}
         at = np.unravel_index(line, lines) if last else ()
         inq = _quadratic_form(Q, [x[j] for x, j in zip(fixed, at)] + [t[k]]) <= 1.0
         row = np.concatenate([row, row[line[inq]]])
@@ -706,12 +712,13 @@ def _ellipsoid_sample_counts(e, h, s):
         np.add.at(flat, q, (sign * (r - s)).astype(acc))
         np.add.at(flat, q + 1, (-sign * r).astype(acc))
     counts = np.cumsum(diff, axis=-1, dtype=acc)
-    return counts[..., : box[-1]], lo
+    return counts[..., : box[-1]], lo, work
 
 
-def _sample_box(low, high, v, h):
+def _sample_box(low, high, v, h, s):
     """The low corner index and shape of the cells covering low..high, bound
-    by CELL_BOUND before the cast to int64, and ext >= |x - v| + h on them."""
+    by CELL_BOUND before the cast to int64 and then by _check_resolved, and
+    ext >= |x - v| + h on them."""
     with np.errstate(over="ignore"):  # an overflow to inf fails the bound
         low, high = np.floor(low / h), np.ceil(high / h)
     if not (np.all(-CELL_BOUND < low) and np.all(high < CELL_BOUND)):
@@ -720,8 +727,20 @@ def _sample_box(low, high, v, h):
             f"{low.tolist()} to {high.tolist()} at spacing {h}"
         )
     lo, hi = low.astype(np.int64), high.astype(np.int64)
+    _check_resolved(lo, hi, s, "the rasterized box")
     ext = np.maximum(np.abs(lo), np.abs(hi)) * h + np.abs(v) + h
     return lo, tuple(int(x) for x in (hi - lo)), ext
+
+
+def _check_resolved(lo, hi, s, name):
+    """Reject a box of cells lo..hi with an index of magnitude 2**50/s or
+    more: below that one rounding moves a coordinate by less than h/(8s),
+    while samples sit h/s apart and h/(2s) from a cell face."""
+    if np.any(np.maximum(-lo, hi) >= 2**50 / s):
+        raise ValueError(
+            f"{name} must lie within 2**50/s cells of 0 for float64 to resolve "
+            f"its samples at s = {s}, got cells {lo.tolist()} to {hi.tolist()}"
+        )
 
 
 def _quadratic_form(Q, coords):
@@ -744,7 +763,7 @@ def rasterize_affine_image(e, a, v, spacing, supersample=SUPERSAMPLE):
     h = check_positive(spacing, "spacing")
     s = check_integer(supersample, "supersample", low=1)
     A, v = check_affine(a, np.ravel(v), e.dim)
-    return _vote(*_affine_sample_counts(e, A, v, h, s), h, s)
+    return _vote(*_affine_sample_counts(e, A, v, h, s)[:2], h, s)
 
 
 def _vote(counts, lo, h, s):
@@ -755,8 +774,9 @@ def _vote(counts, lo, h, s):
 
 
 def _affine_sample_counts(e, A, v, h, s):
-    """Samples in A(E) + v per cell of its bounding box, and the box's low
-    corner index.
+    """Samples in A(E) + v per cell of its bounding box, the box's low
+    corner index, and the work left to the per-sample expression
+    ({"band_cells", "undecided_samples"}).
 
     Phase 1: a sample sits (k + 1/2) h / s from its cell's low corner, so
     within (h/2)(1 - 1/s) of the center per axis, and its preimage lies
@@ -775,7 +795,8 @@ def _affine_sample_counts(e, A, v, h, s):
     ends = zip(e.origin_index * he, (e.origin_index + np.asarray(e.shape)) * he)
     corners = np.stack(np.meshgrid(*ends), axis=-1).reshape(-1, dim)
     img = corners @ A.T + v
-    lo, box, ext = _sample_box(img.min(axis=0), img.max(axis=0), v, h)
+    lo, box, ext = _sample_box(img.min(axis=0), img.max(axis=0), v, h, s)
+    _check_resolved(e.origin_index, e.origin_index + e.shape, s, "the box of E")
     half = h / 2 * (1 - 1 / s)
     reach = (np.abs(Ainv).sum(axis=1) * half + BAND_RTOL * (np.abs(Ainv) @ ext)) / he
     w = np.floor(2 * reach).astype(np.int64) + 2
@@ -807,7 +828,7 @@ def _affine_sample_counts(e, A, v, h, s):
         idx = np.floor(x[:n] / he).astype(np.int64) - (e.origin_index - 1)
         hits += border.reshape(-1)[np.ravel_multi_index(idx.T, border.shape, mode="clip")]
     counts[cells] = hits
-    return counts, lo
+    return counts, lo, {"band_cells": n, "undecided_samples": n * s**dim}
 
 
 def _uniform_windows(occ, w, first):

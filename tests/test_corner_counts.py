@@ -206,12 +206,14 @@ def test_pair_guard_message(monkeypatch):
     rng = np.random.default_rng(2)
     occs = [rng.random((6, 6)) < 0.5, np.ones((6, 6), bool), np.ones((6, 6), bool)]
     occs[1][2] = False
-    sets = [VoxelSet.from_index(o, (0, 0), 1.0 / 8) for o in occs]
+    # the third set sits where the corners fall inside the window, since an
+    # empty window forms no pair and so checks no guard
+    origins = ((0, 0), (0, 0), (-9, -9))
+    sets = [VoxelSet.from_index(o, g, 1.0 / 8) for o, g in zip(occs, origins)]
     small = sorted(sets, key=lambda e: e.count)[:2]
     n1, n2 = (e.count for e in small)
     p1, p2 = (_direct_factor(e) for e in small)
     assert p1 * p2 < n1 * n2
-    # every origin is 0, so the corner window is empty: the guard fires first
     monkeypatch.setattr(functional, "DIRECT_PAIR_GUARD", p1 * p2 - 1)
     with pytest.raises(ValueError) as exc:
         trilinear_corner_counts(sets, method="direct")
@@ -221,6 +223,18 @@ def test_pair_guard_message(monkeypatch):
     # the guard is on the pair count itself: p1 * p2 pairs are allowed
     monkeypatch.setattr(functional, "DIRECT_PAIR_GUARD", p1 * p2)
     assert trilinear_corner_counts(sets, "direct") == trilinear_corner_counts(sets, "fft")
+
+
+def test_pair_guard_spares_an_empty_window(monkeypatch):
+    # three 4x4 squares, the last 100 cells out on each axis: the window is
+    # empty, so the 8 * 8 run-end pairs are never formed and direct, as fft,
+    # returns zeros under a guard of 10
+    square = np.ones((4, 4), bool)
+    sets = [VoxelSet.from_index(square, o, 1.0 / 8) for o in ((0, 0), (0, 0), (100, 100))]
+    monkeypatch.setattr(functional, "DIRECT_PAIR_GUARD", 10)
+    zeros = dict.fromkeys(itertools.product((-1, -2), repeat=2), 0)
+    assert trilinear_corner_counts(sets, "fft") == zeros
+    assert trilinear_corner_counts(sets, "direct") == zeros
 
 
 def _patterned(kind, shape, origin):

@@ -191,3 +191,56 @@ def unreferenced_top_level_names():
 
 def test_every_top_level_name_is_used():
     assert unreferenced_top_level_names() == []
+
+
+BENCHMARKS = pathlib.Path(__file__).parents[1] / "benchmarks"
+
+
+def library_patches(source):
+    """line: name for each setattr call in a script's source, and for each
+    attribute it stores to or deletes on a name imported from rieszvox."""
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name.split(".")[0] == "rieszvox"
+    } | {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "rieszvox"
+        for alias in node.names
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "setattr":
+            found.append(f"{node.lineno}: setattr")
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if getattr(root, "id", None) in imported:
+                found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "source,found",
+    [
+        ("from rieszvox import grid\ngrid._quadratic_form = len", ["2: grid._quadratic_form"]),
+        ("import rieszvox.grid as g\ndel g.SUPERSAMPLE", ["2: g.SUPERSAMPLE"]),
+        ("import rieszvox\nrieszvox.grid.CELL_BOUND += 1", ["2: rieszvox.grid.CELL_BOUND"]),
+        ("from rieszvox import grid\nsetattr(grid, 'x', 1)", ["2: setattr"]),
+        ("import numpy as np\nnp.x = 1\nfrom rieszvox import grid\ny = grid.x", []),
+    ],
+)
+def test_library_patches_reads_every_form(source, found):
+    assert library_patches(source) == found
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in BENCHMARKS.glob("*.py")))
+def test_benchmarks_patch_no_library_attribute(script):
+    # a benchmark reads the work the kernels report, and never rebinds a
+    # library function to watch it
+    assert library_patches((BENCHMARKS / script).read_text()) == []

@@ -20,6 +20,7 @@ from rieszvox import (
     generate,
     rasterize_affine_image,
     rasterize_ellipsoid,
+    translate_cells,
 )
 from rieszvox import grid, sweep
 from conftest import random_voxel_set
@@ -245,7 +246,7 @@ def test_uncovered_cases_are_what_they_claim():
 @pytest.mark.parametrize("dim,s,e,a,v,h", AFFINE_CORPUS)
 def test_affine_sample_counts_equal_reference(dim, s, e, a, v, h):
     # stricter than the vote: every cell's number of samples in the image
-    got, lo = grid._affine_sample_counts(e, np.asarray(a, float), np.asarray(v, float), h, s)
+    got, lo, _ = grid._affine_sample_counts(e, np.asarray(a, float), np.asarray(v, float), h, s)
     want, want_lo, _ = affine_sample_counts(e, a, v, h, s)
     assert np.array_equal(lo, want_lo)
     assert got.shape == want.shape
@@ -327,7 +328,7 @@ def assert_phase1_sound(phase1, counts, s):
 def assert_counts_equal_reference(dim, s, h, center, q):
     # stricter than the vote: every cell's number of samples in the body
     e = Ellipsoid(center, q)
-    got, lo = grid._ellipsoid_sample_counts(e, h, s)
+    got, lo, _ = grid._ellipsoid_sample_counts(e, h, s)
     want, want_lo, _ = ellipsoid_sample_counts(e, h, s)
     assert np.array_equal(lo, want_lo)
     assert got.shape == want.shape
@@ -364,6 +365,7 @@ def test_ellipsoid_phase1_decides_only_uniform_cells(monkeypatch, dim, s, h, cen
     # the roots decide alone (both counts agree) gets the exact count.
     e = Ellipsoid(center, q)
     want = ellipsoid_sample_counts(e, h, s)[0]
+    work = grid._ellipsoid_sample_counts(e, h, s)[2]
     bounds = []
     for forced in (np.inf, -np.inf):
         monkeypatch.setattr(
@@ -374,6 +376,8 @@ def test_ellipsoid_phase1_decides_only_uniform_cells(monkeypatch, dim, s, h, cen
     assert np.all(low <= want) and np.all(want <= high)
     decided = low == high
     assert np.array_equal(low[decided], want[decided])
+    # the kernel's band cells are the cells the two bounds disagree on
+    assert work["band_cells"] == np.count_nonzero(low != high)
 
 
 @pytest.mark.parametrize("dim,s,h,center,q", tie_corpus())
@@ -382,6 +386,8 @@ def test_exact_ties_take_the_per_sample_expression(exact_samples, dim, s, h, cen
     rasterize_ellipsoid(Ellipsoid(center, q), h, s)
     (n,) = exact_samples
     assert n > 0
+    # the kernel reports the samples it sent to the per-sample expression
+    assert grid._ellipsoid_sample_counts(Ellipsoid(center, q), h, s)[2]["undecided_samples"] == n
 
 
 @seed(2017)
@@ -403,7 +409,7 @@ def test_affine_sample_counts_on_random_maps(dim, s, scale, thin, rng_seed):
     assume(abs(np.linalg.det(a)) > 0.1)
     a[0] *= thin
     v = rng.normal(size=dim)
-    got, lo = grid._affine_sample_counts(e, a, v, e.spacing * scale, s)
+    got, lo, _ = grid._affine_sample_counts(e, a, v, e.spacing * scale, s)
     want, want_lo, _ = affine_sample_counts(e, a, v, e.spacing * scale, s)
     assert np.array_equal(lo, want_lo)
     assert np.array_equal(got, want)
@@ -413,6 +419,10 @@ def test_affine_sample_counts_on_random_maps(dim, s, scale, thin, rng_seed):
 def test_affine_phase1_decides_only_uniform_cells(phase1, dim, s, e, a, v, h):
     rasterize_affine_image(e, a, v, h, s)
     assert_phase1_sound(phase1, affine_sample_counts(e, a, v, h, s)[0], s)
+    # the kernel reports phase 1's band, every sample of it undecided
+    work = grid._affine_sample_counts(e, np.asarray(a, float), np.asarray(v, float), h, s)[2]
+    assert work["band_cells"] == phase1[-1][1].sum()
+    assert work["undecided_samples"] == work["band_cells"] * s**dim
 
 
 def test_band_is_a_small_part_of_the_box(phase1):
@@ -428,7 +438,7 @@ def test_band_is_a_small_part_of_the_box(phase1):
 def test_one_cell_band_takes_the_gemm_rounding(phase1, dim, s, e, a, v, h):
     # phase 2 runs one row; numpy would send it to gemv, whose rounding can
     # differ from the gemm of the full box, so the kernel pads it to two rows
-    got, _ = grid._affine_sample_counts(e, a, v, h, s)
+    got, _, _ = grid._affine_sample_counts(e, a, v, h, s)
     ((full, band),) = phase1
     assert band.sum() == 1 and got.size > 1
     assert np.array_equal(got, affine_sample_counts(e, a, v, h, s)[0])
@@ -483,7 +493,7 @@ def test_farthest_sample_preimages_on_a_face(dim, s, side, past, e, a, v, h):
         edge = (c + side * half * sum(abs(r) for r in row)) / Fraction(e.spacing)
         beyond = side * (edge - round(edge))
         assert beyond == 0 if past == 0 else past / 2 < beyond < 2 * past
-    got, lo = grid._affine_sample_counts(e, a, v, h, s)
+    got, lo, _ = grid._affine_sample_counts(e, a, v, h, s)
     want, want_lo, _ = affine_sample_counts(e, a, v, h, s)
     assert np.array_equal(lo, want_lo)
     assert np.array_equal(got, want)
@@ -514,7 +524,7 @@ def test_phase1_window_is_two_cells_for_the_sweep_shear(monkeypatch):
     assert all(s == 3 and a[0, 2] == 0.2 for _, a, _, _, s in calls)
     # the full-box reference of the smallest ball's image, to keep it quick
     e, a, v, h, s = calls[-1]
-    got, lo = real_counts(e, a, v, h, s)
+    got, lo, _ = real_counts(e, a, v, h, s)
     want, want_lo, _ = affine_sample_counts(e, a, v, h, s)
     assert np.array_equal(lo, want_lo)
     assert np.array_equal(got, want)
@@ -544,8 +554,9 @@ def test_roots_decide_nearly_every_ellipsoid_sample(exact_samples):
     # the unit ball's box holds 48^3 * 27 samples at h = 1/24; the roots
     # decided all of them when this test was written; the per-sample
     # expression runs only on lines with undecided samples, if any
-    counts, _ = grid._ellipsoid_sample_counts(Ellipsoid(np.zeros(3), np.eye(3)), 1.0 / 24, 3)
+    counts, _, work = grid._ellipsoid_sample_counts(Ellipsoid(np.zeros(3), np.eye(3)), 1.0 / 24, 3)
     assert sum(exact_samples) <= 1e-4 * counts.size * 27
+    assert work["undecided_samples"] == sum(exact_samples)
 
 
 @pytest.mark.parametrize(
@@ -558,7 +569,7 @@ def test_sample_count_accumulator_at_its_bounds(dim, s, acc):
     # reach s^dim, and the vote counts >= (s^dim + 1) // 2 is 2 counts >= s^dim.
     total = s**dim
     e = Ellipsoid(np.full(dim, 0.03), np.eye(dim) / 0.3**2)
-    got, lo = grid._ellipsoid_sample_counts(e, 1.0 / 8, s)
+    got, lo, _ = grid._ellipsoid_sample_counts(e, 1.0 / 8, s)
     want, want_lo, _ = ellipsoid_sample_counts(e, 1.0 / 8, s)
     assert got.dtype == acc
     assert np.array_equal(lo, want_lo)
@@ -657,3 +668,34 @@ def test_box_far_inside_the_bound_rasterizes_as_at_zero():
     image = rasterize_affine_image(want, np.eye(2), [0.0, -far], 1.0 / 4, 2)
     assert (image.origin_index - want.origin_index).tolist() == [0, -shift]
     assert np.array_equal(image.occupancy, want.occupancy)
+
+
+def _disk32():
+    return generate("ball", {"dim": 2, "spacing": 1.0, "radius": 3.0})
+
+
+# A box inside CELL_BOUND but past 2**50/s cells of 0, where float64 no
+# longer resolves a cell's s samples per axis (h = 1, s = 3 here).  The
+# unit disk at 2**53 used to come out as 2 cells, at 2**54 and 2**61 its
+# box rounded to nothing and the VoxelSet's shape check failed, and the
+# 32-cell disk moved by 2**54 cells, a whole number, came back with 30.
+# The last case moves E itself out that far and its image back to 0.
+BOX_PAST_THE_RESOLUTION = {
+    "ellipsoid-2**53": lambda: rasterize_ellipsoid(Ellipsoid([2.0**53, 0.0], np.eye(2)), 1.0),
+    "ellipsoid-2**54": lambda: rasterize_ellipsoid(Ellipsoid([2.0**54, 0.0], np.eye(2)), 1.0),
+    "ellipsoid-2**61": lambda: rasterize_ellipsoid(Ellipsoid([2.0**61, 0.0], np.eye(2)), 1.0),
+    "affine-2**54": lambda: rasterize_affine_image(_disk32(), np.eye(2), [2.0**54, 0.0], 1.0),
+    "affine-E-2**54": lambda: rasterize_affine_image(
+        translate_cells(_disk32(), (2**54, 0)), np.eye(2), [-(2.0**54), 0.0], 1.0
+    ),
+}
+
+
+@pytest.mark.parametrize("call", BOX_PAST_THE_RESOLUTION.values(), ids=BOX_PAST_THE_RESOLUTION)
+def test_box_past_the_float_resolution_is_rejected(call):
+    assert _disk32().count == 32
+    assert rasterize_ellipsoid(Ellipsoid([2.0**20, 0.0], np.eye(2)), 1.0).count == 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must lie within 2\\*\\*50/s cells of 0"):
+            call()
