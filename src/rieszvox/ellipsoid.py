@@ -14,6 +14,7 @@ import numpy as np
 
 from .grid import (
     Ellipsoid,
+    RadiusTriple,
     SetTriple,
     check_integer,
     rasterize_ellipsoid,
@@ -105,8 +106,7 @@ def fit_homothetic_triple(t):
     s = s / np.linalg.det(s) ** (1.0 / d)  # det 1, measure omega_dim
     centers = np.array([f.center for f in fits])
     centers = centers - centers.mean(axis=0)
-    w = unit_ball_volume(d)
-    radii = np.array([(e.measure / w) ** (1.0 / d) for e in t])
+    radii = np.array(RadiusTriple.from_measures(t.measures, d).radii)
     shape = Ellipsoid(center=np.zeros(d), shape=s)
     eps = np.array([_epsilon_one(e, s, c, r) for e, c, r in zip(t, centers, radii)])
     return HomotheticFit(shape=shape, centers=centers, radii=radii, epsilons=eps)

@@ -22,8 +22,8 @@ Per axis, with o1, o2, o3 the low-corner indices and n3 the length of E3's
 box, cell k reads conv at s - (o1 + o2 + o3) - k: only the n3 + 1 indices
 from start = -(o1 + o2 + o3 + n3) - 1, of which a window [lo, hi] lies in
 the full linear conv of length S = n1 + n2 - 1.  The window is computed
-once; an empty set or window makes every count zero with no transform and
-no histogram.  Each backend returns conv on the window as exact int64:
+once; an empty set or window, in any order of the sets, makes every count
+zero before either backend plans.  Each backend returns conv on the window as exact int64:
 'fft' by one real Fourier product at a fast length L per axis (rfftn,
 irfftn), rounded once every window value is certified within 1/4 of its
 integer; 'direct' by an int64 histogram of pair sums over the two
@@ -61,6 +61,7 @@ from scipy.special import betainc
 from .admissibility import measure_margin, radius_margin, set_triple_margin
 from .ellipsoid import fit_homothetic_triple
 from .grid import (
+    RadiusTriple,
     SetTriple,
     check_dim,
     check_integer,
@@ -73,28 +74,6 @@ from .symmetrize import dyadic_layers
 
 DIRECT_PAIR_GUARD = 10**8  # max pairs the direct histogram forms
 _PAIR_BLOCK = 2 * 10**6  # pair sums held at once by the direct path
-
-
-@dataclass(frozen=True)
-class RadiusTriple:
-    """Three finite positive ball radii; converts to and from measure triples
-    at an integer dim >= 1."""
-
-    radii: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "radii", check_triple(self.radii, "radii"))
-
-    @classmethod
-    def from_measures(cls, gamma, dim):
-        dim = check_integer(dim, "dim", low=1)
-        w = unit_ball_volume(dim)
-        return cls(tuple((g / w) ** (1.0 / dim) for g in check_triple(gamma, "gamma")))
-
-    def measures(self, dim):
-        dim = check_integer(dim, "dim", low=1)
-        w = unit_ball_volume(dim)
-        return tuple(w * r**dim for r in self.radii)
 
 
 @dataclass
@@ -129,19 +108,20 @@ def trilinear_corner_counts(t, method="fft"):
     zeros = dict.fromkeys(product((-1, -2), repeat=sets[0].dim), 0)
     if any(e.is_empty for e in sets):
         return zeros
+    # in plain ints, since layer triples call this many times on small sets:
+    # per axis the sums a + b + c span [g, g + n1 + n2 + n3 - 3], and in any
+    # order of the sets the window is empty where they miss {-2, -1}
+    low = (sets[0].origin_index + sets[1].origin_index + sets[2].origin_index).tolist()
+    ends = [sum(n) for n in zip(*(e.shape for e in sets))]
+    if any(g >= 0 or g + n <= 0 for g, n in zip(low, ends)):
+        return zeros
     if method == "direct":
         sets, shape, entries = _direct_plan(sets)
     e1, e2, e3 = sets
-    # the window in plain ints, since layer triples call this many times on
-    # small sets: per axis the n3 + 1 conv indices from start, of which
-    # [lo, hi] lie inside the full linear conv
-    low = (e1.origin_index + e2.origin_index + e3.origin_index).tolist()
-    window, pad = [], []
+    window, pad = [], []  # per axis n3 + 1 conv indices, [lo, hi] in the full conv
     for n1, n2, n3, g in zip(e1.shape, e2.shape, e3.shape, low):
         start = -(g + n3) - 1
         lo, hi = max(start, 0), min(start + n3, n1 + n2 - 2)
-        if hi < lo:
-            return zeros
         window.append(slice(lo, hi + 1))
         pad.append(slice(lo - start, hi - start + 1))
     if method == "fft":
@@ -311,8 +291,7 @@ def lambda_d(gamma, dim):
     g = check_triple(gamma, "gamma", zero_ok=True)
     if min(g) == 0.0:
         return 0.0
-    w = unit_ball_volume(dim)
-    r1, r2, r3 = sorted(((x / w) ** (1.0 / dim) for x in g), reverse=True)
+    r1, r2, r3 = sorted(RadiusTriple.from_measures(g, dim).radii, reverse=True)
     kink = abs(r1 - r2)
     pts = [kink] if 0.0 < kink < r3 else None
     val, abserr = quad(
@@ -330,7 +309,7 @@ def lambda_d(gamma, dim):
             f"Lambda_{dim} quadrature did not converge: error estimate "
             f"{abserr:.3g} for the value {val:.6g} at measures {g}"
         )
-    return dim * w * val
+    return dim * unit_ball_volume(dim) * val
 
 
 def deficit(t, with_fit=False):
@@ -357,9 +336,10 @@ def deficit(t, with_fit=False):
 def superadditivity_gap(alpha, beta, dim):
     """Lambda_dim(alpha + beta) - Lambda_dim(alpha) - Lambda_dim(beta).
 
-    alpha and beta are finite nonnegative measure triple summands; their
-    sum must be positive and admissible (dim-th root margin >= 0).
+    dim passes check_dim; alpha and beta are finite nonnegative summands
+    whose sum is a positive, admissible measure triple (margin >= 0).
     """
+    dim = check_dim(dim)
     a = np.asarray(check_triple(alpha, "alpha", zero_ok=True))
     b = np.asarray(check_triple(beta, "beta", zero_ok=True))
     g = check_triple(a + b, "alpha + beta")
@@ -376,16 +356,15 @@ def strong_triangle_rho(tau, eta, dim, samples, seed=0):
     max_j beta_j at least eta * min_i gamma_i, returns the minimum of
     gap / Lambda(gamma).  The sample stream depends only on
     (tau, dim, samples, seed), never on eta, so shrinking eta can only
-    enlarge the qualifying set and lower the minimum.  samples and dim
-    must be integers >= 1, seed an integer >= 0.
+    enlarge the qualifying set and lower the minimum.  dim must pass
+    check_dim, samples be an integer >= 1 and seed an integer >= 0.
     """
+    dim = check_dim(dim)
     tau, eta = float_or_nan(tau), float_or_nan(eta)
     if not (0 < tau < 1) or not (0 < eta < 1):
         raise ValueError("tau and eta must lie in (0, 1)")
     samples = check_integer(samples, "samples", low=1)
-    dim = check_integer(dim, "dim", low=1)
     rng = np.random.default_rng(check_integer(seed, "seed", low=0))
-    w = unit_ball_volume(dim)
     best = None
     found = 0
     for _ in range(samples):
@@ -393,7 +372,7 @@ def strong_triangle_rho(tau, eta, dim, samples, seed=0):
             r = rng.uniform(0.2, 1.0, size=3)
             if radius_margin(r).margin >= tau:
                 break
-        gamma = w * r**dim
+        gamma = np.array(RadiusTriple(r).measures(dim))
         u = rng.uniform(0.0, 1.0, size=3)
         alpha = u * gamma
         beta = gamma - alpha

@@ -138,6 +138,28 @@ def unit_ball_volume(dim):
     return math.pi ** (dim / 2) / math.gamma(dim / 2 + 1)
 
 
+@dataclass(frozen=True)
+class RadiusTriple:
+    """Three finite positive ball radii, and the one conversion of ball
+    measures to radii, r = (gamma / omega_dim)^(1/dim), and back."""
+
+    radii: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "radii", check_triple(self.radii, "radii"))
+
+    @classmethod
+    def from_measures(cls, gamma, dim):
+        dim = check_integer(dim, "dim", low=1)
+        w = unit_ball_volume(dim)
+        return cls(tuple((g / w) ** (1.0 / dim) for g in check_triple(gamma, "gamma")))
+
+    def measures(self, dim):
+        dim = check_integer(dim, "dim", low=1)
+        w = unit_ball_volume(dim)
+        return tuple(w * r**dim for r in self.radii)
+
+
 @dataclass(frozen=True, eq=False)
 class Ellipsoid:
     """Center v and symmetric positive definite shape matrix Q, with the
@@ -716,18 +738,13 @@ def _ellipsoid_sample_counts(e, h, s):
 
 
 def _sample_box(low, high, v, h, s):
-    """The low corner index and shape of the cells covering low..high, bound
-    by CELL_BOUND before the cast to int64 and then by _check_resolved, and
+    """The cells covering low..high, bound by _check_resolved as floats
+    before the cast to int64: their low corner index and shape, and
     ext >= |x - v| + h on them."""
     with np.errstate(over="ignore"):  # an overflow to inf fails the bound
         low, high = np.floor(low / h), np.ceil(high / h)
-    if not (np.all(-CELL_BOUND < low) and np.all(high < CELL_BOUND)):
-        raise ValueError(
-            f"the rasterized box must lie within 2**62 cells of 0, got cells "
-            f"{low.tolist()} to {high.tolist()} at spacing {h}"
-        )
+    _check_resolved(low, high, s, "the rasterized box")
     lo, hi = low.astype(np.int64), high.astype(np.int64)
-    _check_resolved(lo, hi, s, "the rasterized box")
     ext = np.maximum(np.abs(lo), np.abs(hi)) * h + np.abs(v) + h
     return lo, tuple(int(x) for x in (hi - lo)), ext
 
@@ -735,8 +752,8 @@ def _sample_box(low, high, v, h, s):
 def _check_resolved(lo, hi, s, name):
     """Reject a box of cells lo..hi with an index of magnitude 2**50/s or
     more: below that one rounding moves a coordinate by less than h/(8s),
-    while samples sit h/s apart and h/(2s) from a cell face."""
-    if np.any(np.maximum(-lo, hi) >= 2**50 / s):
+    while samples sit h/s apart and h/(2s) from a cell face; inf and NaN fail."""
+    if not np.all(np.maximum(-lo, hi) < 2**50 / s):
         raise ValueError(
             f"{name} must lie within 2**50/s cells of 0 for float64 to resolve "
             f"its samples at s = {s}, got cells {lo.tolist()} to {hi.tolist()}"

@@ -42,13 +42,12 @@ def _blobs(rng, dims):
 
 
 def _triples(rng, dims=(1, 2, 3), per_dim=3, h=H):
-    """per_dim blob triples per dim, each seeded by one draw of three; h is a
-    spacing or a mapping from dim to spacing."""
+    """per_dim blob triples per dim at spacing h, each seeded by one draw of
+    three."""
     for dim in dims:
-        hd = h[dim] if isinstance(h, dict) else h
         for _ in range(per_dim):
             seeds = rng.integers(0, 2**31, size=3)
-            yield SetTriple([_blob(dim, int(s), h=hd) for s in seeds])
+            yield SetTriple([_blob(dim, int(s), h=h) for s in seeds])
 
 
 def check_boolean_counts(rng):
@@ -88,14 +87,14 @@ def check_io_roundtrip(rng):
 def check_fft_direct_agree(rng):
     total = 0
     # spacings sized so the direct path stays under its pair-count guard
-    spacing = {1: 1.0 / 128, 2: 1.0 / 32, 3: 1.0 / 12}
-    for t in _triples(rng, tuple(spacing), h=spacing):
-        a = trilinear_corner_counts(t, method="fft")
-        b = trilinear_corner_counts(t, method="direct")
-        if a != b:
-            mism = {s: (a[s], b[s]) for s in a if a[s] != b[s]}
-            return False, f"corner count mismatch {mism}"
-        total += sum(a.values())
+    for dim, h in ((1, 1.0 / 128), (2, 1.0 / 32), (3, 1.0 / 12)):
+        for t in _triples(rng, (dim,), h=h):
+            a = trilinear_corner_counts(t, method="fft")
+            b = trilinear_corner_counts(t, method="direct")
+            if a != b:
+                mism = {s: (a[s], b[s]) for s in a if a[s] != b[s]}
+                return False, f"corner count mismatch {mism}"
+            total += sum(a.values())
     return True, f"all corner counts identical ({total} solutions checked)"
 
 

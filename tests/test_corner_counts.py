@@ -124,10 +124,11 @@ def test_empty_window_gives_zeros_without_a_transform(monkeypatch, side):
     assert set(want.values()) == {0}
 
     def refuse(*args, **kwargs):
-        raise AssertionError("no transform or histogram for an empty window")
+        raise AssertionError("no transform, plan or histogram for an empty window")
 
     monkeypatch.setattr(functional, "fftconvolve", refuse)
     monkeypatch.setattr(functional.np, "bincount", refuse)
+    monkeypatch.setattr(functional, "_direct_plan", refuse)
     for k in range(3):  # the window is empty whichever set is read last
         order = sets[k:] + sets[:k]
         assert trilinear_corner_counts(order, "fft") == want

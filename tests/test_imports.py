@@ -79,6 +79,7 @@ def test_private_grid_names_stay_in_grid():
 def test_one_ellipsoid_and_one_ball_volume():
     assert rieszvox.Ellipsoid is grid.Ellipsoid is ellipsoid.Ellipsoid
     assert rieszvox.unit_ball_volume is functional.unit_ball_volume is grid.unit_ball_volume
+    assert rieszvox.RadiusTriple is grid.RadiusTriple is functional.RadiusTriple
 
 
 def test_scipy_signal_and_stats_stay_unloaded():

@@ -589,6 +589,8 @@ DIM_ENTRIES = {
     "generate": lambda d, _: generate("ball", {"dim": d, "spacing": 0.5}),
     "SweepConfig": lambda d, _: SweepConfig(dim=d, spacing=0.5),
     "lambda_d": lambda d, _: lambda_d(HALF, d),
+    "superadditivity_gap": lambda d, _: superadditivity_gap(HALF, HALF, d),
+    "strong_triangle_rho": lambda d, _: strong_triangle_rho(0.5, 0.1, d, 4),
     "rieszvox gen": _gen_of_dim,
 }
 

@@ -630,60 +630,37 @@ def test_rounding_asymmetry_rasterizes_the_same_through_both_entry_points():
     assert_identical(reference_ellipsoid(Ellipsoid(center, q), 1.0 / 16), want)
 
 
-# A box whose corners lie past CELL_BOUND, as floats, before their cast to
-# int64: far out (the cast used to warn and wrap), just at 2**62 (the box
-# used to come out empty), and past the float range of the index.
 DISK = Ellipsoid(np.zeros(2), np.eye(2))
-BOX_PAST_THE_BOUND = {
-    "ellipsoid-1e20": lambda: rasterize_ellipsoid(Ellipsoid([1e20, 0.0], np.eye(2)), 1.0),
-    "ellipsoid-2**62": lambda: rasterize_ellipsoid(Ellipsoid([2.0**62, 0.0], np.eye(2)), 1.0),
-    "ellipsoid-overflow": lambda: rasterize_ellipsoid(
-        Ellipsoid([0.0, -1e300], np.eye(2)), 1e-10
-    ),
-    "affine-1e20": lambda: rasterize_affine_image(
-        rasterize_ellipsoid(DISK, 0.25), np.eye(2), [1e20, 0.0], 0.25
-    ),
-    "affine-2**62": lambda: rasterize_affine_image(
-        rasterize_ellipsoid(DISK, 0.25), np.eye(2), [0.0, -(2.0**62)], 1.0
-    ),
-}
-
-
-@pytest.mark.parametrize("call", BOX_PAST_THE_BOUND.values(), ids=BOX_PAST_THE_BOUND)
-def test_box_past_the_bound_is_rejected(call):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="box must lie within 2\\*\\*62 cells of 0"):
-            call()
-
-
-def test_box_far_inside_the_bound_rasterizes_as_at_zero():
-    # at 2**20 the samples, multiples of h/4 at s = 2, are exact in float64,
-    # so a shift by 2**22 cells moves the set and changes no cell
-    far, shift = 2.0**20, 2**22
-    want = rasterize_ellipsoid(DISK, 1.0 / 4, 2)
-    moved = rasterize_ellipsoid(Ellipsoid([far, 0.0], np.eye(2)), 1.0 / 4, 2)
-    assert (moved.origin_index - want.origin_index).tolist() == [shift, 0]
-    assert np.array_equal(moved.occupancy, want.occupancy)
-    image = rasterize_affine_image(want, np.eye(2), [0.0, -far], 1.0 / 4, 2)
-    assert (image.origin_index - want.origin_index).tolist() == [0, -shift]
-    assert np.array_equal(image.occupancy, want.occupancy)
 
 
 def _disk32():
     return generate("ball", {"dim": 2, "spacing": 1.0, "radius": 3.0})
 
 
-# A box inside CELL_BOUND but past 2**50/s cells of 0, where float64 no
-# longer resolves a cell's s samples per axis (h = 1, s = 3 here).  The
-# unit disk at 2**53 used to come out as 2 cells, at 2**54 and 2**61 its
-# box rounded to nothing and the VoxelSet's shape check failed, and the
-# 32-cell disk moved by 2**54 cells, a whole number, came back with 30.
-# The last case moves E itself out that far and its image back to 0.
+# A box with a cell index of magnitude 2**50/s or more, where float64 no
+# longer resolves a cell's s samples per axis (h = 1, s = 3 unless given),
+# checked as floats before the cast to int64.  Far out (the cast used to
+# warn and wrap), at 2**62 (the box used to come out empty), past the
+# float range of the index; the unit disk at 2**53 used to come out as 2
+# cells, at 2**54 and 2**61 its box rounded to nothing and the VoxelSet's
+# shape check failed, and the 32-cell disk moved by 2**54 cells, a whole
+# number, came back with 30.  The last case moves E itself out that far
+# and its image back to 0.
 BOX_PAST_THE_RESOLUTION = {
+    "ellipsoid-1e20": lambda: rasterize_ellipsoid(Ellipsoid([1e20, 0.0], np.eye(2)), 1.0),
+    "ellipsoid-2**62": lambda: rasterize_ellipsoid(Ellipsoid([2.0**62, 0.0], np.eye(2)), 1.0),
+    "ellipsoid-overflow": lambda: rasterize_ellipsoid(
+        Ellipsoid([0.0, -1e300], np.eye(2)), 1e-10
+    ),
     "ellipsoid-2**53": lambda: rasterize_ellipsoid(Ellipsoid([2.0**53, 0.0], np.eye(2)), 1.0),
     "ellipsoid-2**54": lambda: rasterize_ellipsoid(Ellipsoid([2.0**54, 0.0], np.eye(2)), 1.0),
     "ellipsoid-2**61": lambda: rasterize_ellipsoid(Ellipsoid([2.0**61, 0.0], np.eye(2)), 1.0),
+    "affine-1e20": lambda: rasterize_affine_image(
+        rasterize_ellipsoid(DISK, 0.25), np.eye(2), [1e20, 0.0], 0.25
+    ),
+    "affine-2**62": lambda: rasterize_affine_image(
+        rasterize_ellipsoid(DISK, 0.25), np.eye(2), [0.0, -(2.0**62)], 1.0
+    ),
     "affine-2**54": lambda: rasterize_affine_image(_disk32(), np.eye(2), [2.0**54, 0.0], 1.0),
     "affine-E-2**54": lambda: rasterize_affine_image(
         translate_cells(_disk32(), (2**54, 0)), np.eye(2), [-(2.0**54), 0.0], 1.0
@@ -699,3 +676,16 @@ def test_box_past_the_float_resolution_is_rejected(call):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="must lie within 2\\*\\*50/s cells of 0"):
             call()
+
+
+def test_box_far_inside_the_bound_rasterizes_as_at_zero():
+    # at 2**20 the samples, multiples of h/4 at s = 2, are exact in float64,
+    # so a shift by 2**22 cells moves the set and changes no cell
+    far, shift = 2.0**20, 2**22
+    want = rasterize_ellipsoid(DISK, 1.0 / 4, 2)
+    moved = rasterize_ellipsoid(Ellipsoid([far, 0.0], np.eye(2)), 1.0 / 4, 2)
+    assert (moved.origin_index - want.origin_index).tolist() == [shift, 0]
+    assert np.array_equal(moved.occupancy, want.occupancy)
+    image = rasterize_affine_image(want, np.eye(2), [0.0, -far], 1.0 / 4, 2)
+    assert (image.origin_index - want.origin_index).tolist() == [0, -shift]
+    assert np.array_equal(image.occupancy, want.occupancy)

@@ -107,14 +107,6 @@ def test_layer_partition_compares_projections_exactly(monkeypatch):
     assert not ok and detail == "projection measures inconsistent"
 
 
-def test_triples_take_a_spacing_per_dim():
-    h = {1: 1.0 / 16, 2: 1.0 / 8}
-    triples = list(verify._triples(np.random.default_rng(1), tuple(h), per_dim=2, h=h))
-    assert [(t.dim, t.spacing) for t in triples] == [
-        (1, 1.0 / 16), (1, 1.0 / 16), (2, 1.0 / 8), (2, 1.0 / 8),
-    ]
-
-
 def test_corpus_draw_order():
     # one scalar draw per blob, one draw of three per triple, in order of use
     rng, ref = np.random.default_rng(2), np.random.default_rng(2)
