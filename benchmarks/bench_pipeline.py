@@ -16,10 +16,10 @@ the rasterizers accept a box (float64 resolves its samples there).
 corner_counts: the backends 'fft' (float Fourier convolution over the
 window the corner counts read, rounded) and 'direct' (int64 histogram of
 the pair sums of the two smallest sets) on blob triples, checked equal.
-Direct forms p1 * p2 pairs, each of the two sets entering with its cells
-or, when fewer, its last-axis run ends (+1 at each run start, -1 one past
-each run end), so p <= cells; the pairs are read from the direct path's
-own plan, and above DIRECT_PAIR_GUARD a case is guarded.
+Direct forms p1 * p2 pairs, each of the two sets entering as its
+last-axis run ends (+1 at each run start, -1 one past each run end); the
+pairs are read from the direct path's own plan, and above
+DIRECT_PAIR_GUARD a case is guarded.
 A "relocated" case moves a tenth of the first blob's cells into a ball
 past its box, as the sweep's relocate family does.
 
@@ -147,7 +147,7 @@ def bench_corner_counts(dim, spacing, radius, relocated=False, repeats=3):
         "h": spacing,
         "relocated": relocated,
         "cells": [e.count for e in t],
-        "pairs": math.prod(idx.size for idx, _ in functional._direct_plan(t.sets)[2]),
+        "pairs": math.prod(idx.size for idx in functional._direct_plan(t.sets)[2]),
     }
     counts = {}
     for method in ("fft", "direct"):

@@ -23,24 +23,24 @@ box, cell k reads conv at s - (o1 + o2 + o3) - k: only the n3 + 1 indices
 from start = -(o1 + o2 + o3 + n3) - 1, of which a window [lo, hi] lies in
 the full linear conv of length S = n1 + n2 - 1.  The window is computed
 once; an empty set or window, in any order of the sets, makes every count
-zero before either backend plans.  Each backend returns conv on the window as exact int64:
-'fft' by one real Fourier product at a fast length L per axis (rfftn,
-irfftn), rounded once every window value is certified within 1/4 of its
-integer; 'direct' by an int64 histogram of pair sums over the two
-smallest members.  Zero-padded to n3 + 1 cells per axis and reversed, the
-window holds what cell k reads for corner s at k - 1 - s, so N_s sums one
-slice over the occupied cells of E3.
+zero before either backend plans.  Each backend returns conv on the window
+as exact int64: 'fft' by one real Fourier product at a fast length L per
+axis (rfftn, irfftn), rounded once every window value is certified within
+1/4 of its integer; 'direct' by an int64 histogram of the pair sums of the
+two smallest members' run ends.  Zero-padded to n3 + 1 cells per axis and
+reversed, the window holds what cell k reads for corner s at k - 1 - s, so
+N_s sums one slice over the occupied cells of E3.
 
 The direct histogram works on last-axis runs.  Along the last axis the
 first difference of a convolution is the convolution with one input
 differenced, Δ(a * b) = (Δa) * b, and Δ of a set's indicator is +1 at
 each run start and -1 one past each run end.  So each of the two sets
-enters with its cells, each +1, or with its run ends when those are
-fewer, and the signed histogram of the pair sums, like-signed pairs minus
-unlike-signed ones, becomes conv after one cumulative sum along the last
-axis per differenced set.  The pairs formed, p1 * p2, never exceed
-n1 * n2, and DIRECT_PAIR_GUARD bounds them.  A layer of whole last-axis
-columns is a few runs, so its p is far below its cell count.
+enters as its run ends, and the signed histogram of the pair sums,
+like-signed pairs minus unlike-signed ones, becomes conv after two
+cumulative sums along the last axis.  Set j enters with
+p_j = 2 x (runs of set j) <= 2 n_j entries, far below n_j for sets of
+long runs (a layer of whole last-axis columns is a few runs), and
+DIRECT_PAIR_GUARD bounds the pairs formed, p1 * p2.
 
 The FFT product at length L is the circular convolution, the full one
 folded modulo L; it equals the full one on [lo, hi] when nothing folds
@@ -99,8 +99,8 @@ def trilinear_corner_counts(t, method="fft"):
 
     method 'fft' uses a Fourier convolution with entries rounded to the
     nearest integer (the true values are integers); 'direct' histograms
-    the integer pair sums of occupied cells or of last-axis run ends.  Both
-    produce identical counts.
+    the integer pair sums of last-axis run ends.  Both produce identical
+    counts.
     """
     sets = SetTriple(t).sets
     if method not in ("fft", "direct"):
@@ -127,7 +127,7 @@ def trilinear_corner_counts(t, method="fft"):
     if method == "fft":
         conv = _conv_fft(e1, e2, window)
     else:
-        p1, p2 = (idx.size for idx, _ in entries)
+        p1, p2 = (idx.size for idx in entries)
         if p1 * p2 > DIRECT_PAIR_GUARD:
             raise ValueError(
                 f"direct path guard exceeded: {p1} * {p2} > {DIRECT_PAIR_GUARD}"
@@ -168,49 +168,42 @@ def _direct_plan(sets):
     """The direct path's plan: N_s is symmetric, so it histograms the pair
     sums of the two smallest sets, by cell count, and reads the largest's
     cells.  Returns the sorted sets, the pair sums' shape (two cells wider
-    on the last axis) and the _direct_entries of the two smallest."""
+    on the last axis) and the _run_ends of the two smallest."""
     sets = sorted(sets, key=lambda e: e.count)
     shape = [a + b - 1 for a, b in zip(sets[0].shape, sets[1].shape)]
     shape[-1] += 2
-    return sets, shape, [_direct_entries(e, shape) for e in sets[:2]]
+    return sets, shape, [_run_ends(e, shape) for e in sets[:2]]
 
 
-def _direct_entries(e, shape):
+def _run_ends(e, shape):
     # the entries e enters the direct histogram with, as flat indices into
-    # shape, and whether they are run ends rather than cells (module
-    # docstring).  The last axis of shape is wider than e's, so a run is a
-    # stretch of consecutive flat indices.  A -1 entry is offset by
-    # prod(shape): a pair sum with j of them lands in copy j of the
+    # shape: +1 at each last-axis run start, -1 one past each run end
+    # (module docstring).  The last axis of shape is wider than e's, so a
+    # run is a stretch of consecutive flat indices.  A -1 entry is offset
+    # by prod(shape): a pair sum with j of them lands in copy j of the
     # histogram, which counts (-1)^j.
     cells = np.ravel_multi_index(np.nonzero(e.occupancy), shape)
     edge = np.empty(cells.size + 1, dtype=bool)  # a run starts or ends here
     edge[0] = edge[-1] = True
     np.not_equal(cells[1:], cells[:-1] + 1, out=edge[1:-1])
-    if 2 * np.count_nonzero(edge) - 2 >= cells.size:
-        return cells, False
-    return np.concatenate([cells[edge[:-1]], cells[edge[1:]] + (math.prod(shape) + 1)]), True
+    return np.concatenate([cells[edge[:-1]], cells[edge[1:]] + (math.prod(shape) + 1)])
 
 
 def _conv_direct(entries, shape, window):
-    # the signed int64 histogram of the pair sums, in blocks of pairs,
-    # summed back along the last axis once per differenced set; shape is
-    # the full conv's with the last axis two cells wider, which holds the
-    # pair sums of two sets of run ends
-    (l1, diff1), (l2, diff2) = entries
-    copies = 1 + diff1 + diff2
-    hist = np.zeros(copies * math.prod(shape), dtype=np.int64)
+    # the signed int64 histogram of the pair sums, in blocks of pairs, in
+    # three copies by the number of -1 entries, summed back along the last
+    # axis twice; shape is the full conv's with the last axis two cells
+    # wider, which holds the pair sums of two sets of run ends
+    l1, l2 = entries
+    hist = np.zeros(3 * math.prod(shape), dtype=np.int64)
     block = max(1, _PAIR_BLOCK // l2.size)
     for i0 in range(0, l1.size, block):
         part = np.bincount((l1[i0 : i0 + block, None] + l2[None, :]).ravel())
         hist[: part.size] += part
     # only the rows the window reads, up to its last cell on the last axis
     *rows, last = window
-    hist = hist.reshape(copies, *shape)[(slice(None), *rows, slice(last.stop))]
-    conv = hist[0]
-    for sign, copy in zip((-1, 1), hist[1:]):
-        conv = conv + sign * copy
-    for _ in range(copies - 1):
-        conv = np.cumsum(conv, axis=-1)
+    h0, h1, h2 = hist.reshape(3, *shape)[(slice(None), *rows, slice(last.stop))]
+    conv = np.cumsum(np.cumsum(h0 - h1 + h2, axis=-1), axis=-1)
     return conv[..., last]
 
 

@@ -218,6 +218,8 @@ def skew_columns(e, slope):
     """Vertical skew by an affine map of the column coordinates: each column
     at physical y gains the integer shift round(slope . y / h); slope has
     dim - 1 finite components."""
+    if e.dim < 2:
+        raise ValueError("skew columns need dim >= 2")
     v = np.vectorize(float_or_nan, otypes=[float])(slope).reshape(-1)
     if v.size != e.dim - 1 or not np.all(np.isfinite(v)):
         raise ValueError(f"slope must have {e.dim - 1} finite components, got {slope}")

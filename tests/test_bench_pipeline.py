@@ -5,6 +5,7 @@ histogram forms."""
 
 import importlib.util
 import json
+import math
 import os
 
 import numpy as np
@@ -72,7 +73,7 @@ def test_shear_row(monkeypatch, bench_module):
     "dim,h,relocated", [(1, 1.0 / 32, False), (2, 1.0 / 16, False), (3, 1.0 / 8, True)]
 )
 def test_corner_counts_row(monkeypatch, bench_module, dim, h, relocated):
-    counts, pairs = {}, []
+    counts, pairs, sets = {}, [], []
     real = bench_module.trilinear_corner_counts
 
     bincount = np.bincount
@@ -85,6 +86,7 @@ def test_corner_counts_row(monkeypatch, bench_module, dim, h, relocated):
         # the pair sums each bincount of one direct call histograms
         if method == "direct":
             monkeypatch.setattr(functional.np, "bincount", count_pairs)
+            sets.append(list(t))
         counts.setdefault(method, []).append(real(t, method=method))
         monkeypatch.setattr(functional.np, "bincount", bincount)
         return counts[method][-1]
@@ -97,8 +99,11 @@ def test_corner_counts_row(monkeypatch, bench_module, dim, h, relocated):
     assert row["fft_ms"] > 0 and row["direct_ms"] > 0
     assert counts["fft"] == counts["direct"]
     assert row["pairs"] == sum(pairs)
-    n1, n2 = sorted(row["cells"])[:2]
-    assert row["pairs"] <= n1 * n2
+    # two run ends per last-axis run of each of the two smallest sets,
+    # the runs counted where the occupancy steps up
+    small = sorted(sets[0], key=lambda e: e.count)[:2]
+    steps = (np.diff(e.occupancy.astype(np.int8), axis=-1, prepend=0) for e in small)
+    assert row["pairs"] == math.prod(2 * np.count_nonzero(d == 1) for d in steps)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

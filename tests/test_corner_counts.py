@@ -194,16 +194,15 @@ def test_direct_blocks_sum_to_one_histogram(monkeypatch, block):
 
 
 def _direct_factor(e):
-    # the entries a set enters the direct histogram with: its cells, or two
-    # run ends per last-axis run when those are fewer
-    occ = e.occupancy
-    before = np.concatenate([np.zeros_like(occ[..., :1]), occ[..., :-1]], axis=-1)
-    return min(e.count, 2 * int((occ & ~before).sum()))
+    # the entries a set enters the direct histogram with: two run ends per
+    # last-axis run, the runs counted where the occupancy steps up
+    steps = np.diff(e.occupancy.astype(np.int8), axis=-1, prepend=0)
+    return 2 * np.count_nonzero(steps == 1)
 
 
 def test_pair_guard_message(monkeypatch):
     # the guard bounds the pairs the histogram forms: the product of the
-    # entries each of the two smallest sets enters with
+    # run ends of the two smallest sets
     rng = np.random.default_rng(2)
     occs = [rng.random((6, 6)) < 0.5, np.ones((6, 6), bool), np.ones((6, 6), bool)]
     occs[1][2] = False
@@ -214,7 +213,8 @@ def test_pair_guard_message(monkeypatch):
     small = sorted(sets, key=lambda e: e.count)[:2]
     n1, n2 = (e.count for e in small)
     p1, p2 = (_direct_factor(e) for e in small)
-    assert p1 * p2 < n1 * n2
+    # the random set has more run ends than cells, the square fewer
+    assert p1 > n1 and p2 < n2
     monkeypatch.setattr(functional, "DIRECT_PAIR_GUARD", p1 * p2 - 1)
     with pytest.raises(ValueError) as exc:
         trilinear_corner_counts(sets, method="direct")
@@ -252,23 +252,43 @@ def _patterned(kind, shape, origin):
 
 @pytest.fixture
 def direct_entries(monkeypatch):
-    """Records (cells, entries, differenced) of each set the direct path
-    histograms, and the pair sums each bincount forms."""
+    """Records (set, entries) of each set the direct path histograms, and
+    the pair sums each bincount forms."""
     seen = {"sets": [], "pairs": 0}
-    entries, bincount = functional._direct_entries, np.bincount
+    run_ends, bincount = functional._run_ends, np.bincount
 
     def spy_entries(e, shape):
-        idx, differenced = entries(e, shape)
-        seen["sets"].append((e.count, idx.size, differenced))
-        return idx, differenced
+        idx = run_ends(e, shape)
+        seen["sets"].append((e, idx.size))
+        return idx
 
     def spy_bincount(x, *args, **kwargs):
         seen["pairs"] += x.size
         return bincount(x, *args, **kwargs)
 
-    monkeypatch.setattr(functional, "_direct_entries", spy_entries)
+    monkeypatch.setattr(functional, "_run_ends", spy_entries)
     monkeypatch.setattr(functional.np, "bincount", spy_bincount)
     return seen
+
+
+def _direct_sees_run_ends(sets, seen):
+    # direct == fft == the triple loop, and the two smallest sets entered
+    # with two run ends per last-axis run each
+    want = oracle_counts(sets)
+    assert sum(want.values()) > 0
+    assert trilinear_corner_counts(sets, "direct") == want
+    assert trilinear_corner_counts(sets, "fft") == want
+    (e1, p1), (e2, p2) = seen["sets"]
+    assert sorted([e1.count, e2.count]) == sorted(e.count for e in sets)[:2]
+    assert (p1, p2) == (_direct_factor(e1), _direct_factor(e2))
+    assert seen["pairs"] == p1 * p2
+    return (e1, p1), (e2, p2)
+
+
+def _far_origins(rng, shape):
+    # far-apart origins whose sum lands the corners mid-box
+    o1, o2 = rng.integers(-(10**6), 10**6, size=(2, len(shape)))
+    return o1, o2, -(o1 + o2) - 3 * np.asarray(shape) // 2
 
 
 @pytest.mark.parametrize("dim,shape", [(1, (6,)), (2, (4, 6)), (3, (3, 4, 6))])
@@ -281,19 +301,25 @@ def direct_entries(monkeypatch):
     ],
 )
 def test_direct_entries_cells_or_run_ends(direct_entries, dim, shape, kinds, differenced):
-    # far-apart origins whose sum lands the corners mid-box
-    rng = np.random.default_rng(dim)
-    o1, o2 = rng.integers(-(10**6), 10**6, size=(2, dim))
-    o3 = -(o1 + o2) - 3 * np.asarray(shape) // 2
-    sets = [_patterned(k, shape, o) for k, o in zip(kinds, (o1, o2, o3))]
-    want = oracle_counts(sets)
-    assert sum(want.values()) > 0
-    got = trilinear_corner_counts(sets, "direct")
-    assert got == want
-    (n1, p1, d1), (n2, p2, d2) = direct_entries["sets"]
-    assert {d1, d2} == differenced
-    assert direct_entries["pairs"] == p1 * p2 <= n1 * n2
-    assert trilinear_corner_counts(sets, "fft") == want
+    # differenced says, for each of the two smallest sets, whether its run
+    # ends are fewer than its cells; either way the set enters as its run
+    # ends, so a checker set enters with twice its cells
+    origins = _far_origins(np.random.default_rng(dim), shape)
+    sets = [_patterned(k, shape, o) for k, o in zip(kinds, origins)]
+    small = _direct_sees_run_ends(sets, direct_entries)
+    assert {p < e.count for e, p in small} == differenced
+
+
+@pytest.mark.parametrize("rng_seed", [0, 1])
+@pytest.mark.parametrize("dim,shape", [(1, (40,)), (2, (8, 9)), (3, (4, 5, 6))])
+def test_direct_enters_run_ends_of_random_sets(direct_entries, dim, shape, rng_seed):
+    # cells of density 0.3: short runs, some of one cell
+    rng = np.random.default_rng(rng_seed)
+    sets = [
+        VoxelSet.from_index(rng.random(shape) < 0.3, o, 1.0 / 8)
+        for o in _far_origins(rng, shape)
+    ]
+    _direct_sees_run_ends(sets, direct_entries)
 
 
 @pytest.mark.parametrize(

@@ -614,6 +614,23 @@ def test_one_dimension_rule(monkeypatch, tmp_path, capsys, entry, dim):
     assert built == []
 
 
+LINE = generate("ball", {"dim": 1, "spacing": H, "radius": 0.5})
+# entries that work on columns or slices of a set; skew_columns used to end
+# in numpy's "cannot reshape array of size 0"
+TWO_DIM_ENTRIES = {
+    "skew_columns": (lambda: skew_columns(LINE, []), "skew columns need dim >= 2"),
+    "dyadic_layers": (lambda: dyadic_layers(LINE), "dyadic layers need dim >= 2"),
+    "slice_center_field": (lambda: slice_center_field(LINE), "slice fields need dim >= 2"),
+}
+
+
+@pytest.mark.parametrize("call,message", TWO_DIM_ENTRIES.values(), ids=TWO_DIM_ENTRIES)
+def test_a_one_dim_set_is_rejected_by_dim(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 # Each path that makes an origin: given physically or as an index, or
 # computed by an upscale or a translation.  Each used to store a wrapped
 # int64 (-2**63, or 0), with at most a numpy RuntimeWarning.
