@@ -16,6 +16,8 @@ the rasterizers accept a box (float64 resolves its samples there).
 corner_counts: the backends 'fft' (float Fourier convolution over the
 window the corner counts read, rounded) and 'direct' (int64 histogram of
 the pair sums of the two smallest sets) on blob triples, checked equal.
+fft_shape is the transform length per axis that the fft path's own plan
+gives, and fft_peak_bytes the tracemalloc peak of one fft call.
 Direct forms p1 * p2 pairs, each of the two sets entering as its
 last-axis run ends (+1 at each run start, -1 one past each run end); the
 pairs are read from the direct path's own plan, and above
@@ -26,6 +28,11 @@ past its box, as the sweep's relocate family does.
 lambda: lambda_d, the certified quadrature of the lens, at d=2 and d=3 on
 balls of the sweep's base radii 1, 0.92 and 0.85 and on three unit
 measures, with the value it returns.
+
+fit: fit_ellipsoid_moments on the balls of the d=3 base radii at h=1/32
+and h=1/64, with the cells of each ball and the tracemalloc peak of one
+fit in bytes (the fit reads integer axis marginals, so the peak stays far
+below the 24 bytes per cell of a list of cell centers).
 
 The tables go to standard output and the rows, with the environment, to
 BENCH_pipeline.json at the root of the checkout, one key per stage.
@@ -38,6 +45,7 @@ import math
 import os
 import platform
 import time
+import tracemalloc
 
 import numpy as np
 import scipy
@@ -46,6 +54,7 @@ from rieszvox import (
     Ellipsoid,
     RadiusTriple,
     SetTriple,
+    fit_ellipsoid_moments,
     functional,
     generate,
     grid,
@@ -60,6 +69,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUT = os.path.join(ROOT, "BENCH_pipeline.json")
 SPACING = 1.0 / 32
 SHEAR = 0.2
+BASE_RADII = (1.0, 0.92, 0.85)
 # (dim, radius) of each ball
 ELLIPSOID_CASES = ((1, 0.5), (2, 0.5), (3, 0.5), (3, 1.0))
 # (radius, shift) of each sheared ball at d=3: the sweep shifts the first
@@ -82,8 +92,10 @@ CORNER_CASES = (
 LAMBDA_CASES = tuple(
     (dim, gamma)
     for dim in (2, 3)
-    for gamma in (RadiusTriple((1.0, 0.92, 0.85)).measures(dim), (1.0, 1.0, 1.0))
+    for gamma in (RadiusTriple(BASE_RADII).measures(dim), (1.0, 1.0, 1.0))
 )
+# (dim, h, radius) of each ball whose moment fit is timed
+FIT_CASES = tuple((3, h, r) for h in (1.0 / 32, 1.0 / 64) for r in BASE_RADII)
 
 
 def environment():
@@ -104,6 +116,16 @@ def best_ms(call, repeats):
         out = call()
         best = min(best, time.perf_counter() - t0)
     return best * 1e3, out
+
+
+def peak_bytes(call):
+    """The tracemalloc peak of one call in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # -- rasterize ---------------------------------------------------------------
@@ -142,12 +164,16 @@ def bench_corner_counts(dim, spacing, radius, relocated=False, repeats=3):
     if relocated:
         sets[0] = sweep.perturb_relocate(sets[0], 0.1)
     t = SetTriple(sets)
+    low = sum(e.origin_index for e in t).tolist()
+    window = functional._window(t.sets, low)[0]
     row = {
         "dim": dim,
         "h": spacing,
         "relocated": relocated,
         "cells": [e.count for e in t],
         "pairs": math.prod(idx.size for idx in functional._direct_plan(t.sets)[2]),
+        "fft_shape": functional._fft_shape(t.sets, window),
+        "fft_peak_bytes": peak_bytes(lambda: trilinear_corner_counts(t, method="fft")),
     }
     counts = {}
     for method in ("fft", "direct"):
@@ -170,6 +196,22 @@ def bench_lambda(dim, gamma, repeats=3):
     return {"dim": dim, "measures": list(gamma), "ms": ms, "value": value}
 
 
+# -- fit ---------------------------------------------------------------------
+
+
+def bench_fit(dim, spacing, radius, repeats=3):
+    ball = rasterize_ellipsoid(Ellipsoid(np.zeros(dim), np.eye(dim) / radius**2), spacing)
+    ms = best_ms(lambda: fit_ellipsoid_moments(ball), repeats)[0]
+    return {
+        "dim": dim,
+        "h": spacing,
+        "radius": radius,
+        "cells": ball.count,
+        "ms": ms,
+        "peak_bytes": peak_bytes(lambda: fit_ellipsoid_moments(ball)),
+    }
+
+
 def main():
     print(f"{'kernel':>22} {'dim':>3} {'radius':>6} {'ms':>8} {'band cells':>10} {'undecided':>10}")
     raster = [bench_ellipsoid(dim, r) for dim, r in ELLIPSOID_CASES]
@@ -181,8 +223,8 @@ def main():
         )
 
     print(
-        f"\n{'dim':>3} {'h':>8} {'cells':>22} {'pairs':>12} {'fft ms':>9} "
-        f"{'direct ms':>10} {'direct/fft':>10}"
+        f"\n{'dim':>3} {'h':>8} {'cells':>22} {'pairs':>12} {'fft shape':>15} "
+        f"{'fft MiB':>8} {'fft ms':>9} {'direct ms':>10} {'direct/fft':>10}"
     )
     corner = []
     for dim, h, r, relocated in CORNER_CASES:
@@ -190,7 +232,11 @@ def main():
         corner.append(row)
         tf, td = row["fft_ms"], row["direct_ms"]
         tag = " relocated" if relocated else ""
-        head = f"{dim:>3} {h:>8.5f} {str(row['cells']):>22} {row['pairs']:>12} {tf:>9.2f}"
+        head = (
+            f"{dim:>3} {h:>8.5f} {str(row['cells']):>22} {row['pairs']:>12} "
+            f"{'x'.join(map(str, row['fft_shape'])):>15} "
+            f"{row['fft_peak_bytes'] / 2**20:>8.2f} {tf:>9.2f}"
+        )
         if td is None:
             print(f"{head} {'guarded':>10}{tag}")
         else:
@@ -202,12 +248,21 @@ def main():
         measures = ", ".join(f"{g:.4f}" for g in row["measures"])
         print(f"{row['dim']:>3} {measures:>30} {row['ms']:>8.3f} {row['value']:>20.17g}")
 
+    print(f"\n{'dim':>3} {'h':>8} {'radius':>6} {'cells':>9} {'ms':>8} {'peak bytes':>11}")
+    fit = [bench_fit(dim, h, r) for dim, h, r in FIT_CASES]
+    for row in fit:
+        print(
+            f"{row['dim']:>3} {row['h']:>8.5f} {row['radius']:>6.2f} {row['cells']:>9} "
+            f"{row['ms']:>8.2f} {row['peak_bytes']:>11}"
+        )
+
     with open(OUT, "w") as fh:
         out = {
             "environment": environment(),
             "rasterize": raster,
             "corner_counts": corner,
             "lambda": lam,
+            "fit": fit,
         }
         json.dump(out, fh, indent=1)
         fh.write("\n")

@@ -7,6 +7,7 @@ matrix inv(Q) / (dim + 2), which makes the moment fit closed-form and exact
 on true ellipsoids.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -59,14 +60,27 @@ def fit_ellipsoid_moments(e):
     equals measure(E).  Cell centers carry the mass (no intra-cell spread),
     so sets concentrated on a single cell or a hyperplane of cells raise a
     singular-covariance error.
+
+    The moments are exact integers in the box's local cell indices k, read
+    from its axis marginals (_index_moments): N cells, S_i = sum k_i and
+    S_ij = sum k_i k_j.  With o the origin index and h the spacing,
+
+        center_i = h ((2 o_i + 1) N + 2 S_i) / (2 N),
+        Sigma_ij = h^2 (N S_ij - S_i S_j) / N^2,
+
+    each one correctly rounded division of two integers, so Sigma is the
+    same to the bit under any whole-cell translation.
     """
     if e.is_empty:
         raise ValueError("cannot fit an empty set")
-    pts = e.cell_centers()
-    v = pts.mean(axis=0)
-    diff = pts - v
-    sigma = diff.T @ diff / pts.shape[0]
-    sigma = np.atleast_2d(sigma)
+    n, s1, s2 = _index_moments(e.occupancy)
+    h = e.spacing
+    origin = e.origin_index.tolist()
+    v = np.array([h * (((2 * o + 1) * n + 2 * si) / (2 * n)) for o, si in zip(origin, s1)])
+    sigma = np.array(
+        [[h * h * ((n * sij - si * sj) / (n * n)) for sij, sj in zip(row, s1)]
+         for row, si in zip(s2, s1)]
+    )
     w = np.linalg.eigvalsh(sigma)
     if w.min() <= SINGULAR_RTOL * max(w.max(), 1.0):
         raise ValueError("singular covariance: set is concentrated on a hyperplane")
@@ -79,6 +93,36 @@ def fit_ellipsoid_moments(e):
         2.0 / d
     )
     return Ellipsoid(center=v, shape=scale * q0)
+
+
+def _index_moments(occ):
+    """(N, S, P) of a boolean box as Python ints, in local cell indices k:
+    N occupied cells, S[i] = sum k_i and P[i][j] = sum k_i k_j over them.
+
+    Each sum reads a 1-D or 2-D axis marginal, the occupancy summed over
+    every other axis, so no per-cell list is formed.
+    """
+    d = occ.ndim
+    pairs = {
+        (i, j): occ.sum(axis=tuple(a for a in range(d) if a not in (i, j)))
+        for i, j in itertools.combinations(range(d), 2)
+    }
+    if d == 1:
+        singles = [occ.astype(np.int64)]
+    else:
+        singles = [pairs[0, 1].sum(axis=1)] + [pairs[0, i].sum(axis=0) for i in range(1, d)]
+    counts = [m.tolist() for m in singles]
+    n = sum(counts[0])
+    s = [sum(k * c for k, c in enumerate(m)) for m in counts]
+    p = [[0] * d for _ in range(d)]
+    for i, m in enumerate(counts):
+        p[i][i] = sum(k * k * c for k, c in enumerate(m))
+    for (i, j), m in pairs.items():
+        # each row sum of k_j is at most (n_j - 1) N, so int64 holds it
+        # unless that product passes 2**63
+        kj = np.arange(m.shape[1], dtype=np.int64 if (m.shape[1] - 1) * n < 2**63 else object)
+        p[i][j] = p[j][i] = sum(k * r for k, r in enumerate((m @ kj).tolist()))
+    return n, s, p
 
 
 def _epsilon_one(e, shape, center, radius):

@@ -25,9 +25,9 @@ the full linear conv of length S = n1 + n2 - 1.  The window is computed
 once; an empty set or window, in any order of the sets, makes every count
 zero before either backend plans.  Each backend returns conv on the window
 as exact int64: 'fft' by one real Fourier product at a fast length L per
-axis (rfftn, irfftn), rounded once every window value is certified within
-1/4 of its integer; 'direct' by an int64 histogram of the pair sums of the
-two smallest members' run ends.  Zero-padded to n3 + 1 cells per axis and
+axis, rounded once every window value is certified within 1/4 of its
+integer; 'direct' by an int64 histogram of the pair sums of the two
+smallest members' run ends.  Zero-padded to n3 + 1 cells per axis and
 reversed, the window holds what cell k reads for corner s at k - 1 - s, so
 N_s sums one slice over the occupied cells of E3.
 
@@ -46,6 +46,17 @@ The FFT product at length L is the circular convolution, the full one
 folded modulo L; it equals the full one on [lo, hi] when nothing folds
 onto the window, that is when L >= S - lo and L >= hi + 1.  L is the fast
 length above both, and above n1 and n2, so no input is truncated.
+
+The product runs axis by axis, so that no transform runs over rows known
+to be zero or rows the window never reads.  Each input's rfft along
+the last axis covers only the rows of its own box; an fft along each
+other axis, last to first, then pads that axis to L.  The two spectra
+are multiplied into one, and the inverse runs first axis first, keeping
+only the window's rows of each axis before the next, so the closing
+irfft along the last axis transforms the window's rows alone.  For a
+sweep triple at d=3, h=1/32 the window holds about 55 of L = 90 indices
+per axis, so the inverse's second and last passes see three fifths and
+a third of the rows.
 """
 
 import math
@@ -54,7 +65,7 @@ from itertools import product
 from typing import Optional
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
+from scipy.fft import fft, ifft, irfft, next_fast_len, rfft
 from scipy.integrate import quad
 from scipy.special import betainc
 
@@ -88,10 +99,24 @@ class DeficitReport:
 # -- the trilinear form -----------------------------------------------------
 
 
-def fftconvolve(a, b, shape):
+def fftconvolve(a, b, shape, window):
     """The circular convolution of two real arrays at shape, at least each
-    input's per axis, by one FFT product."""
-    return irfftn(rfftn(a, shape) * rfftn(b, shape), shape)
+    input's length per axis, read on window: one slice per axis within
+    [0, shape).  One FFT product, axis by axis (module docstring)."""
+    spec = _spectrum(a, shape)
+    spec *= _spectrum(b, shape)
+    for axis, rows in enumerate(window[:-1]):
+        spec = ifft(spec, axis=axis, overwrite_x=True)[(slice(None),) * axis + (rows,)]
+    return irfft(spec, shape[-1])[..., window[-1]]
+
+
+def _spectrum(x, shape):
+    # rfft along the last axis of x's own rows, then an fft along each
+    # other axis, last to first, zero-padding it to its length in shape
+    x = rfft(x, shape[-1])
+    for axis in range(x.ndim - 2, -1, -1):
+        x = fft(x, shape[axis], axis=axis, overwrite_x=True)
+    return x
 
 
 def trilinear_corner_counts(t, method="fft"):
@@ -117,15 +142,9 @@ def trilinear_corner_counts(t, method="fft"):
         return zeros
     if method == "direct":
         sets, shape, entries = _direct_plan(sets)
-    e1, e2, e3 = sets
-    window, pad = [], []  # per axis n3 + 1 conv indices, [lo, hi] in the full conv
-    for n1, n2, n3, g in zip(e1.shape, e2.shape, e3.shape, low):
-        start = -(g + n3) - 1
-        lo, hi = max(start, 0), min(start + n3, n1 + n2 - 2)
-        window.append(slice(lo, hi + 1))
-        pad.append(slice(lo - start, hi - start + 1))
+    window, pad = _window(sets, low)
     if method == "fft":
-        conv = _conv_fft(e1, e2, window)
+        conv = _conv_fft(sets, window)
     else:
         p1, p2 = (idx.size for idx in entries)
         if p1 * p2 > DIRECT_PAIR_GUARD:
@@ -135,9 +154,10 @@ def trilinear_corner_counts(t, method="fft"):
         conv = _conv_direct(entries, shape, window)
     # reversed, the padded window holds conv[s - g - k] for cell k of E3's
     # box at k - 1 - s, so each corner reads one slice
+    e3 = sets[2]
     read = np.zeros([n + 1 for n in e3.shape], dtype=np.int64)
     read[tuple(pad)] = conv
-    read = read[(slice(None, None, -1),) * e1.dim]
+    read = read[(slice(None, None, -1),) * e3.dim]
     occ = e3.occupancy
     return {
         s: int(read[tuple(slice(-1 - c, n - 1 - c) for c, n in zip(s, e3.shape))][occ].sum())
@@ -145,15 +165,33 @@ def trilinear_corner_counts(t, method="fft"):
     }
 
 
-def _conv_fft(e1, e2, window):
-    # the circular convolution at a length that leaves the window unaliased
-    # (module docstring), rounded once it is certified
-    shape = [
+def _window(sets, low):
+    """Per axis, the slice [lo, hi] of the full conv of the first two sets
+    that the third set's cells read, and the slice it fills of the n3 + 1
+    indices they read; low is the per-axis sum of the origin indices."""
+    window, pad = [], []
+    for n1, n2, n3, g in zip(sets[0].shape, sets[1].shape, sets[2].shape, low):
+        start = -(g + n3) - 1
+        lo, hi = max(start, 0), min(start + n3, n1 + n2 - 2)
+        window.append(slice(lo, hi + 1))
+        pad.append(slice(lo - start, hi - start + 1))
+    return window, pad
+
+
+def _fft_shape(sets, window):
+    # per axis the fast length that leaves the window unaliased (module
+    # docstring)
+    return [
         next_fast_len(max(n1 + n2 - 1 - w.start, w.stop, n1, n2), real=True)
-        for n1, n2, w in zip(e1.shape, e2.shape, window)
+        for n1, n2, w in zip(sets[0].shape, sets[1].shape, window)
     ]
-    occ = (e.occupancy.astype(np.float64) for e in (e1, e2))
-    vals = fftconvolve(*occ, shape)[tuple(window)]
+
+
+def _conv_fft(sets, window):
+    # the circular convolution of the first two sets on the window,
+    # rounded once it is certified
+    e1, e2 = sets[:2]
+    vals = fftconvolve(e1.occupancy, e2.occupancy, _fft_shape(sets, window), window)
     rounded = np.rint(vals)
     err = np.abs(vals - rounded).max()
     if err >= 0.25:

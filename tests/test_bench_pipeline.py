@@ -1,7 +1,7 @@
 """Smoke test of benchmarks/bench_pipeline.py: small cases of every stage,
 so the script keeps running, its rows keep their keys, and its work counts
-keep matching what the kernels leave undecided and the pairs the direct
-histogram forms."""
+keep matching what the kernels leave undecided, the pairs the direct
+histogram forms and the shape the FFT product transforms at."""
 
 import importlib.util
 import json
@@ -91,13 +91,29 @@ def test_corner_counts_row(monkeypatch, bench_module, dim, h, relocated):
         monkeypatch.setattr(functional.np, "bincount", bincount)
         return counts[method][-1]
 
+    fft, lengths = functional.fftconvolve, []
+
+    def fft_spy(a, b, shape, window):
+        lengths.append(list(shape))
+        return fft(a, b, shape, window)
+
     monkeypatch.setattr(bench_module, "trilinear_corner_counts", spy)
+    monkeypatch.setattr(functional, "fftconvolve", fft_spy)
     row = bench_module.bench_corner_counts(dim, h, 0.5, relocated, repeats=1)
-    assert set(row) == {"dim", "h", "relocated", "cells", "pairs", "fft_ms", "direct_ms"}
+    assert set(row) == {
+        "dim", "h", "relocated", "cells", "pairs", "fft_shape", "fft_peak_bytes", "fft_ms",
+        "direct_ms",
+    }
+    # the shape every fft call transformed at, and at least the two spectra
+    # that are alive when they are multiplied
+    assert lengths and all(n == row["fft_shape"] for n in lengths)
+    *lead, last = row["fft_shape"]
+    assert row["fft_peak_bytes"] >= 2 * 16 * math.prod(lead) * (last // 2 + 1)
     assert (row["dim"], row["h"], row["relocated"]) == (dim, h, relocated)
     assert len(row["cells"]) == 3 and min(row["cells"]) > 0
     assert row["fft_ms"] > 0 and row["direct_ms"] > 0
-    assert counts["fft"] == counts["direct"]
+    # fft runs twice, once for its peak bytes and once timed
+    assert counts["fft"] == counts["direct"] * 2
     assert row["pairs"] == sum(pairs)
     # two run ends per last-axis run of each of the two smallest sets,
     # the runs counted where the occupancy steps up
@@ -124,6 +140,22 @@ def test_lambda_cases_are_the_sweep_base_and_unit_balls(bench_module):
         assert unit == (1.0, 1.0, 1.0)
 
 
+def test_fit_row(bench_module):
+    row = bench_module.bench_fit(3, 1.0 / 16, 1.0, repeats=1)
+    assert set(row) == {"dim", "h", "radius", "cells", "ms", "peak_bytes"}
+    ball = rasterize_ellipsoid(Ellipsoid(np.zeros(3), np.eye(3)), 1.0 / 16)
+    assert (row["dim"], row["h"], row["radius"], row["cells"]) == (3, 1.0 / 16, 1.0, ball.count)
+    assert row["ms"] > 0
+    # below the 24 bytes per cell of a list of the cell centers
+    assert 0 < row["peak_bytes"] < 24 * ball.count
+
+
+def test_fit_cases_are_the_sweep_base_balls(bench_module):
+    assert bench_module.FIT_CASES == tuple(
+        (3, h, r) for h in (1.0 / 32, 1.0 / 64) for r in (1.0, 0.92, 0.85)
+    )
+
+
 def test_environment_names_the_versions(bench_module):
     env = bench_module.environment()
     assert set(env) == {"python", "numpy", "scipy", "machine", "cpus"}
@@ -137,12 +169,14 @@ def test_main_writes_every_stage(monkeypatch, tmp_path, bench_module):
     monkeypatch.setattr(bench_module, "SHEAR_CASES", ((0.5, 0.25),))
     monkeypatch.setattr(bench_module, "CORNER_CASES", ((1, 1.0 / 32, 0.5, False),))
     monkeypatch.setattr(bench_module, "LAMBDA_CASES", ((2, (1.0, 1.0, 1.0)),))
+    monkeypatch.setattr(bench_module, "FIT_CASES", ((3, 1.0 / 8, 1.0),))
     bench_module.main()
     written = json.loads(out.read_text())
-    assert list(written) == ["environment", "rasterize", "corner_counts", "lambda"]
+    assert list(written) == ["environment", "rasterize", "corner_counts", "lambda", "fit"]
     assert written["environment"] == bench_module.environment()
     assert [r["kernel"] for r in written["rasterize"]] == [
         "rasterize_ellipsoid", "rasterize_affine_image"
     ]
     assert [(r["dim"], r["h"]) for r in written["corner_counts"]] == [(1, 1.0 / 32)]
     assert [(r["dim"], r["measures"]) for r in written["lambda"]] == [(2, [1.0, 1.0, 1.0])]
+    assert [(r["dim"], r["h"], r["radius"]) for r in written["fit"]] == [(3, 1.0 / 8, 1.0)]

@@ -146,9 +146,18 @@ def test_fftconvolve_at_a_shape_is_the_folded_full_conv(shapes, fold):
     want = np.zeros(fold)
     idx = np.indices(full.shape).reshape(full.ndim, -1)
     np.add.at(want, tuple(i % n for i, n in zip(idx, fold)), full.reshape(-1))
-    got = functional.fftconvolve(a, b, fold)
-    assert got.shape == fold
-    assert np.abs(got - want).max() < 1e-12
+    for window in _random_windows(rng, fold):
+        got = functional.fftconvolve(a, b, fold, window)
+        assert got.shape == want[window].shape
+        assert np.abs(got - want[window]).max() < 1e-12
+
+
+def _random_windows(rng, shape, count=12):
+    """The whole shape, then count random boxes of it, as slice tuples."""
+    yield tuple(slice(0, n) for n in shape)
+    for _ in range(count):
+        ends = (np.sort(rng.choice(n + 1, size=2, replace=False)) for n in shape)
+        yield tuple(slice(int(lo), int(hi)) for lo, hi in ends)
 
 
 def test_triple_loop_sees_nonzero_counts():
@@ -326,14 +335,15 @@ def test_direct_enters_run_ends_of_random_sets(direct_entries, dim, shape, rng_s
     "shapes", [((5,), (7,)), ((1, 3), (4, 1)), ((1, 1), (1, 1)), ((6, 5, 4), (3, 7, 2))]
 )
 def test_fftconvolve_matches_scipy_signal(shapes):
-    # the one real FFT product at the full linear size against
-    # scipy.signal's full convolution
+    # the axis-by-axis FFT product at the full linear size, on random
+    # windows, against scipy.signal's full convolution
     rng = np.random.default_rng(len(shapes[0]))
     a, b = ((rng.random(n) < 0.5).astype(np.float64) for n in shapes)
     want = scipy_fftconvolve(a, b)
-    got = functional.fftconvolve(a, b, want.shape)
-    assert got.shape == want.shape
-    assert np.abs(got - want).max() < 1e-12
+    for window in _random_windows(rng, want.shape):
+        got = functional.fftconvolve(a, b, want.shape, window)
+        assert got.shape == want[window].shape
+        assert np.abs(got - want[window]).max() < 1e-12
 
 
 @pytest.mark.parametrize("noise", [0.2, 0.3])
@@ -356,8 +366,9 @@ def test_fft_rounding_is_certified(monkeypatch, noise):
 
 def test_certificate_covers_every_window_value(monkeypatch):
     # a value 0.7 from its integer raises wherever it sits in the window the
-    # corners read, clipped at both ends here; off the window it is never
-    # read and the counts stay exact
+    # corners read, clipped at both ends here; the product returns the
+    # window's values, and a value it returned off the window would never
+    # be read and would leave the counts exact
     rng = np.random.default_rng(6)
     e1, e2 = (VoxelSet.from_index(rng.random((3, 4)) < 0.7, o, 0.125) for o in ((3, -2), (-4, 5)))
     o3 = -(e1.origin_index + e2.origin_index) + (-6, -9)
@@ -370,11 +381,14 @@ def test_certificate_covers_every_window_value(monkeypatch):
     window = {j for j in reads if all(0 <= x < n for x, n in zip(j, full))}
     assert len(window) == 4 * 2
 
-    fft, lengths = functional.fftconvolve, []
-    monkeypatch.setattr(functional, "fftconvolve", lambda *a: lengths.append(a[2]) or fft(*a))
+    fft, reads = functional.fftconvolve, []
+    monkeypatch.setattr(
+        functional, "fftconvolve", lambda *a: reads.append((a[3], fft(*a).shape)) or fft(*a)
+    )
     assert trilinear_corner_counts(sets, "fft") == want
+    (slices, returned), = reads
     raised = set()
-    for cell in np.ndindex(*lengths[0]):
+    for cell in np.ndindex(*returned):
 
         def off(*args, cell=cell):
             out = fft(*args)
@@ -386,7 +400,8 @@ def test_certificate_covers_every_window_value(monkeypatch):
             assert trilinear_corner_counts(sets, "fft") == want
         except ValueError as exc:
             assert str(exc).startswith("fft corner counts are not exact")
-            raised.add(cell)
+            # the returned cell's index in the full conv
+            raised.add(tuple(w.start + c for w, c in zip(slices, cell)))
     assert raised == window
 
 

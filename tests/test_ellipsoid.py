@@ -1,5 +1,9 @@
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from conftest import random_voxel_set
 
 from rieszvox import (
     Ellipsoid,
@@ -15,7 +19,7 @@ from rieszvox import (
     steiner_symmetrize,
     translate_cells,
 )
-from rieszvox.ellipsoid import IntervalFit
+from rieszvox.ellipsoid import IntervalFit, _index_moments
 from rieszvox.sweep import skew_columns
 
 H = 1.0 / 64
@@ -75,6 +79,55 @@ class TestMomentFit:
         row = VoxelSet.from_index(np.ones((1, 9), bool), [0, 0], H)
         with pytest.raises(ValueError):
             fit_ellipsoid_moments(row)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_index_moments_are_the_sums_over_the_cells(self, dim):
+        rng = np.random.default_rng(dim)
+        for cells in (1, 5, 12):
+            e = random_voxel_set(dim, rng, cells=cells)
+            local = [tuple(map(Fraction, k)) for k in np.argwhere(e.occupancy).tolist()]
+            n, s, p = _index_moments(e.occupancy)
+            assert n == len(local) == e.count
+            assert s == [sum(k[i] for k in local) for i in range(dim)]
+            assert p == [[sum(k[i] * k[j] for k in local) for j in range(dim)] for i in range(dim)]
+            assert all(type(x) is int for x in [n, *s, *sum(p, [])])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_center_is_the_rounded_mean_of_the_cell_centers(self, dim):
+        # a dyadic spacing scales exactly, so the center is the mean of the
+        # cell centers correctly rounded, far from the origin too
+        rng = np.random.default_rng(10 + dim)
+        e = random_voxel_set(dim, rng, cells=9, spacing=1.0 / 16, density=0.5)
+        for shift in (0, 10**9 + 7):
+            moved = VoxelSet.from_index(e.occupancy, e.origin_index + shift, e.spacing)
+            g = moved.global_indices().tolist()
+            want = [
+                float(sum(Fraction(2 * k[i] + 1, 2) for k in g) / len(g)) / 16
+                for i in range(dim)
+            ]
+            assert fit_ellipsoid_moments(moved).center.tolist() == want
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_shape_is_the_same_to_the_bit_under_whole_cell_shifts(self, dim):
+        rng = np.random.default_rng(20 + dim)
+        e = random_voxel_set(dim, rng, cells=10, spacing=1.0 / 10, density=0.4)
+        want = fit_ellipsoid_moments(e).shape
+        for shift in (1, -37, 2**40 + 3):
+            offset = shift * np.array([1, -2, 3][:dim])
+            moved = VoxelSet.from_index(e.occupancy, e.origin_index + offset, e.spacing)
+            assert np.array_equal(fit_ellipsoid_moments(moved).shape, want)
+
+    def test_fit_holds_no_per_cell_list(self):
+        # a unit ball at d=3, h=1/64: 1.1M cells, whose (N, 3) float64
+        # list of centers alone would take 26 MB
+        e = _ball(1.0, (0.0, 0.0, 0.0), h=1.0 / 64, dim=3)
+        tracemalloc.start()
+        try:
+            fit_ellipsoid_moments(e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < e.count * 3 * 8
 
 
 class TestHomotheticFit:
