@@ -1,5 +1,13 @@
-"""Timing of the pipeline's stages: one row per case, the best of three
-calls in ms, and the work the stage did.
+"""Timing of the pipeline's stages: one row per case, the median and
+quartiles of REPEATS calls in ms (each time column `x_ms` is written as
+`x_ms_p25`, `x_ms_p50` and `x_ms_p75`), and the work the stage did.
+
+import: a fresh interpreter, run IMPORT_RUNS times, at three points:
+after `import rieszvox, rieszvox.verify`, after one d=2 corner count
+(three blobs generated and counted by the fft backend), and after one
+lambda_d.  Each point records the seconds of its step (median and
+quartiles over the runs), the process's peak RSS so far (ru_maxrss,
+median over the runs) and the scipy subpackages loaded by then.
 
 rasterize: balls through rasterize_ellipsoid, and the sweep's shear
 (A[0, d-1] = 0.2, translations +-0.25 along the first axis and 0) of the
@@ -44,12 +52,15 @@ import json
 import math
 import os
 import platform
+import subprocess
+import sys
 import time
 import tracemalloc
 
 import numpy as np
 import scipy
 
+import rieszvox
 from rieszvox import (
     Ellipsoid,
     RadiusTriple,
@@ -96,6 +107,11 @@ LAMBDA_CASES = tuple(
 )
 # (dim, h, radius) of each ball whose moment fit is timed
 FIT_CASES = tuple((3, h, r) for h in (1.0 / 32, 1.0 / 64) for r in BASE_RADII)
+# calls per timed case, fresh interpreters for the import stage, and the
+# percentiles each time column is written at
+REPEATS = 15
+IMPORT_RUNS = 5
+PERCENTILES = (25, 50, 75)
 
 
 def environment():
@@ -108,14 +124,21 @@ def environment():
     }
 
 
-def best_ms(call, repeats):
-    """The best time of repeats calls in ms, and the last call's result."""
-    best = np.inf
+def quartiles(values, name):
+    """{name_p25, name_p50, name_p75} of the values."""
+    q = np.percentile(values, PERCENTILES).tolist()
+    return {f"{name}_p{p}": x for p, x in zip(PERCENTILES, q)}
+
+
+def timed_ms(call, repeats, name="ms"):
+    """The quartiles of repeats calls' times in ms, under name, and the last
+    call's result."""
+    times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         out = call()
-        best = min(best, time.perf_counter() - t0)
-    return best * 1e3, out
+        times.append((time.perf_counter() - t0) * 1e3)
+    return quartiles(times, name), out
 
 
 def peak_bytes(call):
@@ -128,27 +151,81 @@ def peak_bytes(call):
         tracemalloc.stop()
 
 
+# -- import ------------------------------------------------------------------
+
+# the import stage's script: one JSON row per point on standard output
+IMPORT_SCRIPT = """
+import json, resource, sys, time
+
+def point(step, t0):
+    scipy = sorted(
+        m[6:] for m, mod in list(sys.modules.items())
+        if m.startswith("scipy.") and m.count(".") == 1 and not m[6:].startswith("_")
+        and hasattr(mod, "__path__")
+    )
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(json.dumps({"step": step, "s": time.perf_counter() - t0, "maxrss_mib": rss, "scipy": scipy}))
+
+t0 = time.perf_counter()
+import rieszvox, rieszvox.verify
+point("import", t0)
+t0 = time.perf_counter()
+sets = [rieszvox.generate("blob", {"dim": 2, "spacing": 1 / 32}, seed=s) for s in (1, 2, 3)]
+rieszvox.trilinear_corner_counts(sets)
+point("corner_counts", t0)
+t0 = time.perf_counter()
+rieszvox.lambda_d((1.0, 1.0, 1.0), 2)
+point("lambda_d", t0)
+"""
+
+
+def bench_import(runs):
+    """One row per point of IMPORT_SCRIPT, over runs fresh interpreters that
+    import this rieszvox."""
+    env = dict(os.environ)
+    where = os.path.dirname(os.path.dirname(os.path.abspath(rieszvox.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [where, env.get("PYTHONPATH")]))
+    points = []
+    for _ in range(runs):
+        out = subprocess.run(
+            [sys.executable, "-c", IMPORT_SCRIPT],
+            capture_output=True, text=True, check=True, env=env,
+        ).stdout
+        points.append([json.loads(line) for line in out.splitlines()])
+    rows = []
+    for step in zip(*points):
+        if len({tuple(p["scipy"]) for p in step}) != 1:
+            raise ValueError(f"runs loaded different scipy subpackages at {step[0]['step']}")
+        rows.append({
+            "step": step[0]["step"],
+            **quartiles([p["s"] for p in step], "s"),
+            "maxrss_mib": float(np.median([p["maxrss_mib"] for p in step])),
+            "scipy": step[0]["scipy"],
+        })
+    return rows
+
+
 # -- rasterize ---------------------------------------------------------------
 
 
 def raster_row(kernel, dim, spacing, radius, ms, work):
-    return {"kernel": kernel, "dim": dim, "h": spacing, "radius": radius, "ms": ms, **work}
+    return {"kernel": kernel, "dim": dim, "h": spacing, "radius": radius, **ms, **work}
 
 
-def bench_ellipsoid(dim, radius, spacing=SPACING, s=3, repeats=3):
+def bench_ellipsoid(dim, radius, spacing=SPACING, s=3, repeats=REPEATS):
     e = Ellipsoid(np.zeros(dim), np.eye(dim) / radius**2)
-    ms = best_ms(lambda: rasterize_ellipsoid(e, spacing, s), repeats)[0]
+    ms = timed_ms(lambda: rasterize_ellipsoid(e, spacing, s), repeats)[0]
     work = grid._ellipsoid_sample_counts(e, spacing, s)[2]
     return raster_row("rasterize_ellipsoid", dim, spacing, radius, ms, work)
 
 
-def bench_shear(dim, radius, shift, spacing=SPACING, s=3, repeats=3):
+def bench_shear(dim, radius, shift, spacing=SPACING, s=3, repeats=REPEATS):
     ball = rasterize_ellipsoid(Ellipsoid(np.zeros(dim), np.eye(dim) / radius**2), spacing)
     a = np.eye(dim)
     a[0, -1] = SHEAR
     v = np.zeros(dim)
     v[0] = shift
-    ms = best_ms(lambda: rasterize_affine_image(ball, a, v, spacing, s), repeats)[0]
+    ms = timed_ms(lambda: rasterize_affine_image(ball, a, v, spacing, s), repeats)[0]
     work = grid._affine_sample_counts(ball, a, v, spacing, s)[2]
     return raster_row("rasterize_affine_image", dim, spacing, radius, ms, work)
 
@@ -156,9 +233,9 @@ def bench_shear(dim, radius, shift, spacing=SPACING, s=3, repeats=3):
 # -- corner counts -----------------------------------------------------------
 
 
-def bench_corner_counts(dim, spacing, radius, relocated=False, repeats=3):
-    """One row: the cells of the triple, the pairs direct forms, and the best
-    time of each backend in ms (None for direct when guarded)."""
+def bench_corner_counts(dim, spacing, radius, relocated=False, repeats=REPEATS):
+    """One row: the cells of the triple, the pairs direct forms, and the
+    quartiles of each backend's time in ms (None for direct when guarded)."""
     params = {"dim": dim, "spacing": spacing, "radius": radius, "steps": 5}
     sets = [generate("blob", params, seed=s) for s in (1, 2, 3)]
     if relocated:
@@ -177,13 +254,15 @@ def bench_corner_counts(dim, spacing, radius, relocated=False, repeats=3):
     }
     counts = {}
     for method in ("fft", "direct"):
+        name = f"{method}_ms"
         try:
-            row[f"{method}_ms"], counts[method] = best_ms(
-                lambda: trilinear_corner_counts(t, method=method), repeats
+            ms, counts[method] = timed_ms(
+                lambda: trilinear_corner_counts(t, method=method), repeats, name
             )
         except ValueError:  # p1 * p2 above DIRECT_PAIR_GUARD
-            row[f"{method}_ms"] = None
-    if row["direct_ms"] is not None and counts["fft"] != counts["direct"]:
+            ms = {f"{name}_p{p}": None for p in PERCENTILES}
+        row.update(ms)
+    if "direct" in counts and counts["fft"] != counts["direct"]:
         raise ValueError(f"paths disagree at dim={dim}, h={spacing}")
     return row
 
@@ -191,74 +270,86 @@ def bench_corner_counts(dim, spacing, radius, relocated=False, repeats=3):
 # -- lambda ------------------------------------------------------------------
 
 
-def bench_lambda(dim, gamma, repeats=3):
-    ms, value = best_ms(lambda: lambda_d(gamma, dim), repeats)
-    return {"dim": dim, "measures": list(gamma), "ms": ms, "value": value}
+def bench_lambda(dim, gamma, repeats=REPEATS):
+    ms, value = timed_ms(lambda: lambda_d(gamma, dim), repeats)
+    return {"dim": dim, "measures": list(gamma), **ms, "value": value}
 
 
 # -- fit ---------------------------------------------------------------------
 
 
-def bench_fit(dim, spacing, radius, repeats=3):
+def bench_fit(dim, spacing, radius, repeats=REPEATS):
     ball = rasterize_ellipsoid(Ellipsoid(np.zeros(dim), np.eye(dim) / radius**2), spacing)
-    ms = best_ms(lambda: fit_ellipsoid_moments(ball), repeats)[0]
+    ms = timed_ms(lambda: fit_ellipsoid_moments(ball), repeats)[0]
     return {
         "dim": dim,
         "h": spacing,
         "radius": radius,
         "cells": ball.count,
-        "ms": ms,
+        **ms,
         "peak_bytes": peak_bytes(lambda: fit_ellipsoid_moments(ball)),
     }
 
 
+def spread(row, name="ms", digits=2):
+    """The median of a time column, then its quartiles in brackets."""
+    q = [row[f"{name}_p{p}"] for p in (50, 25, 75)]
+    return "guarded" if q[0] is None else "{:.{d}f} [{:.{d}f}, {:.{d}f}]".format(*q, d=digits)
+
+
 def main():
-    print(f"{'kernel':>22} {'dim':>3} {'radius':>6} {'ms':>8} {'band cells':>10} {'undecided':>10}")
+    print(f"{'step':>14} {'s':>22} {'maxrss MiB':>10}  scipy subpackages")
+    imports = bench_import(IMPORT_RUNS)
+    for row in imports:
+        print(
+            f"{row['step']:>14} {spread(row, 's', 3):>22} {row['maxrss_mib']:>10.1f}  "
+            f"{', '.join(row['scipy'])}"
+        )
+
+    print(
+        f"\n{'kernel':>22} {'dim':>3} {'radius':>6} {'ms':>22} {'band cells':>10} {'undecided':>10}"
+    )
     raster = [bench_ellipsoid(dim, r) for dim, r in ELLIPSOID_CASES]
     raster += [bench_shear(3, r, v) for r, v in SHEAR_CASES]
     for row in raster:
         print(
-            f"{row['kernel']:>22} {row['dim']:>3} {row['radius']:>6.2f} {row['ms']:>8.2f} "
+            f"{row['kernel']:>22} {row['dim']:>3} {row['radius']:>6.2f} {spread(row):>22} "
             f"{row['band_cells']:>10} {row['undecided_samples']:>10}"
         )
 
     print(
         f"\n{'dim':>3} {'h':>8} {'cells':>22} {'pairs':>12} {'fft shape':>15} "
-        f"{'fft MiB':>8} {'fft ms':>9} {'direct ms':>10} {'direct/fft':>10}"
+        f"{'fft MiB':>8} {'fft ms':>24} {'direct ms':>24}"
     )
     corner = []
     for dim, h, r, relocated in CORNER_CASES:
         row = bench_corner_counts(dim, h, r, relocated)
         corner.append(row)
-        tf, td = row["fft_ms"], row["direct_ms"]
-        tag = " relocated" if relocated else ""
-        head = (
+        print(
             f"{dim:>3} {h:>8.5f} {str(row['cells']):>22} {row['pairs']:>12} "
             f"{'x'.join(map(str, row['fft_shape'])):>15} "
-            f"{row['fft_peak_bytes'] / 2**20:>8.2f} {tf:>9.2f}"
+            f"{row['fft_peak_bytes'] / 2**20:>8.2f} {spread(row, 'fft_ms'):>24} "
+            f"{spread(row, 'direct_ms'):>24}{' relocated' if relocated else ''}"
         )
-        if td is None:
-            print(f"{head} {'guarded':>10}{tag}")
-        else:
-            print(f"{head} {td:>10.2f} {td / tf:>9.2f}x{tag}")
 
-    print(f"\n{'dim':>3} {'measures':>30} {'ms':>8} {'value':>20}")
+    print(f"\n{'dim':>3} {'measures':>30} {'ms':>22} {'value':>20}")
     lam = [bench_lambda(dim, gamma) for dim, gamma in LAMBDA_CASES]
     for row in lam:
         measures = ", ".join(f"{g:.4f}" for g in row["measures"])
-        print(f"{row['dim']:>3} {measures:>30} {row['ms']:>8.3f} {row['value']:>20.17g}")
+        print(f"{row['dim']:>3} {measures:>30} {spread(row, digits=3):>22} {row['value']:>20.17g}")
 
-    print(f"\n{'dim':>3} {'h':>8} {'radius':>6} {'cells':>9} {'ms':>8} {'peak bytes':>11}")
+    print(f"\n{'dim':>3} {'h':>8} {'radius':>6} {'cells':>9} {'ms':>22} {'peak bytes':>11}")
     fit = [bench_fit(dim, h, r) for dim, h, r in FIT_CASES]
     for row in fit:
         print(
             f"{row['dim']:>3} {row['h']:>8.5f} {row['radius']:>6.2f} {row['cells']:>9} "
-            f"{row['ms']:>8.2f} {row['peak_bytes']:>11}"
+            f"{spread(row):>22} {row['peak_bytes']:>11}"
         )
 
     with open(OUT, "w") as fh:
         out = {
             "environment": environment(),
+            "import": imports,
             "rasterize": raster,
             "corner_counts": corner,
             "lambda": lam,

@@ -66,7 +66,6 @@ from typing import Optional
 
 import numpy as np
 from scipy.fft import fft, ifft, irfft, next_fast_len, rfft
-from scipy.integrate import quad
 from scipy.special import betainc
 
 from .admissibility import measure_margin, radius_margin, set_triple_margin
@@ -325,6 +324,11 @@ def lambda_d(gamma, dim):
     r1, r2, r3 = sorted(RadiusTriple.from_measures(g, dim).radii, reverse=True)
     kink = abs(r1 - r2)
     pts = [kink] if 0.0 < kink < r3 else None
+    # imported here, not at the top: scipy.integrate brings scipy.optimize,
+    # scipy.sparse, scipy.linalg and scipy.spatial (about 25 MiB and a
+    # quarter second), which the exact path, T in integer counts, never needs
+    from scipy.integrate import quad
+
     val, abserr = quad(
         lambda s: s ** (dim - 1) * _lens(r1, r2, s, dim),
         0.0,

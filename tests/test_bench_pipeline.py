@@ -15,7 +15,14 @@ from rieszvox import Ellipsoid, RadiusTriple, functional, lambda_d, rasterize_el
 from reference_raster import affine_sample_counts
 
 SCRIPT = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "bench_pipeline.py")
-RASTER_KEYS = {"kernel", "dim", "h", "radius", "ms", "band_cells", "undecided_samples"}
+MS = {"ms_p25", "ms_p50", "ms_p75"}
+RASTER_KEYS = {"kernel", "dim", "h", "radius", "band_cells", "undecided_samples"} | MS
+
+
+def assert_quartiles(row, name="ms"):
+    # a time column is the median and quartiles of the calls, all positive
+    q25, q50, q75 = (row[f"{name}_p{p}"] for p in (25, 50, 75))
+    assert 0 < q25 <= q50 <= q75
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +42,7 @@ def test_ellipsoid_row(bench_module, dim):
     assert (row["kernel"], row["dim"], row["h"], row["radius"]) == (
         "rasterize_ellipsoid", dim, 1.0 / 8, 0.5
     )
-    assert row["ms"] > 0
+    assert_quartiles(row)
     assert (row["band_cells"], row["undecided_samples"]) == (0, 0)
 
 
@@ -58,7 +65,7 @@ def test_shear_row(monkeypatch, bench_module):
     row = bench_module.bench_shear(3, 0.5, 0.25, spacing=1.0 / 8, repeats=1)
     assert set(row) == RASTER_KEYS
     assert (row["kernel"], row["dim"], row["radius"]) == ("rasterize_affine_image", 3, 0.5)
-    assert row["ms"] > 0
+    assert_quartiles(row)
     assert row["undecided_samples"] == 27 * row["band_cells"]
     # every cell with some but not all samples in is a band cell
     e, a, v, h, s = calls[0]
@@ -101,8 +108,9 @@ def test_corner_counts_row(monkeypatch, bench_module, dim, h, relocated):
     monkeypatch.setattr(functional, "fftconvolve", fft_spy)
     row = bench_module.bench_corner_counts(dim, h, 0.5, relocated, repeats=1)
     assert set(row) == {
-        "dim", "h", "relocated", "cells", "pairs", "fft_shape", "fft_peak_bytes", "fft_ms",
-        "direct_ms",
+        "dim", "h", "relocated", "cells", "pairs", "fft_shape", "fft_peak_bytes",
+        "fft_ms_p25", "fft_ms_p50", "fft_ms_p75",
+        "direct_ms_p25", "direct_ms_p50", "direct_ms_p75",
     }
     # the shape every fft call transformed at, and at least the two spectra
     # that are alive when they are multiplied
@@ -111,7 +119,8 @@ def test_corner_counts_row(monkeypatch, bench_module, dim, h, relocated):
     assert row["fft_peak_bytes"] >= 2 * 16 * math.prod(lead) * (last // 2 + 1)
     assert (row["dim"], row["h"], row["relocated"]) == (dim, h, relocated)
     assert len(row["cells"]) == 3 and min(row["cells"]) > 0
-    assert row["fft_ms"] > 0 and row["direct_ms"] > 0
+    assert_quartiles(row, "fft_ms")
+    assert_quartiles(row, "direct_ms")
     # fft runs twice, once for its peak bytes and once timed
     assert counts["fft"] == counts["direct"] * 2
     assert row["pairs"] == sum(pairs)
@@ -126,9 +135,9 @@ def test_corner_counts_row(monkeypatch, bench_module, dim, h, relocated):
 def test_lambda_row(bench_module, dim):
     gamma = (1.0, 0.8, 0.9)
     row = bench_module.bench_lambda(dim, gamma, repeats=1)
-    assert set(row) == {"dim", "measures", "ms", "value"}
+    assert set(row) == {"dim", "measures", "value"} | MS
     assert (row["dim"], row["measures"]) == (dim, list(gamma))
-    assert row["ms"] > 0
+    assert_quartiles(row)
     assert row["value"] == lambda_d(gamma, dim)
 
 
@@ -142,10 +151,10 @@ def test_lambda_cases_are_the_sweep_base_and_unit_balls(bench_module):
 
 def test_fit_row(bench_module):
     row = bench_module.bench_fit(3, 1.0 / 16, 1.0, repeats=1)
-    assert set(row) == {"dim", "h", "radius", "cells", "ms", "peak_bytes"}
+    assert set(row) == {"dim", "h", "radius", "cells", "peak_bytes"} | MS
     ball = rasterize_ellipsoid(Ellipsoid(np.zeros(3), np.eye(3)), 1.0 / 16)
     assert (row["dim"], row["h"], row["radius"], row["cells"]) == (3, 1.0 / 16, 1.0, ball.count)
-    assert row["ms"] > 0
+    assert_quartiles(row)
     # below the 24 bytes per cell of a list of the cell centers
     assert 0 < row["peak_bytes"] < 24 * ball.count
 
@@ -154,6 +163,37 @@ def test_fit_cases_are_the_sweep_base_balls(bench_module):
     assert bench_module.FIT_CASES == tuple(
         (3, h, r) for h in (1.0 / 32, 1.0 / 64) for r in (1.0, 0.92, 0.85)
     )
+
+
+def test_timed_ms_takes_every_call(bench_module):
+    calls = []
+    ms, out = bench_module.timed_ms(lambda: calls.append(1) or len(calls), 15, "x_ms")
+    assert out == 15 and len(calls) == 15
+    assert set(ms) == {"x_ms_p25", "x_ms_p50", "x_ms_p75"}
+    assert_quartiles(ms, "x_ms")
+    assert bench_module.REPEATS >= 15
+
+
+def test_corner_counts_guarded_row(monkeypatch, bench_module):
+    # above DIRECT_PAIR_GUARD the direct columns are None and fft is timed
+    monkeypatch.setattr(functional, "DIRECT_PAIR_GUARD", 0)
+    row = bench_module.bench_corner_counts(1, 1.0 / 32, 0.5, repeats=1)
+    assert_quartiles(row, "fft_ms")
+    assert [row[f"direct_ms_p{p}"] for p in (25, 50, 75)] == [None] * 3
+    assert bench_module.spread(row, "direct_ms") == "guarded"
+
+
+def test_import_rows(bench_module):
+    rows = bench_module.bench_import(runs=2)
+    assert [r["step"] for r in rows] == ["import", "corner_counts", "lambda_d"]
+    for row in rows:
+        assert set(row) == {"step", "s_p25", "s_p50", "s_p75", "maxrss_mib", "scipy"}
+        assert_quartiles(row, "s")
+        assert row["scipy"] == sorted(row["scipy"])
+    # peak RSS never falls, and scipy.integrate first loads for lambda_d
+    assert 0 < rows[0]["maxrss_mib"] <= rows[1]["maxrss_mib"] <= rows[2]["maxrss_mib"]
+    assert ["integrate" in r["scipy"] for r in rows] == [False, False, True]
+    assert {"fft", "special"} <= set(rows[0]["scipy"])
 
 
 def test_environment_names_the_versions(bench_module):
@@ -170,9 +210,12 @@ def test_main_writes_every_stage(monkeypatch, tmp_path, bench_module):
     monkeypatch.setattr(bench_module, "CORNER_CASES", ((1, 1.0 / 32, 0.5, False),))
     monkeypatch.setattr(bench_module, "LAMBDA_CASES", ((2, (1.0, 1.0, 1.0)),))
     monkeypatch.setattr(bench_module, "FIT_CASES", ((3, 1.0 / 8, 1.0),))
+    monkeypatch.setattr(bench_module, "IMPORT_RUNS", 1)
     bench_module.main()
     written = json.loads(out.read_text())
-    assert list(written) == ["environment", "rasterize", "corner_counts", "lambda", "fit"]
+    assert list(written) == [
+        "environment", "import", "rasterize", "corner_counts", "lambda", "fit"
+    ]
     assert written["environment"] == bench_module.environment()
     assert [r["kernel"] for r in written["rasterize"]] == [
         "rasterize_ellipsoid", "rasterize_affine_image"
@@ -180,3 +223,4 @@ def test_main_writes_every_stage(monkeypatch, tmp_path, bench_module):
     assert [(r["dim"], r["h"]) for r in written["corner_counts"]] == [(1, 1.0 / 32)]
     assert [(r["dim"], r["measures"]) for r in written["lambda"]] == [(2, [1.0, 1.0, 1.0])]
     assert [(r["dim"], r["h"], r["radius"]) for r in written["fit"]] == [(3, 1.0 / 8, 1.0)]
+    assert [r["step"] for r in written["import"]] == ["import", "corner_counts", "lambda_d"]

@@ -214,10 +214,11 @@ class TestLambdaClosedForms:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_lambda_d_unconverged_quadrature_rejected(self, monkeypatch, dim):
-        # error estimates just under and just over 1e-6 of the value
-        monkeypatch.setattr(functional, "quad", lambda *a, **k: (2.0, 2.0e-6))
+        # error estimates just under and just over 1e-6 of the value; lambda_d
+        # imports quad from scipy.integrate on each call
+        monkeypatch.setattr("scipy.integrate.quad", lambda *a, **k: (2.0, 2.0e-6))
         assert lambda_d((1.0, 1.0, 1.0), dim) == dim * unit_ball_volume(dim) * 2.0
-        monkeypatch.setattr(functional, "quad", lambda *a, **k: (2.0, 2.1e-6))
+        monkeypatch.setattr("scipy.integrate.quad", lambda *a, **k: (2.0, 2.1e-6))
         with pytest.raises(ValueError, match="quadrature did not converge"):
             lambda_d((1.0, 1.0, 1.0), dim)
 

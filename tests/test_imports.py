@@ -2,6 +2,7 @@
 sit at module level, and each shared object has one definition."""
 
 import ast
+import json
 import pathlib
 import subprocess
 import sys
@@ -36,9 +37,13 @@ def test_no_unused_imports(module):
 
 
 def function_level_imports(path):
+    """function:module for each import inside a function; a relative
+    import's module keeps its leading dots."""
     tree = ast.parse(path.read_text())
     return sorted(
-        f"{fn.name}:{node.lineno}"
+        f"{fn.name}:{'.' * node.level}{node.module or ''}"
+        if isinstance(node, ast.ImportFrom)
+        else f"{fn.name}:{','.join(alias.name for alias in node.names)}"
         for fn in ast.walk(tree)
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
         for node in ast.walk(fn)
@@ -56,10 +61,31 @@ def package_imports(path):
     )
 
 
+# the one deferred import: Lambda_d's quadrature, so that a process that
+# never computes Lambda_d never loads scipy.integrate and what it pulls in
+DEFERRED_IMPORTS = {"functional.py": ["lambda_d:scipy.integrate"]}
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_no_function_level_imports(module):
     # a deferred import hides a cycle between modules
-    assert function_level_imports(PACKAGE / module) == []
+    assert function_level_imports(PACKAGE / module) == DEFERRED_IMPORTS.get(module, [])
+
+
+@pytest.mark.parametrize(
+    "source,found",
+    [
+        ("def f():\n    from scipy.integrate import quad", ["f:scipy.integrate"]),
+        ("def f():\n    from . import grid", ["f:."]),
+        ("def f():\n    from ..grid import x", ["f:..grid"]),
+        ("def f():\n    import os, sys", ["f:os,sys"]),
+        ("import os\ndef f():\n    return os", []),
+    ],
+)
+def test_function_level_imports_reads_every_form(tmp_path, source, found):
+    path = tmp_path / "m.py"
+    path.write_text(source)
+    assert function_level_imports(path) == found
 
 
 def test_ellipsoid_imports_only_grid():
@@ -82,17 +108,51 @@ def test_one_ellipsoid_and_one_ball_volume():
     assert rieszvox.RadiusTriple is grid.RadiusTriple is functional.RadiusTriple
 
 
-def test_scipy_signal_and_stats_stay_unloaded():
-    # the corner counts need only scipy.fft and the quadrature scipy.integrate
-    code = (
-        "import sys, rieszvox, rieszvox.verify, rieszvox.cli; "
-        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
-    )
+# the exact path, T in integer counts and the layer oracle, then the first
+# two lambda_d calls at once on two threads, as the sweep pool's first
+# records make them
+EXACT_PATH = """
+import json, os, sys, tempfile, threading
+import rieszvox, rieszvox.verify, rieszvox.cli
+from rieszvox import (
+    SetTriple, center_compatibility, dyadic_layers, fit_homothetic_triple, generate,
+    lambda_d, load, save, trilinear_corner_counts,
+)
+t = SetTriple([generate("blob", {"dim": 2, "spacing": 1 / 16}, seed=s) for s in (1, 2, 3)])
+with tempfile.TemporaryDirectory() as tmp:
+    save(t[0], os.path.join(tmp, "e.vxg"))
+    assert load(os.path.join(tmp, "e.vxg")) == t[0]
+assert trilinear_corner_counts(t, "fft") == trilinear_corner_counts(t, "direct")
+dyadic_layers(t[0])
+center_compatibility(t)
+fit_homothetic_triple(t)
+LAZY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.signal", "scipy.stats")
+exact = [m for m in LAZY if m in sys.modules]
+values, start = [], threading.Barrier(2)
+
+def call():
+    start.wait()
+    values.append(lambda_d((1.0, 0.8, 0.9), 3))
+
+threads = [threading.Thread(target=call) for _ in range(2)]
+for th in threads:
+    th.start()
+for th in threads:
+    th.join()
+print(json.dumps({"exact": exact, "values": values, "integrate": "scipy.integrate" in sys.modules}))
+"""
+
+
+def test_exact_path_leaves_the_quadrature_unloaded():
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        [sys.executable, "-c", EXACT_PATH], capture_output=True, text=True, check=True,
         cwd=PACKAGE.parent,
     )
-    assert out.stdout.strip() == "[]"
+    got = json.loads(out.stdout)
+    assert got["exact"] == []
+    assert got["integrate"]
+    assert len(got["values"]) == 2 and got["values"][0] == got["values"][1]
+    assert got["values"][0] == functional.lambda_d((1.0, 0.8, 0.9), 3)
 
 
 def scipy_subpackages(source):
